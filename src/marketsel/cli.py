@@ -51,6 +51,10 @@ from .strategies import (
 OUTPUT_DIR_ENV = "MARKETSEL_OUT"
 DEFAULT_OUTPUT_DIR = "marketsel-out"
 
+# Rows rendered per block by trajectory_csv, so the float table it builds
+# stays small whatever the horizon.
+CSV_BLOCK_ROWS = 128
+
 
 class ConfigError(Exception):
     """Invalid scenario configuration; carries one message per violation."""
@@ -282,11 +286,7 @@ def _mentions_mc(strategy_spec: dict) -> bool:
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a JSON config document."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"$: not valid JSON: {exc}"]) from exc
-    return parse_config_dict(data)
+    return parse_config_dict(_json_object(text))
 
 
 def build_run(cfg: ScenarioConfig, seed: int) -> ProfileRun:
@@ -303,7 +303,11 @@ def build_run(cfg: ScenarioConfig, seed: int) -> ProfileRun:
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    """Render a trajectory as CSV, 17 significant digits per value."""
+    """Render a trajectory as CSV, 17 significant digits per value.
+
+    ``"%.17g" % v`` and ``format(v, ".17g")`` give the same text for
+    every double, non-finite values and signed zeros included.
+    """
     m = traj.num_investors
     header = (
         ["t"]
@@ -313,22 +317,34 @@ def trajectory_csv(traj: Trajectory) -> str:
         + [f"UH{i + 1}" for i in range(m)]
         + [f"closeness{i + 1}" for i in range(m)]
     )
+    row_format = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    for k in range(traj.times.size):
-        row = (
-            [traj.times[k]]
-            + list(traj.wealth[k])
-            + list(traj.rel[k])
-            + [traj.total[k], traj.pressure[k]]
-            + list(traj.gap_integral[k])
-            + list(traj.closeness[k])
+    for k0 in range(0, traj.times.size, CSV_BLOCK_ROWS):
+        rows = slice(k0, k0 + CSV_BLOCK_ROWS)
+        block = np.column_stack(
+            (
+                traj.times[rows],
+                traj.wealth[rows],
+                traj.rel[rows],
+                traj.total[rows],
+                traj.pressure[rows],
+                traj.gap_integral[rows],
+                traj.closeness[rows],
+            )
         )
-        lines.append(",".join(format(v, ".17g") for v in row))
+        lines.extend(row_format % tuple(row) for row in block.tolist())
     return "\n".join(lines) + "\n"
 
 
-def run_seed(config_data: dict, seed: int, include_csv: bool = True) -> dict:
-    """Execute one seed of a scenario; the worker unit for parallel batches."""
+def run_seed(
+    config_data: dict, seed: int, include_csv: bool = True, *, csv_path: Optional[str] = None
+) -> dict:
+    """Execute one seed of a scenario; the worker unit for parallel batches.
+
+    With ``csv_path`` the trajectory CSV is written there by the process
+    that ran the seed, so its text never crosses a process pool;
+    ``include_csv`` returns the text as well.
+    """
     cfg = parse_config_dict(config_data)
     traj = run_engine(build_run(cfg, seed))
     recording = traj.validate()
@@ -337,9 +353,18 @@ def run_seed(config_data: dict, seed: int, include_csv: bool = True) -> dict:
     if recording:
         summary["recording_violations"] = recording
     result = {"seed": seed, "summary": summary}
-    if include_csv:
-        result["csv"] = trajectory_csv(traj)
+    if include_csv or csv_path is not None:
+        text = trajectory_csv(traj)
+        if csv_path is not None:
+            with open(csv_path, "w") as fh:
+                fh.write(text)
+        if include_csv:
+            result["csv"] = text
     return result
+
+
+def _csv_path(out_dir: str, name: str, seed: int) -> str:
+    return os.path.join(out_dir, f"{name}_seed{seed}.csv")
 
 
 def _aggregate(cfg: ScenarioConfig, per_seed: list) -> dict:
@@ -373,38 +398,53 @@ def _aggregate(cfg: ScenarioConfig, per_seed: list) -> dict:
     }
 
 
+def _seed_result(seed: int, call) -> dict:
+    try:
+        return call()
+    except OSError:
+        raise  # an artifact that cannot be written fails the whole run
+    except Exception as exc:  # noqa: BLE001 - per-seed failures are data
+        return {"seed": seed, "error": str(exc)}
+
+
 def run_batch(
     config_data: dict,
     jobs: int = 1,
     seeds=None,
     include_csv: bool = False,
+    out_dir: Optional[str] = None,
 ) -> dict:
     """Run every seed of a scenario, serially or with a worker pool.
 
     Returns {"config", "per_seed", "aggregate"}; per-seed failures are
     recorded as {"seed", "error"} entries rather than aborting the batch.
-    Results are keyed and ordered by seed, so the output is identical for
-    any job count.
+    With ``out_dir`` every seed writes ``<name>_seed<seed>.csv`` there
+    itself; an OSError from that write aborts the batch.  Results are
+    keyed and ordered by seed, so the output is identical for any job
+    count.
     """
     cfg = parse_config_dict(config_data)
     batch = sorted(seeds) if seeds is not None else list(cfg.seeds)
+
+    def csv_kwargs(seed):
+        return {} if out_dir is None else {"csv_path": _csv_path(out_dir, cfg.name, seed)}
+
     per_seed = []
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                seed: pool.submit(run_seed, config_data, seed, include_csv) for seed in batch
+                seed: pool.submit(run_seed, config_data, seed, include_csv, **csv_kwargs(seed))
+                for seed in batch
             }
             for seed in batch:
-                try:
-                    per_seed.append(futures[seed].result())
-                except Exception as exc:  # noqa: BLE001 - per-seed failures are data
-                    per_seed.append({"seed": seed, "error": str(exc)})
+                per_seed.append(_seed_result(seed, futures[seed].result))
     else:
         for seed in batch:
-            try:
-                per_seed.append(run_seed(config_data, seed, include_csv))
-            except Exception as exc:  # noqa: BLE001
-                per_seed.append({"seed": seed, "error": str(exc)})
+            per_seed.append(
+                _seed_result(
+                    seed, lambda: run_seed(config_data, seed, include_csv, **csv_kwargs(seed))
+                )
+            )
     return {"config": cfg, "per_seed": per_seed, "aggregate": _aggregate(cfg, per_seed)}
 
 
@@ -414,19 +454,16 @@ def run_scenario(config_data: dict, out_dir: str, jobs: int = 1, seeds=None) -> 
     Writes ``<name>_seed<seed>.csv`` per seed and ``<name>_summary.json``;
     returns (exit_code, written paths).
     """
-    result = run_batch(config_data, jobs=jobs, seeds=seeds, include_csv=True)
-    cfg = result["config"]
     os.makedirs(out_dir, exist_ok=True)
+    result = run_batch(config_data, jobs=jobs, seeds=seeds, out_dir=out_dir)
+    cfg = result["config"]
     paths = []
     summary_per_seed = []
     for entry in result["per_seed"]:
         if "error" in entry:
             summary_per_seed.append({"seed": entry["seed"], "error": entry["error"]})
             continue
-        path = os.path.join(out_dir, f"{cfg.name}_seed{entry['seed']}.csv")
-        with open(path, "w") as fh:
-            fh.write(entry["csv"])
-        paths.append(path)
+        paths.append(_csv_path(out_dir, cfg.name, entry["seed"]))
         summary_per_seed.append(entry["summary"])
     summary = _json_safe({"aggregate": result["aggregate"], "per_seed": summary_per_seed})
     summary_path = os.path.join(out_dir, f"{cfg.name}_summary.json")
@@ -449,10 +486,33 @@ def _json_safe(obj):
 
 
 def _parse_seeds_arg(text: str) -> list:
-    if ":" in text:
-        base, count = text.split(":", 1)
-        return list(range(int(base), int(base) + int(count)))
-    return [int(s) for s in text.split(",") if s.strip() != ""]
+    try:
+        if ":" in text:
+            base, count = text.split(":", 1)
+            seeds = list(range(int(base), int(base) + int(count)))
+        else:
+            seeds = [int(s) for s in text.split(",") if s.strip() != ""]
+    except ValueError:
+        raise ConfigError(
+            [f"--seeds: expected 'a,b,c' or 'base:count' with integers, got {text!r}"]
+        ) from None
+    if not seeds:
+        raise ConfigError([f"--seeds: {text!r} selects no seeds"])
+    if min(seeds) < 0 or max(seeds) >= 2**64:
+        raise ConfigError([f"--seeds: seeds must lie in [0, 2**64), got {text!r}"])
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError([f"--seeds: duplicate seeds in {text!r}"])
+    return seeds
+
+
+def _json_object(text: str) -> dict:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"$: not valid JSON: {exc}"]) from exc
+    if not isinstance(data, dict):
+        raise ConfigError(["$: configuration must be a JSON object"])
+    return data
 
 
 def _load_config_arg(args) -> dict:
@@ -460,11 +520,7 @@ def _load_config_arg(args) -> dict:
         raise ConfigError(["give either --config or --scenario, not both"])
     if args.config:
         with open(args.config) as fh:
-            text = fh.read()
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ConfigError(["$: configuration must be a JSON object"])
-        return data
+            return _json_object(fh.read())
     if args.scenario:
         try:
             return json.loads(json.dumps(get_scenario(args.scenario).config))
@@ -479,14 +535,13 @@ def _cmd_run(args) -> int:
         if args.grid is not None:
             data.setdefault("record", {})["grid"] = args.grid
         cfg = parse_config_dict(data)
+        seeds = _parse_seeds_arg(args.seeds) if args.seeds else None
+        out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV, DEFAULT_OUTPUT_DIR)
+        code, paths = run_scenario(data, out_dir, jobs=args.jobs, seeds=seeds)
     except ConfigError as exc:
         for msg in exc.errors:
             print(f"config error: {msg}", file=sys.stderr)
         return 1
-    seeds = _parse_seeds_arg(args.seeds) if args.seeds else None
-    out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV, DEFAULT_OUTPUT_DIR)
-    try:
-        code, paths = run_scenario(data, out_dir, jobs=args.jobs, seeds=seeds)
     except OSError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2

@@ -100,24 +100,39 @@ def make_simplex(raw) -> SimplexVector:
     return SimplexVector._trusted(out)
 
 
+def simplex_rows(raw: np.ndarray) -> np.ndarray:
+    """``make_simplex`` applied to every row of a (B, N) array, with the same checks."""
+    arr = np.asarray(raw, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] == 0:
+        raise DomainError(f"raw must be a (B, N) array with N >= 1, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("raw must contain only finite values")
+    if np.any(arr < 0.0):
+        raise DomainError("components must be non-negative")
+    total = arr.sum(axis=1)
+    empty = total < NORM_FLOOR
+    out = arr / np.where(empty, 1.0, total)[:, None]
+    out[empty] = 1.0 / arr.shape[1]
+    return out
+
+
 def divergence_rows(alpha: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Gibbs divergence of ``alpha`` from each row of ``rows``.
 
     Returns sum_n alpha_n (ln alpha_n - ln rows_{k,n}) for every row k,
     with the 0*ln 0 terms on {alpha_n = 0} dropped and +inf where a row
-    has a zero component that alpha does not share.  No input validation;
-    callers own that.
+    has a zero component that alpha does not share.  ``alpha`` may also
+    be a stack (B, N) with ``rows`` (B, K, N), one alpha per stack entry;
+    the result then has shape (B, K).  No input validation; callers own
+    that.
     """
     rows = np.atleast_2d(rows)
-    pos = alpha > 0.0
-    if not np.any(pos):
-        return np.zeros(rows.shape[0])
-    a = alpha[pos]
-    b = rows[:, pos]
-    bad = np.any(b <= 0.0, axis=1)
-    safe = np.where(b > 0.0, b, 1.0)
-    out = (a * (np.log(a) - np.log(safe))).sum(axis=1)
-    out[bad] = np.inf
+    a = np.asarray(alpha)[..., None, :]
+    pos = a > 0.0
+    ok = rows > 0.0
+    terms = a * (np.log(np.where(pos, a, 1.0)) - np.log(np.where(ok, rows, 1.0)))
+    out = np.where(pos, terms, 0.0).sum(axis=-1)
+    out[np.any(pos & ~ok, axis=-1)] = np.inf
     return out
 
 

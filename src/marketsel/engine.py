@@ -1,12 +1,31 @@
 """Wealth-evolution engines.
 
-Two engines share one payoff-division rule.  The discrete engine iterates
-the exact one-period recursion
+Two engines share one payoff-division rule,
 
     Y_m' = (1 - delta) Y_m + sum_n [lam_mn Y_m / sum_k lam_kn Y_k] A_n,
 
-splitting each asset's payoff proportionally to the wealth allocated to
-it (an unclaimed asset's payoff is split equally among all investors).
+which splits each asset's payoff proportionally to the wealth allocated
+to it (an unclaimed asset's payoff is split equally among all investors).
+
+A strategy sees only the time, the emitting regime and the total wealth
+W, and W follows the exogenous recursion W' = (1 - delta) W + |A|.  So
+the discrete engine reads W from that recursion, never from the investor
+wealth, and runs blocks of steps through four stages:
+
+* environment -- per step, the Monte Carlo strategies' uniforms and one
+  payoff draw, in the order a per-step loop consumes them, plus the
+  regime path and the W recursion;
+* policy -- the survival candidate and every strategy's weights for the
+  whole block, as array operations grouped by strategy kind;
+* dynamics -- the investor-wealth recursion, the only sequential stage;
+  each row is exactly ``discrete_step`` of the row before;
+* diagnostics -- the selection-pressure clock, gap and closeness
+  integrals, running payoff and consumption sums, retention and support
+  violations, by running sums that add in per-step order.
+
+The block length comes from a fixed byte budget for the block's
+temporaries, so transient memory does not grow with the horizon.
+
 The continuous engine is event-driven: jump times come from the kernel's
 total intensity, the same division rule applies at each jump, and between
 jumps the interacting payoff-drift/consumption ODE is integrated with a
@@ -34,14 +53,24 @@ from .core import (
     Trajectory,
     divergence_rows,
     make_simplex,
+    simplex_rows,
 )
-from .payoffs import KernelSpec, RngStream, _sample_arrays, next_jump
-from .strategies import discrete_claim_vector, evaluate
-from .payoffs import expected_claim_rates
+from .payoffs import KernelSpec, RngStream, _sample_arrays, expected_claim_rates, next_jump
+from .strategies import (
+    block_weights,
+    discrete_claim_vector,
+    evaluate,
+    mc_samples,
+    regime_groups,
+)
 
 # Components below this are treated as zero when checking whether a
 # strategy abandoned an asset the survival candidate still weights.
 SUPPORT_TOL = 1e-12
+
+# Byte budget for the temporaries of one block of discrete steps; it sets
+# the block length, so transient memory does not grow with the horizon.
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -167,13 +196,64 @@ def _alloc(n_records: int, m: int, n: int, mode: str) -> Trajectory:
     )
 
 
+def _block_steps(m_inv: int, n_assets: int, mc_sizes) -> int:
+    """Steps per block of ``run_discrete``: as many as fit in BLOCK_BYTES.
+
+    The per-step estimate covers the largest block temporaries alive at
+    once: three (M, N) arrays of the divergence and closeness increments,
+    the largest Monte Carlo handle's two (S, N) claim arrays and every
+    handle's uniforms.
+    """
+    s_max = max(mc_sizes, default=0)
+    per_step = 8 * (3 * (m_inv + 1) * (n_assets + 1) + 2 * s_max * (n_assets + 1) + sum(mc_sizes))
+    return max(1, BLOCK_BYTES // per_step)
+
+
+def _environment(model, rng, regime, w: float, steps: int, n_uniforms: int):
+    """Draw ``steps`` steps of the exogenous environment, in stream order.
+
+    Each step draws the Monte Carlo strategies' uniforms, then one payoff
+    event.  Returns (uniforms, emitting regimes or None, payoff rows,
+    deltas, |payoff|, pre-step W) and the (regime, W) after the block;
+    W follows the recursion W' = (1 - delta) W + |payoff|.
+    """
+    uniforms = np.empty((steps, n_uniforms))
+    regimes = None if regime is None else np.empty(steps, dtype=int)
+    rows, deltas, sizes, w_pre = [], [], [], []
+    for i in range(steps):
+        if n_uniforms:
+            rng.random(out=uniforms[i])
+        if regimes is not None:
+            regimes[i] = regime
+        w_pre.append(w)
+        dx, dv, abs_dx, regime = _sample_arrays(model, regime, rng)
+        rows.append(dx)
+        deltas.append(dv)
+        sizes.append(abs_dx)
+        w = (1.0 - dv) * w + abs_dx
+    env = (uniforms, regimes, np.array(rows), np.array(deltas), np.array(sizes), np.array(w_pre))
+    return env, regime, w
+
+
+def _running(acc: np.ndarray, k: int, inc: np.ndarray, op=np.add) -> None:
+    """acc[k+1+i] = op(acc[k+i], inc[i]) for every i, in that order."""
+    out = acc[k + 1 : k + 1 + len(inc)]
+    out[...] = inc
+    out[0] = op(acc[k], inc[0])
+    op.accumulate(out, axis=0, out=out)
+
+
 def run_discrete(run: ProfileRun) -> Trajectory:
     """Simulate the discrete-time market over an integer number of steps.
 
-    Strategies are evaluated on start-of-step information only: the
-    regime that will emit this step's payoff and the pre-step total
-    wealth.  The survival candidate, selection-pressure increment and
-    per-investor divergence diagnostics are accumulated alongside.
+    Strategies are evaluated on start-of-step information only: the time,
+    the regime that will emit this step's payoff and the pre-step total
+    wealth W from its exogenous recursion.  Steps run in blocks through
+    four stages: environment (draws and the W recursion), policy (the
+    survival candidate and every strategy, as array operations), dynamics
+    (the investor-wealth recursion, the only sequential stage) and
+    diagnostics (selection pressure, gap and closeness integrals, support
+    violations, running sums).
     """
     market = run.market
     model = market.payoff_model
@@ -187,52 +267,66 @@ def run_discrete(run: ProfileRun) -> Trajectory:
         raise DomainError("payoff model and market disagree on the number of assets")
     rng = run.rng.generator()
     regime = getattr(model, "initial_state", None)
+    handles = run.strategies
+    mc_sizes = [mc_samples(h) for h in handles]
+    n_uniforms = sum(mc_sizes)
+    block = _block_steps(m_inv, n_assets, mc_sizes)
 
     traj = _alloc(t_end, m_inv, n_assets, "discrete")
-    y = market.initial_wealth.copy()
-    w = float(y.sum())
-    traj.wealth[0] = y
+    traj.wealth[0] = market.initial_wealth
+    w = float(traj.wealth[0].sum())
     traj.total[0] = w
-    traj.rel[0] = y / w
+    traj.rel[0] = traj.wealth[0] / w
+    traj.is_jump[:] = True
+    wealth = traj.wealth
 
-    lam = np.empty((m_inv, n_assets))
-    for t in range(1, t_end + 1):
-        claim = discrete_claim_vector(model, regime, w)
-        cand = make_simplex(claim)
-        cand_w = cand.weights
-        for m, handle in enumerate(run.strategies):
-            lam[m] = evaluate(handle, model, t, regime, w, rng, candidate=cand).weights
-        dx, dv, abs_dx, regime = _sample_arrays(model, regime, rng)
-        y = _step_core(y, lam, dx, dv)
+    for k0 in range(0, t_end, block):
+        k1 = min(k0 + block, t_end)
+        rows = slice(k0 + 1, k1 + 1)
+        t = np.arange(k0 + 1, k1 + 1, dtype=float)
 
-        k = t - 1
-        traj.times[t] = float(t)
-        traj.wealth[t] = y
-        w_new = float(y.sum())
-        traj.total[t] = w_new
-        traj.rel[t] = y / w_new
-        traj.dx[k] = dx
-        traj.dv[k] = dv
-        traj.is_jump[k] = True
-        traj.cum_x[t] = traj.cum_x[k] + dx
-        traj.cum_v[t] = traj.cum_v[k] + dv
-        traj.retention[t] = traj.retention[k] * (1.0 - dv)
-        traj.weights[k] = lam
-        traj.candidate[k] = cand_w
-        traj.z_jump[k] = abs_dx / w - dv
+        # environment
+        (uniforms, regimes, dx, dv, abs_dx, w_pre), regime, w = _environment(
+            model, rng, regime, w, k1 - k0, n_uniforms
+        )
+        traj.times[rows] = t
+        traj.dx[k0:k1] = dx
+        traj.dv[k0:k1] = dv
+        # Step from the recorded rows themselves, so that every wealth row
+        # is discrete_step of the recorded row, weights, payoff and delta.
+        dx, dv = traj.dx[k0:k1], traj.dv[k0:k1]
 
-        d_pressure = float(claim.sum()) / w
-        traj.pressure[t] = traj.pressure[k] + d_pressure
+        # policy
+        claim = np.empty((k1 - k0, n_assets))
+        for r, sel in regime_groups(regimes):
+            claim[sel] = discrete_claim_vector(model, r, w_pre[sel])
+        cand = traj.candidate[k0:k1]
+        cand[...] = simplex_rows(claim)
+        lam = traj.weights[k0:k1]
+        block_weights(handles, model, t, regimes, w_pre, cand, uniforms, out=lam)
+
+        # dynamics
+        for i in range(k1 - k0):
+            wealth[k0 + 1 + i] = _step_core(wealth[k0 + i], lam[i], dx[i], dv[i])
+
+        # diagnostics
+        total = wealth[rows].sum(axis=1)
+        traj.total[rows] = total
+        traj.rel[rows] = wealth[rows] / total[:, None]
+        traj.z_jump[k0:k1] = abs_dx / w_pre - dv
+        _running(traj.cum_x, k0, dx)
+        _running(traj.cum_v, k0, dv)
+        _running(traj.retention, k0, 1.0 - dv, np.multiply)
+        d_pressure = claim.sum(axis=1) / w_pre
+        _running(traj.pressure, k0, d_pressure)
         if run.track_diagnostics:
-            gaps = divergence_rows(cand_w, lam)
-            traj.gap_integral[t] = traj.gap_integral[k] + gaps * d_pressure
-            traj.closeness[t] = (
-                traj.closeness[k] + ((lam - cand_w) ** 2).sum(axis=1) * d_pressure
-            )
+            gaps = divergence_rows(cand, lam)
+            _running(traj.gap_integral, k0, gaps * d_pressure[:, None])
+            close = ((lam - cand[:, None, :]) ** 2).sum(axis=2)
+            _running(traj.closeness, k0, close * d_pressure[:, None])
             traj.support_violations += np.any(
-                (lam <= 0.0) & (cand_w > SUPPORT_TOL)[None, :], axis=1
-            )
-        w = w_new
+                (lam <= 0.0) & (cand > SUPPORT_TOL)[:, None, :], axis=2
+            ).sum(axis=0)
     return traj
 
 

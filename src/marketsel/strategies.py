@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DomainError, SimplexVector, as_vector, make_simplex
+from .core import DomainError, SimplexVector, as_vector, make_simplex, simplex_rows
 from .payoffs import (
     DiscreteIIDModel,
     KernelSpec,
@@ -28,28 +28,50 @@ from .payoffs import (
 )
 
 
-def discrete_claim_vector(model, regime_state, w_prev: float) -> np.ndarray:
+def _support(model, regime_state):
+    if isinstance(model, MarkovModulatedModel):
+        return model.support_arrays(regime_state)
+    if isinstance(model, DiscreteIIDModel):
+        return model.support_arrays()
+    raise DomainError(f"model of type {type(model).__name__} has no finite support")
+
+
+def discrete_claim_vector(model, regime_state, w_prev) -> np.ndarray:
     """Expected discounted payoff claim per asset, by exact enumeration.
 
     For each support atom the post-event total wealth is
     (1 - delta) * w_prev + |payoff|, so the claim of asset n is
-    w_prev * E[payoff_n / post-event total].
+    w_prev * E[payoff_n / post-event total].  ``w_prev`` may be a scalar
+    (result shape (N,)) or a vector of B wealth levels (result (B, N)).
     """
-    if not w_prev > 0.0:
+    w = np.asarray(w_prev, dtype=float)
+    if not np.all(w > 0.0):
         raise DomainError("total wealth must be positive")
-    if isinstance(model, MarkovModulatedModel):
-        probs, payoffs, abs_payoffs, deltas = model.support_arrays(regime_state)
-    elif isinstance(model, DiscreteIIDModel):
-        probs, payoffs, abs_payoffs, deltas = model.support_arrays()
-    else:
-        raise DomainError(f"model of type {type(model).__name__} has no finite support")
-    post_total = (1.0 - deltas) * w_prev + abs_payoffs
-    return w_prev * ((probs / post_total) @ payoffs)
+    probs, payoffs, abs_payoffs, deltas = _support(model, regime_state)
+    post_total = (1.0 - deltas) * w[..., None] + abs_payoffs
+    # The sum over atoms runs along a non-contiguous axis, so it adds in
+    # atom order whatever the leading shape: scalar and vector W agree.
+    return w[..., None] * ((probs / post_total)[..., None] * payoffs).sum(axis=-2)
 
 
 def survival_discrete_exact(model, regime_state, w_prev: float) -> SimplexVector:
     """Survival candidate weights for a finite-support discrete model."""
     return make_simplex(discrete_claim_vector(model, regime_state, w_prev))
+
+
+def mc_claim(model, regime_state, w_prev, uniforms: np.ndarray) -> np.ndarray:
+    """Monte Carlo estimate of ``discrete_claim_vector`` from given uniforms.
+
+    ``uniforms`` has shape (..., S): S draws for each entry of ``w_prev``
+    (a scalar, or a vector matching the leading shape).
+    """
+    probs, payoffs, abs_payoffs, deltas = _support(model, regime_state)
+    idx = np.searchsorted(np.cumsum(probs), uniforms, side="right")
+    idx = np.minimum(idx, probs.size - 1)
+    w = np.asarray(w_prev, dtype=float)
+    post_total = (1.0 - deltas[idx]) * w[..., None] + abs_payoffs[idx]
+    claims = payoffs[idx] / post_total[..., None]
+    return w[..., None] * claims.mean(axis=-2)
 
 
 def survival_discrete_mc(
@@ -65,16 +87,7 @@ def survival_discrete_mc(
         raise DomainError("total wealth must be positive")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    if isinstance(model, MarkovModulatedModel):
-        probs, payoffs, abs_payoffs, deltas = model.support_arrays(regime_state)
-    else:
-        probs, payoffs, abs_payoffs, deltas = model.support_arrays()
-    cum = np.cumsum(probs)
-    idx = np.searchsorted(cum, rng.random(n_samples), side="right")
-    idx = np.minimum(idx, probs.size - 1)
-    post_total = (1.0 - deltas[idx]) * w_prev + abs_payoffs[idx]
-    claims = payoffs[idx] / post_total[:, None]
-    return make_simplex(w_prev * claims.mean(axis=0))
+    return make_simplex(mc_claim(model, regime_state, w_prev, rng.random(n_samples)))
 
 
 def survival_continuous(kernel: KernelSpec, w_minus: float) -> SimplexVector:
@@ -129,14 +142,21 @@ class PerturbationSchedule:
             raise DomainError("constant blend fraction must lie in [0, 1]")
         object.__setattr__(self, "coefficient", c)
 
-    def epsilon(self, t: float) -> float:
+    def epsilon(self, t):
+        """Blend fraction at time ``t``: a float, or an array of times > 0."""
+        c = self.coefficient
+        if np.ndim(t):
+            if self.kind == "inverse_t":
+                # c / t >= 1 exactly when t <= c, so this agrees with the scalar rule
+                return np.minimum(1.0, c / t)
+            return np.full(np.shape(t), 0.0 if self.kind == "zero" else c)
         if self.kind == "zero":
             return 0.0
         if self.kind == "constant":
-            return self.coefficient
-        if t <= self.coefficient:
+            return c
+        if t <= c:
             return 1.0
-        return self.coefficient / t
+        return c / t
 
 
 @dataclass(frozen=True)
@@ -205,21 +225,25 @@ def table_strategy(default, per_regime=None) -> StrategyHandle:
     return StrategyHandle(kind="table", table=(norm(default), regimes))
 
 
-def _table_lookup(table, t: float, regime) -> SimplexVector:
+def _table_entries(table, regime):
     default, regimes = table
-    entries = default
     if regimes is not None and regime is not None:
         for k, v in regimes:
             if k == int(regime):
-                entries = v
-                break
-    chosen = entries[0][1]
-    for t_from, w in entries:
-        if t >= t_from:
-            chosen = w
-        else:
-            break
-    return chosen
+                return v
+    return default
+
+
+def _table_index(entries, t):
+    """Index of the entry in force at time(s) ``t``: the last breakpoint at
+    or before it, or the first entry before every breakpoint."""
+    starts = [t_from for t_from, _ in entries]
+    return np.maximum(np.searchsorted(starts, t, side="right") - 1, 0)
+
+
+def _table_lookup(table, t: float, regime) -> SimplexVector:
+    entries = _table_entries(table, regime)
+    return entries[int(_table_index(entries, t))][1]
 
 
 def evaluate(
@@ -262,3 +286,71 @@ def evaluate(
     if handle.kind == "table":
         return _table_lookup(handle.table, t, regime)
     raise DomainError(f"unknown strategy kind {handle.kind!r}")
+
+
+def mc_samples(handle: StrategyHandle) -> int:
+    """Uniforms one evaluation of ``handle`` draws: its survival_mc samples."""
+    if handle.kind == "survival_mc":
+        return handle.n_samples
+    if handle.kind == "perturbed":
+        return mc_samples(handle.base)
+    return 0
+
+
+def regime_groups(regimes):
+    """(regime, selector) pairs splitting a block's steps by emitting regime.
+
+    ``regimes`` is None for an i.i.d. model, whose steps form one group.
+    """
+    if regimes is None:
+        return [(None, slice(None))]
+    return [(int(r), regimes == r) for r in np.unique(regimes)]
+
+
+def block_weights(handles, model, t, regimes, w, candidate, uniforms, out) -> None:
+    """``evaluate`` every handle at every step of a block of a discrete run.
+
+    Step b decides at time ``t[b]`` in emitting regime ``regimes[b]``
+    (``regimes`` is None for an i.i.d. model) with pre-step total wealth
+    ``w[b]`` and survival candidate ``candidate[b]``; ``uniforms[b]``
+    holds the step's Monte Carlo uniforms, consumed in investor order.
+    Writes the (B, M, N) weights into ``out``.  Constant and exact
+    survival handles are filled one array operation per kind.
+    """
+    kinds = [h.kind for h in handles]
+    const = [m for m, k in enumerate(kinds) if k == "constant"]
+    if const:
+        out[:, const] = np.array([handles[m].weights.weights for m in const])
+    exact = [m for m, k in enumerate(kinds) if k == "survival_exact"]
+    if exact:
+        out[:, exact] = candidate[:, None, :]
+    offset = 0
+    for m, handle in enumerate(handles):
+        n = mc_samples(handle)
+        if kinds[m] not in ("constant", "survival_exact"):
+            out[:, m] = _handle_block(
+                handle, model, t, regimes, w, candidate, uniforms[:, offset : offset + n]
+            )
+        offset += n
+
+
+def _handle_block(handle, model, t, regimes, w, candidate, uniforms) -> np.ndarray:
+    kind = handle.kind
+    if kind == "constant":
+        return handle.weights.weights
+    if kind == "survival_exact":
+        return candidate
+    if kind == "perturbed":
+        base = _handle_block(handle.base, model, t, regimes, w, candidate, uniforms)
+        eps = handle.schedule.epsilon(t)[:, None]
+        return (1.0 - eps) * base + eps * handle.target.weights
+    out = np.empty(candidate.shape)
+    for r, sel in regime_groups(regimes):
+        if kind == "table":
+            entries = _table_entries(handle.table, r)
+            out[sel] = np.array([v.weights for _, v in entries])[_table_index(entries, t[sel])]
+        elif kind == "survival_mc":
+            out[sel] = simplex_rows(mc_claim(model, r, w[sel], uniforms[sel]))
+        else:
+            raise DomainError(f"unknown strategy kind {kind!r}")
+    return out

@@ -5,6 +5,7 @@ built-in catalog and the command-line entry points."""
 import copy
 import json
 
+import numpy as np
 import pytest
 
 from marketsel.cli import (
@@ -17,6 +18,7 @@ from marketsel.cli import (
     run_seed,
     trajectory_csv,
 )
+from marketsel.engine import _alloc
 from marketsel.scenarios import CATALOG, get_scenario, list_scenarios
 
 
@@ -224,6 +226,57 @@ class TestDeterminism:
         assert len(lines) == 1 + 51  # header + initial state + 50 steps
 
 
+def per_value_csv(traj):
+    """The reference renderer: one ``format(v, ".17g")`` call per value."""
+    m = traj.num_investors
+    header = (
+        ["t"]
+        + [f"Y{i + 1}" for i in range(m)]
+        + [f"r{i + 1}" for i in range(m)]
+        + ["W", "H"]
+        + [f"UH{i + 1}" for i in range(m)]
+        + [f"closeness{i + 1}" for i in range(m)]
+    )
+    lines = [",".join(header)]
+    for k in range(traj.times.size):
+        row = (
+            [traj.times[k]]
+            + list(traj.wealth[k])
+            + list(traj.rel[k])
+            + [traj.total[k], traj.pressure[k]]
+            + list(traj.gap_integral[k])
+            + list(traj.closeness[k])
+        )
+        lines.append(",".join(format(v, ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestTrajectoryCsv:
+    def test_matches_per_value_renderer_on_awkward_values(self, monkeypatch):
+        import marketsel.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "CSV_BLOCK_ROWS", 7)  # several row blocks
+        rng = np.random.default_rng(3)
+        traj = _alloc(20, 3, 2, "discrete")
+        special = np.array([np.inf, np.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+                            1e-310, 1.0 / 3.0, 1e300, 123456789.0])
+        for name in ("times", "wealth", "rel", "total", "pressure", "gap_integral", "closeness"):
+            arr = getattr(traj, name)
+            arr[...] = rng.standard_normal(arr.shape) * 10.0 ** rng.integers(-30, 30, arr.shape)
+            flat = arr.reshape(-1)
+            flat[rng.integers(0, flat.size, 6)] = rng.choice(special, 6)
+        traj.gap_integral[5:, 1] = np.inf
+        assert trajectory_csv(traj) == per_value_csv(traj)
+
+    def test_matches_per_value_renderer_on_a_run(self):
+        cfg = parse_config_dict(minimal_config(horizon=60))
+        from marketsel.cli import build_run
+        from marketsel.engine import run as run_engine
+
+        traj = run_engine(build_run(cfg, 4))
+        assert trajectory_csv(traj) == per_value_csv(traj)
+
+
 class TestRunScenario:
     def test_writes_expected_files(self, tmp_path):
         data = minimal_config(seeds=[0, 1, 2])
@@ -256,6 +309,26 @@ class TestRunScenario:
         assert 0.0 <= inv["survives_fraction"] <= 1.0
         lo, hi = inv["survives_ci95"]
         assert 0.0 <= lo <= hi <= 1.0
+
+    def test_workers_write_their_own_csvs(self, tmp_path):
+        data = minimal_config(seeds=[0, 1, 2])
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            out.mkdir()
+            result = run_batch(data, jobs=jobs, out_dir=str(out))
+            assert all("csv" not in entry for entry in result["per_seed"])
+            for seed in (0, 1, 2):
+                assert (out / f"mini_seed{seed}.csv").read_text() == run_seed(data, seed)["csv"]
+
+    def test_unwritable_csv_is_a_runtime_failure(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config(seeds=[0, 1])))
+        out_dir = tmp_path / "out"
+        (out_dir / "mini_seed0.csv").mkdir(parents=True)  # fails even for root
+        for jobs in ("1", "2"):
+            code = main(["run", "--config", str(path), "--out", str(out_dir), "--jobs", jobs])
+            assert code == 2
+            assert "runtime failure:" in capsys.readouterr().err
 
 
 class TestCatalog:
@@ -344,6 +417,26 @@ class TestMainEntryPoint:
 
     def test_run_requires_some_config(self, tmp_path):
         assert main(["run", "--out", str(tmp_path)]) == 1
+
+    def test_run_missing_config_file_is_a_runtime_failure(self, tmp_path, capsys):
+        code = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
+        assert code == 2
+        assert "runtime failure:" in capsys.readouterr().err
+
+    def test_run_malformed_json_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("{not json")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "config error: $: not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["abc", "1:x", "3,,b", "5:0", "-1,2", "4,4"])
+    def test_run_bad_seeds_is_a_config_error(self, tmp_path, capsys, seeds):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config()))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), f"--seeds={seeds}", "--out", str(out_dir)]) == 1
+        assert "config error: --seeds:" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_seed_colon_syntax(self, tmp_path):
         path = tmp_path / "cfg.json"

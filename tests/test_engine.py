@@ -8,6 +8,7 @@ growth) and the jump-replay equivalence.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from marketsel import (
     stochastic_exponent,
     survival_strategy,
 )
+from marketsel import PerturbationSchedule, engine, perturbed, survival_mc_strategy, table_strategy
 from marketsel.scenarios import two_point_model
+from marketsel.strategies import mc_samples
 
 EXACT_TOL = 1e-12
 PATH_RTOL = 1e-9
@@ -196,6 +199,47 @@ class TestRunDiscrete:
         event = traj.event_at(2)
         assert event.is_jump
         np.testing.assert_array_equal(event.dx, traj.dx[2])
+
+
+    def test_block_temporaries_do_not_grow_with_the_horizon(self):
+        # 40 investors x 10 assets, 2-regime Markov model, all five kinds
+        # with Monte Carlo handles: the tracemalloc peak beyond the
+        # trajectory's own arrays must not grow from 2 blocks to 8.
+        gen = np.random.default_rng(0)
+        m, n = 40, 10
+
+        def regime():
+            atoms = tuple((tuple(gen.uniform(0.0, 1.0, n)), 0.3) for _ in range(6))
+            return DiscreteIIDModel(atoms=atoms, probabilities=(1 / 6,) * 6)
+
+        model = MarkovModulatedModel(
+            states=("a", "b"), transition=np.array([[0.9, 0.1], [0.2, 0.8]]),
+            regimes=(regime(), regime()),
+        )
+        simplex = lambda: gen.dirichlet(np.ones(n))  # noqa: E731
+        kinds = [
+            lambda: survival_strategy(),
+            lambda: constant_strategy(simplex()),
+            lambda: perturbed(survival_mc_strategy(64), PerturbationSchedule("inverse_t", 2.0),
+                              simplex()),
+            lambda: survival_mc_strategy(64),
+            lambda: table_strategy([(0, simplex()), (50, simplex())], {1: [(0, simplex())]}),
+        ]
+        handles = [kinds[i % 5]() for i in range(m)]
+        spec = MarketSpec(m, n, np.ones(m), payoff_model=model)
+        block = engine._block_steps(m, n, [mc_samples(h) for h in handles])
+
+        def excess(horizon):
+            tracemalloc.start()
+            try:
+                traj = run_discrete(ProfileRun(spec, handles, horizon, RngStream(1)))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - sum(v.nbytes for v in vars(traj).values() if isinstance(v, np.ndarray))
+
+        excess(block)  # first-call allocations (lazy imports, caches) are not per block
+        assert excess(8 * block) <= 1.1 * excess(2 * block)
 
 
 class TestRunContinuous:
