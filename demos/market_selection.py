@@ -18,7 +18,7 @@ from marketsel import (
     survival_strategy,
     survival_verdict,
 )
-from marketsel.cli import run_batch
+from marketsel.cli import parse_config_dict, run_batch
 from marketsel.scenarios import get_scenario, two_point_model
 
 print("=" * 70)
@@ -57,7 +57,7 @@ print(f"  (per unit pressure: gap = {traj.gap_integral[-1,1]/traj.pressure[-1]:.
 
 print()
 print("Seed batch (the dominance-2pt scenario, 100 seeds):")
-result = run_batch(get_scenario("dominance-2pt").config, jobs=2)
+result = run_batch(parse_config_dict(get_scenario("dominance-2pt").config), jobs=2)
 rows = [r["summary"]["investors"][0] for r in result["per_seed"]]
 min_ok = sum(1 for r in rows if r["min_rel"] >= 0.05)
 dominant = sum(1 for r in rows if r["terminal_rel"] >= 0.95)

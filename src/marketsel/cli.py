@@ -337,15 +337,14 @@ def trajectory_csv(traj: Trajectory) -> str:
 
 
 def run_seed(
-    config_data: dict, seed: int, include_csv: bool = True, *, csv_path: Optional[str] = None
+    cfg: ScenarioConfig, seed: int, include_csv: bool = True, *, csv_path: Optional[str] = None
 ) -> dict:
-    """Execute one seed of a scenario; the worker unit for parallel batches.
+    """Execute one seed of a parsed scenario; the worker unit for parallel batches.
 
     With ``csv_path`` the trajectory CSV is written there by the process
     that ran the seed, so its text never crosses a process pool;
     ``include_csv`` returns the text as well.
     """
-    cfg = parse_config_dict(config_data)
     traj = run_engine(build_run(cfg, seed))
     recording = traj.validate()
     summary = run_summary(traj, floor=cfg.survival_floor, trend_tol=cfg.trend_tol)
@@ -408,13 +407,13 @@ def _seed_result(seed: int, call) -> dict:
 
 
 def run_batch(
-    config_data: dict,
+    cfg: ScenarioConfig,
     jobs: int = 1,
     seeds=None,
     include_csv: bool = False,
     out_dir: Optional[str] = None,
 ) -> dict:
-    """Run every seed of a scenario, serially or with a worker pool.
+    """Run every seed of a parsed scenario, serially or with a worker pool.
 
     Returns {"config", "per_seed", "aggregate"}; per-seed failures are
     recorded as {"seed", "error"} entries rather than aborting the batch.
@@ -423,7 +422,6 @@ def run_batch(
     keyed and ordered by seed, so the output is identical for any job
     count.
     """
-    cfg = parse_config_dict(config_data)
     batch = sorted(seeds) if seeds is not None else list(cfg.seeds)
 
     def csv_kwargs(seed):
@@ -433,7 +431,7 @@ def run_batch(
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                seed: pool.submit(run_seed, config_data, seed, include_csv, **csv_kwargs(seed))
+                seed: pool.submit(run_seed, cfg, seed, include_csv, **csv_kwargs(seed))
                 for seed in batch
             }
             for seed in batch:
@@ -442,21 +440,23 @@ def run_batch(
         for seed in batch:
             per_seed.append(
                 _seed_result(
-                    seed, lambda: run_seed(config_data, seed, include_csv, **csv_kwargs(seed))
+                    seed, lambda: run_seed(cfg, seed, include_csv, **csv_kwargs(seed))
                 )
             )
     return {"config": cfg, "per_seed": per_seed, "aggregate": _aggregate(cfg, per_seed)}
 
 
-def run_scenario(config_data: dict, out_dir: str, jobs: int = 1, seeds=None) -> tuple:
+def run_scenario(config, out_dir: str, jobs: int = 1, seeds=None) -> tuple:
     """Run a batch and write its artifacts.
 
-    Writes ``<name>_seed<seed>.csv`` per seed and ``<name>_summary.json``;
-    returns (exit_code, written paths).
+    ``config`` is a ScenarioConfig, or a config mapping, which is parsed
+    first.  Writes ``<name>_seed<seed>.csv`` per seed and
+    ``<name>_summary.json``; returns (exit_code, written paths).  The exit
+    code is 2 when every seed failed, else 0.
     """
+    cfg = config if isinstance(config, ScenarioConfig) else parse_config_dict(config)
     os.makedirs(out_dir, exist_ok=True)
-    result = run_batch(config_data, jobs=jobs, seeds=seeds, out_dir=out_dir)
-    cfg = result["config"]
+    result = run_batch(cfg, jobs=jobs, seeds=seeds, out_dir=out_dir)
     paths = []
     summary_per_seed = []
     for entry in result["per_seed"]:
@@ -471,7 +471,8 @@ def run_scenario(config_data: dict, out_dir: str, jobs: int = 1, seeds=None) -> 
         json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     paths.append(summary_path)
-    return 0, paths
+    agg = result["aggregate"]
+    return (2 if agg["failed"] and not agg["completed"] else 0), paths
 
 
 def _json_safe(obj):
@@ -537,7 +538,7 @@ def _cmd_run(args) -> int:
         cfg = parse_config_dict(data)
         seeds = _parse_seeds_arg(args.seeds) if args.seeds else None
         out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV, DEFAULT_OUTPUT_DIR)
-        code, paths = run_scenario(data, out_dir, jobs=args.jobs, seeds=seeds)
+        code, paths = run_scenario(cfg, out_dir, jobs=args.jobs, seeds=seeds)
     except ConfigError as exc:
         for msg in exc.errors:
             print(f"config error: {msg}", file=sys.stderr)
@@ -546,6 +547,8 @@ def _cmd_run(args) -> int:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
     print(f"{cfg.name}: wrote {len(paths)} files to {out_dir}")
+    if code:
+        print("runtime failure: every seed failed; the summary lists the errors", file=sys.stderr)
     return code
 
 

@@ -27,12 +27,22 @@ The block length comes from a fixed byte budget for the block's
 temporaries, so transient memory does not grow with the horizon.
 
 The continuous engine is event-driven: jump times come from the kernel's
-total intensity, the same division rule applies at each jump, and between
-jumps the interacting payoff-drift/consumption ODE is integrated with a
-fixed-step classical Runge-Kutta scheme (exact exponential decay when
-there is no payoff drift).  Fixed steps keep runs bit-reproducible; the
-integrator does not consume randomness, so refining the step never
-changes the jump sequence.
+total intensity and the same division rule applies at each jump.  Between
+jumps total wealth solves dW = (|b| - v W) dt in closed form, and at a
+jump W+ = (1 - v) W- + |x|, so it runs each jump-free segment through the
+same four stages:
+
+* environment -- W at every point of the substep grid t0 + j h / 2;
+* policy -- the survival candidate and every strategy on that grid, as
+  array operations, in chunks of at most BLOCK_BYTES of temporaries;
+* dynamics -- fixed-step classical RK4 on the investor wealth alone,
+  reading the grid's weights (exact exponential decay when there is no
+  payoff drift);
+* diagnostics -- the selection-clock, gap, closeness and ln W rates
+  integrated by composite Simpson over the grid.
+
+Fixed steps keep runs bit-reproducible; the integrator does not consume
+randomness, so refining the step never changes the jump sequence.
 
 Both engines record, along with the path, the increments of the process
 driving ln W, so the terminal total wealth can be reconstructed through
@@ -47,22 +57,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    DomainError,
-    MarketSpec,
-    Trajectory,
-    divergence_rows,
-    make_simplex,
-    simplex_rows,
-)
+from .core import DomainError, MarketSpec, Trajectory, divergence_rows, simplex_rows
 from .payoffs import KernelSpec, RngStream, _sample_arrays, expected_claim_rates, next_jump
-from .strategies import (
-    block_weights,
-    discrete_claim_vector,
-    evaluate,
-    mc_samples,
-    regime_groups,
-)
+from .strategies import block_weights, discrete_claim_vector, mc_samples, regime_groups
+
+# Neither engine calls these per decision any more, but perfbench's tracer
+# rebinds them by name in this module, so they stay importable here.
+from .core import make_simplex  # noqa: F401
+from .strategies import evaluate  # noqa: F401
 
 # Components below this are treated as zero when checking whether a
 # strategy abandoned an asset the survival candidate still weights.
@@ -71,6 +73,10 @@ SUPPORT_TOL = 1e-12
 # Byte budget for the temporaries of one block of discrete steps; it sets
 # the block length, so transient memory does not grow with the horizon.
 BLOCK_BYTES = 1 << 20
+
+# A recording-grid point this many ulps or fewer from a jump or the
+# horizon is that record, displaced by rounding, and is not emitted.
+GRID_ULPS = 4
 
 
 @dataclass
@@ -330,80 +336,131 @@ def run_discrete(run: ProfileRun) -> Trajectory:
     return traj
 
 
-def _drift_rates(kernel, handles, t, y, rng):
-    """Instantaneous state derivative and diagnostic rates at (t, y).
+def _total_wealth(kernel: KernelSpec, w0, s):
+    """Total wealth a jump-free time ``s`` after it was ``w0``.
 
-    Returns (dy, rates, lam, cand) where rates stacks the selection-clock
-    rate, per-investor gap and closeness rates, and the ln W drift rate.
+    Every asset's shares sum to one, so the payoff drift pays |b| in total
+    whatever the strategies, and W solves dW = (|b| - v W) dt.
     """
-    w = float(y.sum())
-    claim = expected_claim_rates(kernel, w)
-    cand = make_simplex(claim + kernel.drift)
-    cand_w = cand.weights
-    m_inv = y.size
-    lam = np.empty((m_inv, kernel.num_assets))
-    for m, handle in enumerate(handles):
-        lam[m] = evaluate(handle, kernel, t, None, w, rng, candidate=cand).weights
+    v = kernel.v_rate
+    b = float(kernel.drift.sum())
+    if v == 0.0:
+        return w0 + b * s
+    return w0 * np.exp(-v * s) - b * np.expm1(-v * s) / v
+
+
+def _chunk_substeps(m_inv: int, n_assets: int, n_atoms: int) -> int:
+    """Substeps per chunk of a jump-free segment: as many as fit in BLOCK_BYTES.
+
+    Each substep adds two grid points.  The per-point estimate covers the
+    weights and the divergence temporaries, four (M, N) arrays, and the
+    per-atom claim terms.
+    """
+    per_point = 8 * (4 * (m_inv + 1) * (n_assets + 1) + n_atoms * (n_assets + 1))
+    return max(1, BLOCK_BYTES // (2 * per_point))
+
+
+def _drift_rates(kernel, handles, t, w):
+    """Policy and diagnostic rates at times ``t`` with total wealth ``w``.
+
+    ``t`` and ``w`` are vectors of K points.  Returns the weights lam
+    (K, M, N), the survival candidate (K, N) and the rates (K, 2M + 2):
+    the selection-clock rate, per-investor gap and closeness rates, and
+    the ln W drift rate.
+    """
     b = kernel.drift
-    invested = y @ lam
-    claimed = invested > 0.0
-    safe = np.where(claimed, invested, 1.0)
-    shares = np.where(claimed[None, :], lam * y[:, None] / safe[None, :], 1.0 / m_inv)
-    dy = shares @ b - kernel.v_rate * y
-    rate_pressure = float((claim + b).sum()) / w
-    gaps = divergence_rows(cand_w, lam)
-    rate_gap = gaps * rate_pressure
-    rate_close = ((lam - cand_w) ** 2).sum(axis=1) * rate_pressure
-    rate_logw = float(b.sum()) / w - kernel.v_rate
-    rates = np.concatenate(([rate_pressure], rate_gap, rate_close, [rate_logw]))
-    return dy, rates, lam, cand_w
+    claim = expected_claim_rates(kernel, w) + b  # jump claims plus payoff drift
+    cand = simplex_rows(claim)
+    lam = np.empty((t.size, len(handles), b.size))
+    block_weights(handles, kernel, t, None, w, cand, np.empty((t.size, 0)), out=lam)
+    pressure = claim.sum(axis=1) / w
+    rates = np.column_stack(
+        (
+            pressure,
+            divergence_rows(cand, lam) * pressure[:, None],
+            ((lam - cand[:, None, :]) ** 2).sum(axis=2) * pressure[:, None],
+            float(b.sum()) / w - kernel.v_rate,
+        )
+    )
+    return lam, cand, rates
 
 
-def _integrate_segment(kernel, handles, t0, t1, y, dt, rng):
-    """Advance the state over a jump-free interval [t0, t1].
+def _rk4(y, lam, b, v_rate: float, h: float, t0: float):
+    """Classical RK4 for dy/dt = shares(y) @ b - v y over len(lam) // 2 substeps.
 
-    No payoff drift: wealth decays by the exact exponential factor and the
-    diagnostic rates are integrated by Simpson's rule along the analytic
-    decay path.  With drift: classical fixed-step RK4 on the state, with
-    the rates accumulated through the same stage evaluations (the rates do
-    not feed back into the state, so this is RK4 on the augmented system).
+    Substep i starts at t0 + i h; its stages read the weights at grid
+    points 2i, 2i+1, 2i+1 and 2i+2.  y > 0, so an asset is unclaimed
+    exactly when its weight column is zero; its drift then splits 1/M.
+    Shares do not change when a weight column is scaled, so each column
+    is scaled to a largest weight of 1: y @ lam then cannot underflow to
+    0 on a claimed asset.
+    """
+    top = lam.max(axis=1)
+    unclaimed = top == 0.0
+    points = list(
+        zip(
+            lam / np.where(unclaimed, 1.0, top)[:, None, :],
+            np.where(unclaimed, 0.0, b),
+            unclaimed.astype(float),  # invested wealth 1 instead of 0: no 0/0
+            (b * unclaimed).sum(axis=1) / y.size,
+        )
+    )
 
-    Returns (y1, acc, lam0, cand0) where acc stacks the integrated rates.
+    def rate(y, point):
+        lam_j, b_claimed, pad, free = point
+        return y * (lam_j @ (b_claimed / (y @ lam_j + pad)) - v_rate) + free
+
+    half = 0.5 * h
+    for i in range(len(points) // 2):
+        left, mid, right = points[2 * i], points[2 * i + 1], points[2 * i + 2]
+        k1 = rate(y, left)
+        k2 = rate(y + half * k1, mid)
+        k3 = rate(y + half * k2, mid)
+        k4 = rate(y + h * k3, right)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not 0.0 < y.min() <= y.max() < math.inf:
+            raise DomainError(f"integrator produced an invalid state near t={t0 + (i + 1) * h}")
+    return y
+
+
+def _integrate_segment(kernel, handles, t0, t1, y, w0, dt):
+    """Advance the investor wealth over a jump-free interval [t0, t1].
+
+    The interval splits into n = ceil((t1 - t0) / dt) substeps of length h.
+    Total wealth is the closed form from ``w0``, so the candidate, every
+    strategy and every diagnostic rate are functions of time alone: they
+    are evaluated on the grid t0 + j h / 2, j = 0..2n, in chunks of at most
+    BLOCK_BYTES, and the rates are integrated by composite Simpson over it
+    (RK4's rate weights, since the rates do not depend on y).  Without
+    payoff drift y decays by the exact exponential factor; with drift, RK4
+    steps y alone on the grid's weights.
+
+    Returns (y1, acc, lam0, cand0): acc stacks the integrated rates, and
+    lam0/cand0 are the weights and candidate at t0.
     """
     span = t1 - t0
-    m_inv = y.size
-    acc = np.zeros(2 * m_inv + 2)
     if span <= 0.0:
-        _, _, lam0, cand0 = _drift_rates(kernel, handles, t0, y, rng)
-        return y.copy(), acc, lam0, cand0
+        lam, cand, _ = _drift_rates(kernel, handles, np.array([t0]), np.array([w0]))
+        return y.copy(), np.zeros(2 * y.size + 2), lam[0], cand[0]
     n_steps = max(1, int(math.ceil(span / dt)))
     h = span / n_steps
     has_drift = float(kernel.drift.sum()) > 0.0
+    chunk = _chunk_substeps(y.size, kernel.num_assets, kernel._rhos.size)
+    acc = np.zeros(2 * y.size + 2)
+    for i0 in range(0, n_steps, chunk):
+        i1 = min(i0 + chunk, n_steps)
+        s = np.arange(2 * i0, 2 * i1 + 1) * (0.5 * h)
+        lam, cand, rates = _drift_rates(kernel, handles, t0 + s, _total_wealth(kernel, w0, s))
+        if i0 == 0:
+            lam0, cand0 = lam[0].copy(), cand[0].copy()
+        simpson = np.full(s.size, 2.0)
+        simpson[1::2] = 4.0
+        simpson[[0, -1]] = 1.0
+        acc += (h / 6.0) * (simpson @ rates)
+        if has_drift:
+            y = _rk4(y, lam, kernel.drift, kernel.v_rate, h, t0 + i0 * h)
     if not has_drift:
-        decay = kernel.v_rate
-        _, r_left, lam0, cand0 = _drift_rates(kernel, handles, t0, y, rng)
-        for i in range(n_steps):
-            ta = t0 + i * h
-            ym = y * math.exp(-decay * (ta + 0.5 * h - t0))
-            yb = y * math.exp(-decay * (ta + h - t0))
-            _, r_mid, _, _ = _drift_rates(kernel, handles, ta + 0.5 * h, ym, rng)
-            _, r_right, _, _ = _drift_rates(kernel, handles, ta + h, yb, rng)
-            acc += (h / 6.0) * (r_left + 4.0 * r_mid + r_right)
-            r_left = r_right
-        return y * math.exp(-decay * span), acc, lam0, cand0
-    lam0 = cand0 = None
-    for i in range(n_steps):
-        ta = t0 + i * h
-        k1, r1, lam, cand = _drift_rates(kernel, handles, ta, y, rng)
-        if lam0 is None:
-            lam0, cand0 = lam, cand
-        k2, r2, _, _ = _drift_rates(kernel, handles, ta + 0.5 * h, y + 0.5 * h * k1, rng)
-        k3, r3, _, _ = _drift_rates(kernel, handles, ta + 0.5 * h, y + 0.5 * h * k2, rng)
-        k4, r4, _, _ = _drift_rates(kernel, handles, ta + h, y + h * k3, rng)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        acc += (h / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-        if not np.all(np.isfinite(y)) or np.any(y <= 0.0):
-            raise DomainError(f"integrator produced an invalid state near t={ta + h}")
+        y = y * math.exp(-kernel.v_rate * span)
     return y, acc, lam0, cand0
 
 
@@ -494,7 +551,11 @@ def run_continuous(run: ProfileRun) -> Trajectory:
     Event-driven loop: draw the next kernel jump, integrate the inter-jump
     dynamics (recording at the uniform grid if one is configured), then
     apply the payoff-division update with the jump's (x, v) at the
-    pre-jump state.  Records always include every jump and the horizon.
+    pre-jump state.  Total wealth W follows its closed form between jumps
+    and W+ = (1 - v) W- + |x| at a jump; strategies read that W.  Records
+    always include every jump and the horizon; grid point k is k *
+    record_dt, and one within GRID_ULPS ulps of a jump or the horizon
+    merges into it.
     """
     market = run.market
     kernel = market.payoff_model
@@ -504,62 +565,54 @@ def run_continuous(run: ProfileRun) -> Trajectory:
         raise DomainError("kernel and market disagree on the number of assets")
     horizon = float(run.horizon)
     rng = run.rng.generator()
+    handles = run.strategies
     b = kernel.drift
     v_rate = kernel.v_rate
 
     rec = _Recorder(market.num_investors, market.num_assets, market.initial_wealth.copy())
     t = 0.0
     y = market.initial_wealth.copy()
-    next_grid = run.record_dt if run.record_dt is not None else None
+    w = float(y.sum())
+    grid, k_grid = run.record_dt, 1
     pending = next_jump(kernel, rng, t)
 
-    def segment(t_to, is_jump_end, jump=None):
-        nonlocal t, y, next_grid
-        y1, acc, lam0, cand0 = _integrate_segment(
-            kernel, run.strategies, t, t_to, y, run.dt, rng
-        )
+    def segment(t_to, jump=None):
+        nonlocal t, y, w
         span = t_to - t
+        y1, acc, lam, cand = _integrate_segment(kernel, handles, t, t_to, y, w, run.dt)
+        w1 = _total_wealth(kernel, w, span)
         dx = b * span
         dv = v_rate * span
-        zc = acc[-1]
         zj = 0.0
         retention_factor = math.exp(-v_rate * span)
-        lam, cand = lam0, cand0
-        if is_jump_end:
+        if jump is not None:
             x, v = jump
-            w_minus = float(y1.sum())
-            claim = expected_claim_rates(kernel, w_minus)
-            cand_vec = make_simplex(claim + b)
-            lam = np.empty((market.num_investors, market.num_assets))
-            for m, handle in enumerate(run.strategies):
-                lam[m] = evaluate(
-                    handle, kernel, t_to, None, w_minus, rng, candidate=cand_vec
-                ).weights
-            cand = cand_vec.weights
+            lam, cand, _ = _drift_rates(kernel, handles, np.array([t_to]), np.array([w1]))
+            lam, cand = lam[0], cand[0]
             y1 = discrete_step(y1, lam, x, v)
+            size = float(x.sum())
+            zj = size / w1 - v
+            w1 = (1.0 - v) * w1 + size
             dx = dx + x
             dv = dv + v
-            zj = float(x.sum()) / w_minus - v
             retention_factor *= 1.0 - v
-        rec.advance(t_to, y1, dx, dv, is_jump_end, acc, zc, zj, lam, cand, retention_factor)
-        t, y = t_to, y1
+        rec.advance(t_to, y1, dx, dv, jump is not None, acc, acc[-1], zj, lam, cand, retention_factor)
+        t, y, w = t_to, y1, w1
 
     while t < horizon:
         t_jump = pending[0] if pending is not None else math.inf
         t_stop = min(t_jump, horizon)
-        while next_grid is not None and next_grid < t_stop:
-            if next_grid > t:
-                segment(next_grid, False)
-            next_grid += run.record_dt
+        if grid is not None:
+            while (g := k_grid * grid) < t_stop - GRID_ULPS * math.ulp(t_stop):
+                if g > t + GRID_ULPS * math.ulp(t):
+                    segment(g)
+                k_grid += 1
         if t_jump <= horizon:
-            segment(t_jump, True, jump=pending[1])
-            if next_grid is not None:
-                while next_grid <= t:
-                    next_grid += run.record_dt
+            segment(t_jump, pending[1])
             pending = next_jump(kernel, rng, t)
         else:
             if horizon > t:
-                segment(horizon, False)
+                segment(horizon)
             break
     return rec.build()
 

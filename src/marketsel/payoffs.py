@@ -274,17 +274,19 @@ def next_jump(kernel: KernelSpec, rng: np.random.Generator, t_now: float):
     return t_now + wait, (kernel._xs[idx].copy(), float(kernel._vs[idx]))
 
 
-def expected_claim_rates(kernel: KernelSpec, w_minus: float) -> np.ndarray:
+def expected_claim_rates(kernel: KernelSpec, w_minus) -> np.ndarray:
     """Expected payoff claimed per asset and unit time at total wealth ``w_minus``.
 
     Every jump atom contributes its intensity times the payoff discounted
     by the post-event division factor 1 - v + |x| / W.  The discount is
     bounded away from zero because v <= gamma_v < 1, so the result is
-    always finite.
+    always finite.  ``w_minus`` may be a scalar (result shape (N,)) or a
+    vector of K wealth levels (result (K, N)).
     """
-    if not w_minus > 0.0:
+    w = np.asarray(w_minus, dtype=float)
+    if not np.all(w > 0.0):
         raise DomainError("total wealth must be positive")
-    if kernel._xs.shape[0] == 0:
-        return np.zeros(kernel.num_assets)
-    denom = 1.0 - kernel._vs + kernel._abs_xs / w_minus
-    return (kernel._rhos / denom) @ kernel._xs
+    denom = 1.0 - kernel._vs + kernel._abs_xs / w[..., None]
+    # The sum over atoms runs along a non-contiguous axis, so it adds in
+    # atom order whatever the leading shape: scalar and vector W agree.
+    return ((kernel._rhos / denom)[..., None] * kernel._xs).sum(axis=-2)

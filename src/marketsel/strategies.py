@@ -143,12 +143,13 @@ class PerturbationSchedule:
         object.__setattr__(self, "coefficient", c)
 
     def epsilon(self, t):
-        """Blend fraction at time ``t``: a float, or an array of times > 0."""
+        """Blend fraction at time ``t``: a float, or an array for an array of times."""
         c = self.coefficient
         if np.ndim(t):
             if self.kind == "inverse_t":
-                # c / t >= 1 exactly when t <= c, so this agrees with the scalar rule
-                return np.minimum(1.0, c / t)
+                clipped = np.asarray(t) <= c
+                # where t > c, t > 0 too, so the division is safe
+                return np.where(clipped, 1.0, c / np.where(clipped, 1.0, t))
             return np.full(np.shape(t), 0.0 if self.kind == "zero" else c)
         if self.kind == "zero":
             return 0.0

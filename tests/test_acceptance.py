@@ -46,7 +46,7 @@ JOBS = 2
 
 def _timed_batch(name):
     start = time.monotonic()
-    result = run_batch(get_scenario(name).config, jobs=JOBS)
+    result = run_batch(parse_config_dict(get_scenario(name).config), jobs=JOBS)
     return result, time.monotonic() - start
 
 

@@ -181,19 +181,19 @@ class TestParseConfig:
 
 class TestDeterminism:
     def test_same_seed_gives_byte_identical_csv(self):
-        data = minimal_config()
-        first = run_seed(data, 1)["csv"]
-        second = run_seed(data, 1)["csv"]
+        cfg = parse_config_dict(minimal_config())
+        first = run_seed(cfg, 1)["csv"]
+        second = run_seed(cfg, 1)["csv"]
         assert first == second
 
     def test_different_seeds_differ(self):
-        data = minimal_config()
-        assert run_seed(data, 1)["csv"] != run_seed(data, 2)["csv"]
+        cfg = parse_config_dict(minimal_config())
+        assert run_seed(cfg, 1)["csv"] != run_seed(cfg, 2)["csv"]
 
     def test_parallel_matches_serial(self):
-        data = minimal_config(seeds=[0, 1, 2, 3])
-        serial = run_batch(data, jobs=1, include_csv=True)
-        parallel = run_batch(data, jobs=2, include_csv=True)
+        cfg = parse_config_dict(minimal_config(seeds=[0, 1, 2, 3]))
+        serial = run_batch(cfg, jobs=1, include_csv=True)
+        parallel = run_batch(cfg, jobs=2, include_csv=True)
         for a, b in zip(serial["per_seed"], parallel["per_seed"]):
             assert a["seed"] == b["seed"]
             assert a["csv"] == b["csv"]
@@ -202,13 +202,12 @@ class TestDeterminism:
             )
 
     def test_csv_round_trips_doubles(self):
-        data = minimal_config(seeds=[0])
-        entry = run_seed(data, 0)
+        cfg = parse_config_dict(minimal_config(seeds=[0]))
+        entry = run_seed(cfg, 0)
         lines = entry["csv"].strip().splitlines()
         header = lines[0].split(",")
         assert header[:2] == ["t", "Y1"]
         # every value re-parses to the exact double that produced it
-        cfg = parse_config_dict(data)
         from marketsel.cli import build_run
         from marketsel.engine import run as run_engine
 
@@ -219,8 +218,7 @@ class TestDeterminism:
         assert float(row[header.index("W")]) == traj.total[7]
 
     def test_trajectory_csv_layout(self):
-        data = minimal_config(seeds=[0])
-        entry = run_seed(data, 0)
+        entry = run_seed(parse_config_dict(minimal_config(seeds=[0])), 0)
         lines = entry["csv"].strip().splitlines()
         assert lines[0] == "t,Y1,Y2,r1,r2,W,H,UH1,UH2,closeness1,closeness2"
         assert len(lines) == 1 + 51  # header + initial state + 50 steps
@@ -301,8 +299,7 @@ class TestRunScenario:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_aggregate_reports_fractions_and_intervals(self, tmp_path):
-        data = minimal_config(seeds=[0, 1, 2, 3])
-        result = run_batch(data)
+        result = run_batch(parse_config_dict(minimal_config(seeds=[0, 1, 2, 3])))
         agg = result["aggregate"]
         assert agg["completed"] == 4
         inv = agg["investors"][0]
@@ -311,14 +308,14 @@ class TestRunScenario:
         assert 0.0 <= lo <= hi <= 1.0
 
     def test_workers_write_their_own_csvs(self, tmp_path):
-        data = minimal_config(seeds=[0, 1, 2])
+        cfg = parse_config_dict(minimal_config(seeds=[0, 1, 2]))
         for jobs in (1, 2):
             out = tmp_path / f"jobs{jobs}"
             out.mkdir()
-            result = run_batch(data, jobs=jobs, out_dir=str(out))
+            result = run_batch(cfg, jobs=jobs, out_dir=str(out))
             assert all("csv" not in entry for entry in result["per_seed"])
             for seed in (0, 1, 2):
-                assert (out / f"mini_seed{seed}.csv").read_text() == run_seed(data, seed)["csv"]
+                assert (out / f"mini_seed{seed}.csv").read_text() == run_seed(cfg, seed)["csv"]
 
     def test_unwritable_csv_is_a_runtime_failure(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -360,7 +357,7 @@ class TestCatalog:
 
     def test_every_catalog_scenario_runs_one_seed(self):
         for info in list_scenarios():
-            result = run_batch(copy.deepcopy(info.config), seeds=[0])
+            result = run_batch(parse_config_dict(copy.deepcopy(info.config)), seeds=[0])
             (entry,) = result["per_seed"]
             assert "error" not in entry, (info.name, entry.get("error"))
             investors = entry["summary"]["investors"]
@@ -474,17 +471,60 @@ class TestFailureHandling:
 
         original = cli_mod.run_seed
 
-        def flaky(config_data, seed, include_csv=True):
+        def flaky(cfg, seed, include_csv=True):
             if seed == 1:
                 raise RuntimeError("boom")
-            return original(config_data, seed, include_csv)
+            return original(cfg, seed, include_csv)
 
         monkeypatch.setattr(cli_mod, "run_seed", flaky)
-        result = cli_mod.run_batch(minimal_config(seeds=[0, 1, 2]))
+        result = cli_mod.run_batch(parse_config_dict(minimal_config(seeds=[0, 1, 2])))
         errors = [r for r in result["per_seed"] if "error" in r]
         assert [e["seed"] for e in errors] == [1]
         assert result["aggregate"]["completed"] == 2
         assert result["aggregate"]["failed"] == 1
+
+    def test_run_exits_two_only_when_every_seed_fails(self, tmp_path, monkeypatch, capsys):
+        import marketsel.cli as cli_mod
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config(seeds=[0, 1])))
+        engine = cli_mod.run_engine
+
+        def fail_on(seeds):
+            def run_engine(run):
+                if run.rng.seed in seeds:
+                    raise RuntimeError(f"boom {run.rng.seed}")
+                return engine(run)
+
+            return run_engine
+
+        monkeypatch.setattr(cli_mod, "run_engine", fail_on({1}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "some")]) == 0
+        monkeypatch.setattr(cli_mod, "run_engine", fail_on({0, 1}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "all")]) == 2
+        assert "runtime failure:" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "all" / "mini_summary.json").read_text())
+        assert [e["error"] for e in summary["per_seed"]] == ["boom 0", "boom 1"]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_run_parses_the_config_once(self, tmp_path, monkeypatch, jobs):
+        import marketsel.cli as cli_mod
+
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config(seeds=[0, 1, 2])))
+        calls = []
+        parse = cli_mod.parse_config_dict
+
+        def counting(data):
+            calls.append(1)
+            return parse(data)
+
+        monkeypatch.setattr(cli_mod, "parse_config_dict", counting)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out), "--jobs", jobs]) == 0
+        assert len(calls) == 1
+        summary = json.loads((out / "mini_summary.json").read_text())
+        assert summary["aggregate"]["completed"] == 3
 
     def test_summary_json_is_strict_even_with_infinite_diagnostics(self, tmp_path):
         # a strategy that abandons an asset has an infinite gap integral;

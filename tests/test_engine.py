@@ -320,6 +320,77 @@ class TestRunContinuous:
         assert traj.times[-1] == pytest.approx(4.0)
         assert np.all(np.diff(traj.times) > 0)
 
+    def test_grid_records_are_multiples_of_the_spacing(self):
+        # accumulating 0.1 ten times lands one ulp short of 1.0, which used
+        # to emit a spurious record just before the horizon
+        kernel = KernelSpec(jump_atoms=(), drift=(0.2, 0.1), v_rate=0.1)
+        spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=kernel)
+        traj = run_continuous(
+            ProfileRun(spec, [constant_strategy([0.5, 0.5])] * 2, 1.0, RngStream(0), record_dt=0.1)
+        )
+        np.testing.assert_array_equal(traj.times, [k * 0.1 for k in range(10)] + [1.0])
+
+    def test_grid_point_an_ulp_from_a_jump_merges_into_it(self, monkeypatch):
+        # 3 * 0.1 is one ulp above the jump at 0.3
+        kernel = KernelSpec(
+            jump_atoms=(((1.0, 0.0), 0.1, 1.0),), drift=(0.2, 0.1), v_rate=0.1, gamma_v=0.2
+        )
+        jumps = iter([(0.3, (np.array([1.0, 0.0]), 0.1))])
+        monkeypatch.setattr(engine, "next_jump", lambda kernel, rng, t: next(jumps, None))
+        spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=kernel)
+        traj = run_continuous(
+            ProfileRun(spec, [constant_strategy([0.5, 0.5])] * 2, 1.0, RngStream(0), record_dt=0.1)
+        )
+        expected = [k * 0.1 for k in range(3)] + [0.3] + [k * 0.1 for k in range(4, 10)] + [1.0]
+        np.testing.assert_array_equal(traj.times, expected)
+        assert traj.is_jump.tolist() == [k == 2 for k in range(10)]
+
+    def test_unclaimed_drift_splits_equally(self):
+        # nobody holds asset 2, so each investor gets half of its drift
+        kernel = KernelSpec(jump_atoms=(), drift=(0.0, 1.0), v_rate=0.0)
+        spec = MarketSpec(2, 2, [0.25, 1.0], payoff_model=kernel)
+        traj = run_continuous(
+            ProfileRun(spec, [constant_strategy([1.0, 0.0])] * 2, 2.0, RngStream(0), record_dt=0.5)
+        )
+        np.testing.assert_allclose(traj.wealth, [0.25, 1.0] + 0.5 * traj.times[:, None], rtol=1e-12)
+
+    def test_subnormal_weight_still_claims_the_drift(self):
+        # 0.25 * 5e-324 underflows to 0, yet investor 2 alone holds asset 2,
+        # so it takes all of that asset's drift: W = 0.5 + 2t, y1 = 0.25 sqrt(W / 0.5)
+        kernel = KernelSpec(jump_atoms=(), drift=(1.0, 1.0), v_rate=0.0)
+        spec = MarketSpec(2, 2, [0.25, 0.25], payoff_model=kernel)
+        handles = [constant_strategy([1.0, 0.0]), constant_strategy(np.array([1.0, 5e-324]))]
+        traj = run_continuous(ProfileRun(spec, handles, 0.1, RngStream(0), dt=0.001))
+        y1 = 0.25 * math.sqrt(0.7 / 0.5)
+        np.testing.assert_allclose(traj.wealth[-1], [y1, 0.7 - y1], rtol=1e-9)
+
+    def test_chunk_temporaries_do_not_grow_with_the_segment(self, monkeypatch):
+        # one jump-free segment, no recording grid: the tracemalloc peak
+        # beyond the trajectory's own arrays must not grow from 2 chunks to 8
+        monkeypatch.setattr(engine, "BLOCK_BYTES", 1 << 16)
+        kernel = KernelSpec(jump_atoms=(), drift=(0.4, 0.2), v_rate=0.3)
+        spec = MarketSpec(3, 2, [1.0, 1.5, 0.5], payoff_model=kernel)
+        handles = [
+            survival_strategy(),
+            constant_strategy([0.3, 0.7]),
+            perturbed(survival_strategy(), PerturbationSchedule("inverse_t", 2.0), [0.5, 0.5]),
+        ]
+        dt = 0.01
+        chunk = engine._chunk_substeps(3, 2, 0)
+
+        def excess(chunks):
+            tracemalloc.start()
+            try:
+                traj = run_continuous(ProfileRun(spec, handles, chunks * chunk * dt, RngStream(1), dt=dt))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert traj.n_records == 1
+            return peak - sum(v.nbytes for v in vars(traj).values() if isinstance(v, np.ndarray))
+
+        excess(1)  # first-call allocations (lazy imports, caches) are not per chunk
+        assert excess(8) <= 1.1 * excess(2)
+
     def test_event_accessor_total_under_heavy_consumption(self):
         # interval consumption (rate * span + jump) can exceed 1; the
         # accessor must still yield a valid segment event

@@ -1,4 +1,4 @@
-"""The staged discrete engine against the per-step reference loop.
+"""The staged engines against per-step reference loops.
 
 ``reference_run_discrete`` is the discrete engine as a plain per-step
 loop: every strategy evaluated by ``evaluate`` at each step, one step of
@@ -8,8 +8,19 @@ W' = (1 - delta) W + |payoff|, as the staged engine does.  Random i.i.d.
 and Markov models with profiles mixing all five strategy kinds are run
 through both, over horizons of 0, 1 and lengths that cross block
 boundaries (the block byte budget is shrunk so blocks are a few steps).
+
+``reference_run_continuous`` is the continuous engine as it stood before
+its stages were split: each RK4 stage evaluates every strategy through
+``evaluate`` and the share rule at that stage's state, and the
+diagnostic rates ride along as RK4 on the augmented system.  Strategies
+read the closed-form total wealth, as the staged engine does, so the
+two differ only in the order of floating-point operations.  Random
+kernels (with and without drift, consumption rate and jumps) and
+profiles of the four kinds a kernel admits run through both, with the
+chunk byte budget shrunk so segments cross chunk boundaries.
 """
 
+import math
 from dataclasses import fields
 from unittest import mock
 
@@ -19,6 +30,7 @@ from hypothesis import strategies as st
 
 from marketsel import (
     DiscreteIIDModel,
+    KernelSpec,
     MarketSpec,
     MarkovModulatedModel,
     PerturbationSchedule,
@@ -30,17 +42,19 @@ from marketsel import (
     evaluate,
     make_simplex,
     perturbed,
+    run_continuous,
     run_discrete,
     survival_mc_strategy,
     survival_strategy,
     table_strategy,
 )
 from marketsel import engine
-from marketsel.core import divergence_rows
-from marketsel.payoffs import _sample_arrays
+from marketsel.core import PATH_RTOL, divergence_rows
+from marketsel.payoffs import _sample_arrays, expected_claim_rates, next_jump
 from marketsel.strategies import mc_samples
 
 RTOL = 1e-12
+CONTINUOUS_RTOL = 1e-10
 
 
 def reference_run_discrete(run: ProfileRun, rng: np.random.Generator):
@@ -213,3 +227,246 @@ def _same_state(a, b) -> bool:
     if isinstance(a, dict):
         return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
     return np.array_equal(a, b)
+
+
+def _reference_drift_rates(kernel, handles, t, y, w):
+    """State derivative and diagnostic rates at (t, y), with total wealth w.
+
+    Returns (dy, rates, lam, cand) where rates stacks the selection-clock
+    rate, per-investor gap and closeness rates, and the ln W drift rate.
+    """
+    claim = expected_claim_rates(kernel, w)
+    cand = make_simplex(claim + kernel.drift)
+    cand_w = cand.weights
+    m_inv = y.size
+    lam = np.empty((m_inv, kernel.num_assets))
+    for m, handle in enumerate(handles):
+        lam[m] = evaluate(handle, kernel, t, None, w, None, candidate=cand).weights
+    b = kernel.drift
+    # an asset is claimed when someone holds a positive weight on it; its
+    # column is scaled to a largest weight of 1 so y @ lam cannot underflow
+    top = lam.max(axis=0)
+    claimed = top > 0.0
+    scaled = lam / np.where(claimed, top, 1.0)
+    safe = np.where(claimed, y @ scaled, 1.0)
+    shares = np.where(claimed[None, :], scaled * y[:, None] / safe[None, :], 1.0 / m_inv)
+    dy = shares @ b - kernel.v_rate * y
+    rate_pressure = float((claim + b).sum()) / w
+    gaps = divergence_rows(cand_w, lam)
+    rate_gap = gaps * rate_pressure
+    rate_close = ((lam - cand_w) ** 2).sum(axis=1) * rate_pressure
+    rate_logw = float(b.sum()) / w - kernel.v_rate
+    rates = np.concatenate(([rate_pressure], rate_gap, rate_close, [rate_logw]))
+    return dy, rates, lam, cand_w
+
+
+def _reference_integrate_segment(kernel, handles, t0, t1, y, w0, dt):
+    """Advance the state over a jump-free interval [t0, t1].
+
+    Stage j/2 of a substep sits at offset j h / 2 from t0 and reads the
+    total wealth there, computed as the engine computes it.
+    """
+    span = t1 - t0
+    acc = np.zeros(2 * y.size + 2)
+    if span <= 0.0:
+        _, _, lam0, cand0 = _reference_drift_rates(kernel, handles, t0, y, w0)
+        return y.copy(), acc, lam0, cand0
+    n_steps = max(1, int(math.ceil(span / dt)))
+    h = span / n_steps
+
+    def stage(j, y_stage):
+        s = j * (0.5 * h)
+        return _reference_drift_rates(
+            kernel, handles, t0 + s, y_stage, engine._total_wealth(kernel, w0, s)
+        )
+
+    has_drift = float(kernel.drift.sum()) > 0.0
+    if not has_drift:
+        _, r_left, lam0, cand0 = stage(0, y)
+        for i in range(n_steps):
+            _, r_mid, _, _ = stage(2 * i + 1, y)
+            _, r_right, _, _ = stage(2 * i + 2, y)
+            acc += (h / 6.0) * (r_left + 4.0 * r_mid + r_right)
+            r_left = r_right
+        return y * math.exp(-kernel.v_rate * span), acc, lam0, cand0
+    lam0 = cand0 = None
+    for i in range(n_steps):
+        k1, r1, lam, cand = stage(2 * i, y)
+        if lam0 is None:
+            lam0, cand0 = lam, cand
+        k2, r2, _, _ = stage(2 * i + 1, y + 0.5 * h * k1)
+        k3, r3, _, _ = stage(2 * i + 1, y + 0.5 * h * k2)
+        k4, r4, _, _ = stage(2 * i + 2, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        acc += (h / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+    return y, acc, lam0, cand0
+
+
+def _closed_form_w(kernel, w0, s):
+    v, b = kernel.v_rate, float(kernel.drift.sum())
+    return w0 + b * s if v == 0.0 else w0 * math.exp(-v * s) - b * math.expm1(-v * s) / v
+
+
+def reference_run_continuous(run: ProfileRun, rng: np.random.Generator):
+    """The per-stage event loop; also returns the closed-form W per record."""
+    market, kernel = run.market, run.market.payoff_model
+    handles, b, v_rate, grid = run.strategies, kernel.drift, kernel.v_rate, run.record_dt
+    rec = engine._Recorder(market.num_investors, market.num_assets, market.initial_wealth.copy())
+    t, y = 0.0, market.initial_wealth.copy()
+    w = float(y.sum())
+    closed = [w]
+    k_grid = 1
+    pending = next_jump(kernel, rng, t)
+
+    def tol(x):
+        return engine.GRID_ULPS * math.ulp(x)
+
+    def segment(t_to, jump=None):
+        nonlocal t, y, w
+        span = t_to - t
+        y1, acc, lam, cand = _reference_integrate_segment(kernel, handles, t, t_to, y, w, run.dt)
+        w1 = engine._total_wealth(kernel, w, span)
+        closed.append(_closed_form_w(kernel, closed[-1], span))
+        dx, dv, zj = b * span, v_rate * span, 0.0
+        retention_factor = math.exp(-v_rate * span)
+        if jump is not None:
+            x, v = jump
+            claim = expected_claim_rates(kernel, w1)
+            cand_vec = make_simplex(claim + b)
+            lam = np.array(
+                [evaluate(h, kernel, t_to, None, w1, None, candidate=cand_vec).weights for h in handles]
+            )
+            cand = cand_vec.weights
+            y1 = discrete_step(y1, lam, x, v)
+            zj = float(x.sum()) / w1 - v
+            w1 = (1.0 - v) * w1 + float(x.sum())
+            closed[-1] = (1.0 - v) * closed[-1] + float(x.sum())
+            dx, dv = dx + x, dv + v
+            retention_factor *= 1.0 - v
+        rec.advance(t_to, y1, dx, dv, jump is not None, acc, acc[-1], zj, lam, cand, retention_factor)
+        t, y, w = t_to, y1, w1
+
+    while t < run.horizon:
+        t_jump = pending[0] if pending is not None else math.inf
+        t_stop = min(t_jump, run.horizon)
+        while grid is not None and k_grid * grid < t_stop - tol(t_stop):
+            if k_grid * grid > t + tol(t):
+                segment(k_grid * grid)
+            k_grid += 1
+        if t_jump > run.horizon:
+            if run.horizon > t:
+                segment(run.horizon)
+            break
+        segment(t_jump, pending[1])
+        pending = next_jump(kernel, rng, t)
+    return rec.build(), np.array(closed)
+
+
+def _kernel(draw, n, dead):
+    k = draw(st.integers(0, 3))
+    gamma = draw(st.floats(0.0, 0.9))
+    atoms = []
+    for _ in range(k):
+        x = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 2.0), min_size=n, max_size=n))
+        v = draw(st.floats(0.0, gamma))
+        if sum(x) == 0.0 and v == 0.0:
+            x[0] = 1.0
+        atoms.append((tuple(x), v, draw(st.sampled_from([0.0, 2.0]) | st.floats(0.3, 4.0))))
+    if draw(st.integers(0, 2)) == 0:
+        drift = [0.0] * n
+    else:
+        drift = draw(st.lists(st.sampled_from([0.0, 0.3]) | st.floats(0.0, 1.0), min_size=n, max_size=n))
+        if dead is not None:
+            drift[dead] = max(drift[dead], 0.2)  # drift nobody claims
+    v_rate = draw(st.sampled_from([0.0, 0.0, 0.3]) | st.floats(0.05, 0.6))
+    return KernelSpec(jump_atoms=tuple(atoms), drift=tuple(drift), v_rate=v_rate, gamma_v=gamma)
+
+
+def _continuous_handle(draw, n, dead, depth=0):
+    # with a dead asset, leave out the candidate, which weights it when it
+    # has drift: then nobody holds it and its drift splits 1/M
+    kinds = (["perturbed"] if depth == 0 else []) + ["table", "constant"]
+    if dead is None:
+        kinds.insert(1 - depth, "survival_exact")
+    kind = draw(st.sampled_from(kinds))
+
+    def weights():
+        raw = np.array(draw(st.lists(st.sampled_from([5e-324, 1e-310]) | st.floats(0.0, 1.0),
+                                     min_size=n, max_size=n)))
+        if dead is not None:
+            raw[dead] = 0.0
+        if raw.sum() <= 0.0:
+            raw[(dead + 1) % n if dead is not None else 0] = 1.0
+        return make_simplex(raw)
+
+    if kind == "constant":
+        return constant_strategy(weights())
+    if kind == "survival_exact":
+        return survival_strategy()
+    if kind == "perturbed":
+        # coefficients below the horizons, so that inverse_t blends vary in time
+        kind = draw(st.sampled_from(["inverse_t", "constant", "zero"]))
+        schedule = PerturbationSchedule(kind, draw(st.floats(0.05, 1.0)))
+        return perturbed(_continuous_handle(draw, n, dead, depth + 1), schedule, weights())
+    # breakpoints off every grid the runs below can lay down, so that the
+    # engines cannot disagree on which side of one a decision time falls
+    starts = sorted(set(draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))))
+    return table_strategy([(0.5 * s + 1.0 / math.pi, weights()) for s in starts])
+
+
+@st.composite
+def continuous_runs(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.sampled_from([3, 2, 4, 1]))
+    dead = draw(st.integers(0, n - 1) | st.none()) if n > 1 else None
+    kernel = _kernel(draw, n, dead)
+    handles = [_continuous_handle(draw, n, dead) for _ in range(m)]
+    y0 = draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m))
+    spec = MarketSpec(m, n, y0, payoff_model=kernel)
+    return (
+        spec,
+        handles,
+        draw(st.sampled_from([2.5, 1.0, 0.37, 0.0])),
+        # RK4 keeps sum(y) on the closed-form W within PATH_RTOL only while
+        # v_rate * dt is small: (0.6 * 0.02)^4 / 120 per unit time
+        draw(st.sampled_from([0.01, 0.02])),
+        draw(st.sampled_from([0.25, 0.5, 0.1]) | st.none()),
+        draw(st.integers(1, 20000)),
+        draw(st.integers(0, 2**32)),
+    )
+
+
+@given(continuous_runs())
+@settings(max_examples=150, deadline=None)
+def test_staged_continuous_engine_matches_per_stage_reference(case):
+    spec, handles, horizon, dt, record_dt, block_bytes, seed = case
+    staged_rng, ref_rng = _Handout(seed), _Handout(seed)
+    replays = []
+
+    def spy(y, lam, x, v):
+        out = discrete_step(y, lam, x, v)
+        replays.append((y.copy(), lam.copy(), x.copy(), v, out))
+        return out
+
+    with mock.patch.object(engine, "BLOCK_BYTES", block_bytes), \
+            mock.patch.object(engine, "discrete_step", spy):
+        got = run_continuous(ProfileRun(spec, handles, horizon, staged_rng, dt=dt, record_dt=record_dt))
+    ref, closed_w = reference_run_continuous(
+        ProfileRun(spec, handles, horizon, ref_rng, dt=dt, record_dt=record_dt), ref_rng.gen
+    )
+
+    for f in fields(got):
+        a, b = getattr(got, f.name), getattr(ref, f.name)
+        if isinstance(a, np.ndarray) and a.dtype.kind == "f":
+            np.testing.assert_allclose(a, b, rtol=CONTINUOUS_RTOL, atol=0, err_msg=f.name)
+        else:
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+    # every jump row is discrete_step of the pre-jump state, bit for bit
+    jump_rows = np.flatnonzero(got.is_jump)
+    assert len(replays) == jump_rows.size
+    for k, (y, lam, x, v, out) in zip(jump_rows, replays):
+        assert np.array_equal(lam, got.weights[k])
+        assert np.array_equal(got.wealth[k + 1], out)
+        assert np.array_equal(discrete_step(y, got.weights[k], x, v), out)
+    np.testing.assert_allclose(got.total, closed_w, rtol=PATH_RTOL, atol=0)
+    assert _same_state(staged_rng.gen.bit_generator.state, ref_rng.gen.bit_generator.state)

@@ -8,6 +8,8 @@ normalization and the survival candidate equals the outcome distribution
 (p, 1 - p) regardless of W and delta.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,6 +179,18 @@ class TestPerturbed:
         sched = PerturbationSchedule("inverse_t", 2.0)
         assert sched.epsilon(1.0) == 1.0
         assert sched.epsilon(4.0) == 0.5
+
+    @pytest.mark.parametrize(
+        "kind, c", [("inverse_t", 0.0), ("inverse_t", 2.0), ("constant", 0.3), ("zero", 0.0)]
+    )
+    def test_array_rule_matches_scalar_rule_without_warnings(self, kind, c):
+        # the continuous engine's decision grid starts at t = 0
+        sched = PerturbationSchedule(kind, c)
+        t = np.array([0.0, 0.5, 1.0, 2.0, 2.0000000000000004, 3.0, 40.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sched.epsilon(t)
+        np.testing.assert_array_equal(got, [sched.epsilon(float(v)) for v in t])
 
     def test_constant_fraction_above_one_rejected(self):
         with pytest.raises(DomainError):
