@@ -59,7 +59,6 @@ from .payoffs import (
     enumerate_support,
     expected_claim_rates,
     next_jump,
-    sample_discrete,
 )
 from .scenarios import CATALOG, ScenarioInfo, get_scenario, list_scenarios
 from .strategies import (

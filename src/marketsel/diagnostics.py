@@ -246,18 +246,13 @@ def check_survival_conditions(
     finite = math.isfinite(total)
     tail = _tail(uh.size, 0.1)
     slope = _ls_slope(traj.times[tail], uh[tail]) if finite else math.inf
-    max_increment = 0.0
-    if uh.size > 1:
-        level = 1
-        for k in range(1, uh.size):
-            while uh[k] >= level:
-                inc = float(uh[k] - uh[k - 1])
-                max_increment = max(max_increment, inc)
-                level += 1
-                if not math.isfinite(inc):
-                    break
-            if not math.isfinite(max_increment):
-                break
+    # Step k crosses integer levels when the floor of the running maximum
+    # of uh[1..k] (at least 0) rises there; its increment then counts.
+    # NaN records cross nothing and an undefined increment is skipped.
+    with np.errstate(invalid="ignore"):
+        levels = np.fmax(np.floor(np.fmax.accumulate(uh[1:])), 0.0)
+        crossed = np.diff(levels, prepend=0.0) > 0.0
+        max_increment = float(np.fmax.reduce(np.diff(uh)[crossed], initial=0.0))
     violations = int(traj.support_violations[investor])
     return SurvivalConditionsReport(
         investor=investor,

@@ -6,22 +6,35 @@ Two engines share one payoff-division rule,
 
 which splits each asset's payoff proportionally to the wealth allocated
 to it (an unclaimed asset's payoff is split equally among all investors).
+Both run it through one kernel: ``_claims`` turns a stack of weights and
+payoffs into per-step constants (weight columns scaled to a largest
+weight of 1, the claimed payoffs, a pad on unclaimed assets and their
+1/M share) and ``_divide`` applies y * (lam @ (pay / (y @ lam + pad)) +
+keep) + free, with keep = 1 - delta at a payoff step and -v as the drift
+rate between continuous jumps.  That order is fast but unbounded where
+the invested wealth is tiny or 0, so a non-finite result is redone by
+``_divide_bounded``, which forms each share (at most 1) first and splits
+an asset with no invested wealth 1/M.
 
 A strategy sees only the time, the emitting regime and the total wealth
 W, and W follows the exogenous recursion W' = (1 - delta) W + |A|.  So
 the discrete engine reads W from that recursion, never from the investor
 wealth, and runs blocks of steps through four stages:
 
-* environment -- per step, the Monte Carlo strategies' uniforms and one
-  payoff draw, in the order a per-step loop consumes them, plus the
-  regime path and the W recursion;
+* environment -- every uniform of the block in one draw, laid out in the
+  order a per-step loop would consume them (the Monte Carlo strategies'
+  uniforms, the payoff uniform, the regime transition uniform), the
+  payoff rows and regime path they select, and the W recursion;
 * policy -- the survival candidate and every strategy's weights for the
   whole block, as array operations grouped by strategy kind;
-* dynamics -- the investor-wealth recursion, the only sequential stage;
+* dynamics -- the investor-wealth recursion, the only sequential stage:
+  ``_claims`` once per block, then ``_divide`` once per step (and the
+  block again through ``_divide_checked`` if a row is not finite), so
   each row is exactly ``discrete_step`` of the row before;
 * diagnostics -- the selection-pressure clock, gap and closeness
   integrals, running payoff and consumption sums, retention and support
-  violations, by running sums that add in per-step order.
+  violations, by running sums that add in per-step order.  Where the
+  clock does not move the gap increment is 0, even for an infinite gap.
 
 The block length comes from a fixed byte budget for the block's
 temporaries, so transient memory does not grow with the horizon.
@@ -118,12 +131,59 @@ class ProfileRun:
             raise DomainError("record_dt must be positive")
 
 
-def _step_core(y: np.ndarray, lam: np.ndarray, a: np.ndarray, delta: float) -> np.ndarray:
+def _claims(lam: np.ndarray, pay: np.ndarray):
+    """Constants of the division rule for weights ``lam`` (..., M, N) and payoffs ``pay`` (..., N).
+
+    Returns (scaled, claimed, pad, free).  Shares do not change when a
+    weight column is scaled, so ``scaled`` has each nonzero column's
+    largest weight at 1: y @ scaled then cannot underflow to 0 on an asset
+    that some investor holds.  An asset with a zero weight column is
+    unclaimed; its payoff splits 1/M, which ``free`` (...,) adds to every
+    investor, and ``pad`` is 1 there (invested wealth 1 instead of 0: no
+    0/0) while ``claimed`` drops that payoff.
+    """
+    top = lam.max(axis=-2)
+    unclaimed = top == 0.0
+    scaled = lam / np.where(unclaimed, 1.0, top)[..., None, :]
+    free = (pay * unclaimed).sum(axis=-1) / lam.shape[-2]
+    return scaled, np.where(unclaimed, 0.0, pay), unclaimed.astype(float), free
+
+
+def _divide(y, step):
+    """The division rule: y keeps ``keep`` of itself plus its shares.
+
+    ``step`` is (scaled, claimed, pad, keep, free): one row of ``_claims``
+    output and the kept fraction.  This order is the fast one, but
+    pay / invested has no upper bound: it overflows once the wealth
+    invested in a claimed asset falls below pay / DBL_MAX, and is 0/0
+    once that wealth underflows to 0.  A non-finite result therefore
+    means the step is redone by ``_divide_bounded``; a finite one is the
+    rule up to rounding.
+    """
+    lam, pay, pad, keep, free = step
+    return y * (lam @ (pay / (y @ lam + pad)) + keep) + free
+
+
+def _divide_bounded(y, lam, pay, keep):
+    """The division rule on scaled weights ``lam`` and the full payoffs ``pay``.
+
+    Each share lam y / invested is formed before it meets the payoff, so
+    it stays at most 1 however small the invested wealth.  An asset with
+    no invested wealth -- no weight on it, or every holder's wealth
+    underflowed to 0 -- splits its payoff 1/M.
+    """
     invested = y @ lam
-    claimed = invested > 0.0
-    safe = np.where(claimed, invested, 1.0)
-    shares = np.where(claimed[None, :], lam * y[:, None] / safe[None, :], 1.0 / y.size)
-    return (1.0 - delta) * y + shares @ a
+    idle = invested == 0.0
+    return keep * y + (lam * y[:, None] / (invested + idle) + idle / y.size) @ pay
+
+
+def _divide_checked(y, step, pay):
+    """``_divide``, or ``_divide_bounded`` on the full payoffs ``pay`` if that is not finite."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y_next = _divide(y, step)
+    if np.isfinite(y_next).all():
+        return y_next
+    return _divide_bounded(y, step[0], pay, step[3])
 
 
 def discrete_step(y_prev, weights, payoff, delta: float) -> np.ndarray:
@@ -143,7 +203,8 @@ def discrete_step(y_prev, weights, payoff, delta: float) -> np.ndarray:
         raise DomainError("delta must lie in [0, 1)")
     if np.any(a < 0.0):
         raise DomainError("payoffs must be non-negative")
-    return _step_core(y, lam, a, delta)
+    scaled, claimed, pad, free = _claims(lam, a)
+    return _divide_checked(y, (scaled, claimed, pad, 1.0 - delta, free), a)
 
 
 @dataclass
@@ -207,38 +268,36 @@ def _block_steps(m_inv: int, n_assets: int, mc_sizes) -> int:
 
     The per-step estimate covers the largest block temporaries alive at
     once: three (M, N) arrays of the divergence and closeness increments,
-    the largest Monte Carlo handle's two (S, N) claim arrays and every
-    handle's uniforms.
+    the scaled weights of the division rule, the largest Monte Carlo
+    handle's two (S, N) claim arrays and every handle's uniforms.
     """
     s_max = max(mc_sizes, default=0)
-    per_step = 8 * (3 * (m_inv + 1) * (n_assets + 1) + 2 * s_max * (n_assets + 1) + sum(mc_sizes))
+    per_step = 8 * (4 * (m_inv + 1) * (n_assets + 1) + 2 * s_max * (n_assets + 1) + sum(mc_sizes))
     return max(1, BLOCK_BYTES // per_step)
 
 
 def _environment(model, rng, regime, w: float, steps: int, n_uniforms: int):
     """Draw ``steps`` steps of the exogenous environment, in stream order.
 
-    Each step draws the Monte Carlo strategies' uniforms, then one payoff
-    event.  Returns (uniforms, emitting regimes or None, payoff rows,
-    deltas, |payoff|, pre-step W) and the (regime, W) after the block;
-    W follows the recursion W' = (1 - delta) W + |payoff|.
+    One call draws every uniform of the block; row i holds step i's Monte
+    Carlo uniforms, then its payoff uniform, then (Markov) its transition
+    uniform, the order in which a per-step loop would draw them.  Returns
+    (uniforms, emitting regimes or None, payoff rows, deltas, |payoff|,
+    pre-step W) and the (regime, W) after the block; W follows the
+    recursion W' = (1 - delta) W + |payoff|.
     """
-    uniforms = np.empty((steps, n_uniforms))
-    regimes = None if regime is None else np.empty(steps, dtype=int)
-    rows, deltas, sizes, w_pre = [], [], [], []
-    for i in range(steps):
-        if n_uniforms:
-            rng.random(out=uniforms[i])
-        if regimes is not None:
-            regimes[i] = regime
+    u = rng.random((steps, n_uniforms + (1 if regime is None else 2)))
+    dx, dv, abs_dx, regimes, regime = _sample_arrays(model, regime, u[:, n_uniforms:])
+    w_pre = []
+    for d, a in zip(dv.tolist(), abs_dx.tolist()):
         w_pre.append(w)
-        dx, dv, abs_dx, regime = _sample_arrays(model, regime, rng)
-        rows.append(dx)
-        deltas.append(dv)
-        sizes.append(abs_dx)
-        w = (1.0 - dv) * w + abs_dx
-    env = (uniforms, regimes, np.array(rows), np.array(deltas), np.array(sizes), np.array(w_pre))
-    return env, regime, w
+        w = (1.0 - d) * w + a
+    return (u[:, :n_uniforms], regimes, dx, dv, abs_dx, np.array(w_pre)), regime, w
+
+
+def _on_clock(rate: np.ndarray, clock: np.ndarray) -> np.ndarray:
+    """``rate * clock``, and 0 where the clock does not move (an infinite gap there is not NaN)."""
+    return np.where(clock > 0.0, rate, 0.0) * clock
 
 
 def _running(acc: np.ndarray, k: int, inc: np.ndarray, op=np.add) -> None:
@@ -312,8 +371,16 @@ def run_discrete(run: ProfileRun) -> Trajectory:
         block_weights(handles, model, t, regimes, w_pre, cand, uniforms, out=lam)
 
         # dynamics
-        for i in range(k1 - k0):
-            wealth[k0 + 1 + i] = _step_core(wealth[k0 + i], lam[i], dx[i], dv[i])
+        scaled, claimed, pad, free = _claims(lam, dx)
+        keep, free = (1.0 - dv).tolist(), free.tolist()
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for i, step in enumerate(zip(scaled, claimed, pad, keep, free), k0 + 1):
+                wealth[i] = _divide(wealth[i - 1], step)
+        if not np.isfinite(wealth[rows]).all():
+            # an invested wealth was too small for the fast order somewhere
+            steps = zip(zip(scaled, claimed, pad, keep, free), dx)
+            for i, (step, pay) in enumerate(steps, k0 + 1):
+                wealth[i] = _divide_checked(wealth[i - 1], step, pay)
 
         # diagnostics
         total = wealth[rows].sum(axis=1)
@@ -327,7 +394,7 @@ def run_discrete(run: ProfileRun) -> Trajectory:
         _running(traj.pressure, k0, d_pressure)
         if run.track_diagnostics:
             gaps = divergence_rows(cand, lam)
-            _running(traj.gap_integral, k0, gaps * d_pressure[:, None])
+            _running(traj.gap_integral, k0, _on_clock(gaps, d_pressure[:, None]))
             close = ((lam - cand[:, None, :]) ** 2).sum(axis=2)
             _running(traj.closeness, k0, close * d_pressure[:, None])
             traj.support_violations += np.any(
@@ -377,7 +444,7 @@ def _drift_rates(kernel, handles, t, w):
     rates = np.column_stack(
         (
             pressure,
-            divergence_rows(cand, lam) * pressure[:, None],
+            _on_clock(divergence_rows(cand, lam), pressure[:, None]),
             ((lam - cand[:, None, :]) ** 2).sum(axis=2) * pressure[:, None],
             float(b.sum()) / w - kernel.v_rate,
         )
@@ -389,37 +456,32 @@ def _rk4(y, lam, b, v_rate: float, h: float, t0: float):
     """Classical RK4 for dy/dt = shares(y) @ b - v y over len(lam) // 2 substeps.
 
     Substep i starts at t0 + i h; its stages read the weights at grid
-    points 2i, 2i+1, 2i+1 and 2i+2.  y > 0, so an asset is unclaimed
-    exactly when its weight column is zero; its drift then splits 1/M.
-    Shares do not change when a weight column is scaled, so each column
-    is scaled to a largest weight of 1: y @ lam then cannot underflow to
-    0 on a claimed asset.
+    points 2i, 2i+1, 2i+1 and 2i+2.  The rate is the division rule with
+    the drift b as payoff and -v as the kept fraction.
     """
-    top = lam.max(axis=1)
-    unclaimed = top == 0.0
-    points = list(
-        zip(
-            lam / np.where(unclaimed, 1.0, top)[:, None, :],
-            np.where(unclaimed, 0.0, b),
-            unclaimed.astype(float),  # invested wealth 1 instead of 0: no 0/0
-            (b * unclaimed).sum(axis=1) / y.size,
-        )
-    )
+    scaled, claimed, pad, free = _claims(lam, b)
+    points = list(zip(scaled, claimed, pad, [-v_rate] * len(free), free))
 
-    def rate(y, point):
-        lam_j, b_claimed, pad, free = point
-        return y * (lam_j @ (b_claimed / (y @ lam_j + pad)) - v_rate) + free
+    def bounded(y, step):
+        return _divide_bounded(y, step[0], b, step[3])
 
     half = 0.5 * h
-    for i in range(len(points) // 2):
-        left, mid, right = points[2 * i], points[2 * i + 1], points[2 * i + 2]
-        k1 = rate(y, left)
-        k2 = rate(y + half * k1, mid)
-        k3 = rate(y + half * k2, mid)
-        k4 = rate(y + h * k3, right)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not 0.0 < y.min() <= y.max() < math.inf:
-            raise DomainError(f"integrator produced an invalid state near t={t0 + (i + 1) * h}")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for i in range(len(points) // 2):
+            left, mid, right = points[2 * i], points[2 * i + 1], points[2 * i + 2]
+            # the bounded rates redo a substep on which the fast order
+            # overflowed on a tiny invested wealth
+            for rate in (_divide, bounded):
+                k1 = rate(y, left)
+                k2 = rate(y + half * k1, mid)
+                k3 = rate(y + half * k2, mid)
+                k4 = rate(y + h * k3, right)
+                y_next = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if 0.0 < y_next.min() <= y_next.max() < math.inf:
+                    break
+            else:
+                raise DomainError(f"integrator produced an invalid state near t={t0 + (i + 1) * h}")
+            y = y_next
     return y
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, PayoffEvent, SUM_ATOL, as_vector
+from .core import DomainError, SUM_ATOL, as_vector
 
 
 @dataclass(frozen=True)
@@ -211,34 +211,40 @@ class KernelSpec:
         return self._total_intensity
 
 
-def _sample_arrays(model, regime_state, rng: np.random.Generator):
-    """Engine-internal draw: (payoff row, delta, |payoff|, next regime)."""
-    if isinstance(model, MarkovModulatedModel):
-        emit = model.regimes[regime_state]
-        idx = min(
-            int(np.searchsorted(emit._cum_probs, rng.random(), side="right")),
-            emit._deltas.size - 1,
-        )
-        next_state = min(
-            int(np.searchsorted(model._cum_rows[regime_state], rng.random(), side="right")),
-            len(model.states) - 1,
-        )
-        return emit._payoffs[idx], emit._deltas[idx], emit._abs_payoffs[idx], next_state
-    idx = min(
-        int(np.searchsorted(model._cum_probs, rng.random(), side="right")),
-        model._deltas.size - 1,
-    )
-    return model._payoffs[idx], model._deltas[idx], model._abs_payoffs[idx], regime_state
+def _atom_index(model: DiscreteIIDModel, u: np.ndarray) -> np.ndarray:
+    return np.minimum(np.searchsorted(model._cum_probs, u, side="right"), model._deltas.size - 1)
 
 
-def sample_discrete(model, regime_state, rng: np.random.Generator, t: float = 0.0):
-    """Draw one (payoff, delta) event and advance the regime.
+def _sample_arrays(model, regime_state, u: np.ndarray):
+    """Engine-internal draw of a block of B steps from given uniforms.
 
-    For an i.i.d. model the regime state is ignored and returned as is;
-    for a Markov model the current regime emits, then transitions.
+    ``u`` is (B, 1) for an i.i.d. model and (B, 2) for a Markov model:
+    column 0 picks each step's atom and column 1 the regime it moves to.
+    Returns (payoff rows (B, N), deltas, |payoffs|, emitting regimes (B,)
+    or None, regime after the block).
     """
-    payoff, delta, _, next_state = _sample_arrays(model, regime_state, rng)
-    return PayoffEvent(time=t, dx=payoff, dv=float(delta)), next_state
+    if not isinstance(model, MarkovModulatedModel):
+        idx = _atom_index(model, u[:, 0])
+        return model._payoffs[idx], model._deltas[idx], model._abs_payoffs[idx], None, regime_state
+    last = len(model.states) - 1
+    # the regime each regime would move to at every step, as Python ints
+    moves = [
+        np.minimum(np.searchsorted(row, u[:, 1], side="right"), last).tolist()
+        for row in model._cum_rows
+    ]
+    path = []
+    for i in range(len(u)):
+        path.append(regime_state)
+        regime_state = moves[regime_state][i]
+    regimes = np.array(path, dtype=int)
+    rows = np.empty((len(u), model.num_assets))
+    deltas, sizes = np.empty(len(u)), np.empty(len(u))
+    for r in np.unique(regimes):
+        sel = regimes == r
+        emit = model.regimes[r]
+        idx = _atom_index(emit, u[sel, 0])
+        rows[sel], deltas[sel], sizes[sel] = emit._payoffs[idx], emit._deltas[idx], emit._abs_payoffs[idx]
+    return rows, deltas, sizes, regimes, regime_state
 
 
 def enumerate_support(model, regime_state=None):

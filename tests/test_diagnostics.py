@@ -10,7 +10,10 @@ own arithmetic is cross-checked against an explicit two-outcome
 expectation written out by hand.
 """
 
+import dataclasses
+import functools
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -380,6 +383,64 @@ class TestSurvivalConditions:
         report = check_survival_conditions(traj, 1)
         steps = np.diff(traj.gap_integral[:, 1])
         assert report.max_crossing_increment <= steps.max() + EXACT_TOL
+
+
+    # A recorded gap integral starts finite (at 0), so the first +inf
+    # record is always reached by an infinite increment.
+    @given(
+        st.floats(-3.0, 40.0),
+        st.lists(st.floats(-3.0, 40.0) | st.just(math.inf), max_size=40),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_crossing_increment_matches_level_loop(self, first, rest, as_increments):
+        values = [first] + rest
+        uh = np.abs(np.cumsum(values)) if as_increments else np.array(values)
+        report = check_survival_conditions(_with_gap(uh), 0)
+        assert report.max_crossing_increment == _level_loop_max_increment(uh)
+
+    def test_cost_does_not_grow_with_the_gap_value(self):
+        uh = np.array([0.0, 0.5, 1e9, 1e9 + 3.0])
+
+        def expire(signum, frame):
+            raise TimeoutError("check_survival_conditions took over 5 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        try:
+            report = check_survival_conditions(_with_gap(uh), 0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert report.max_crossing_increment == 1e9 - 0.5
+        assert report.condition_c
+
+
+def _level_loop_max_increment(uh):
+    """The largest increment of ``uh`` over a step that crosses an integer level, one level at a time."""
+    max_increment = 0.0
+    level = 1
+    for k in range(1, uh.size):
+        while uh[k] >= level:
+            inc = float(uh[k] - uh[k - 1])
+            max_increment = max(max_increment, inc)
+            level += 1
+            if not math.isfinite(inc):
+                break
+        if not math.isfinite(max_increment):
+            break
+    return max_increment
+
+
+@functools.lru_cache(maxsize=None)
+def _path_of_length(n_records):
+    return _dominance_run(horizon=n_records)
+
+
+def _with_gap(uh):
+    """A recorded path whose gap integral is ``uh`` for both investors."""
+    traj = _path_of_length(uh.size - 1)
+    return dataclasses.replace(traj, gap_integral=np.column_stack((uh, uh)))
 
 
 class TestSufficientCondition:

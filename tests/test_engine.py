@@ -72,6 +72,18 @@ class TestDiscreteStep:
         out = discrete_step([1.0, 3.0], [[0.0, 1.0], [0.0, 1.0]], [1.0, 0.0], 0.0)
         np.testing.assert_allclose(out, [1.5, 3.5], atol=EXACT_TOL, rtol=0)
 
+    def test_subnormal_weight_still_claims_the_payoff(self):
+        # 0.25 * 5e-324 underflows to 0, yet investor 2 alone holds asset 2,
+        # so it takes that asset's whole payoff instead of half of it
+        out = discrete_step([0.25, 0.25], [[1.0, 0.0], [1.0, 5e-324]], [0.0, 1.0], 0.0)
+        np.testing.assert_array_equal(out, [0.25, 1.25])
+
+    def test_tiny_invested_wealth_keeps_its_whole_share(self):
+        # investor 2 alone holds asset 2 with 1e-310 invested: its share is
+        # exactly 1, and pay / invested (1e310) must not overflow on the way
+        out = discrete_step([1.0, 1e-310], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], 0.0)
+        np.testing.assert_array_equal(out, [2.0, 1.0])
+
     def test_output_strictly_positive(self):
         out = discrete_step([1.0, 1e-9], [[1.0, 0.0], [1.0, 0.0]], [0.0, 5.0], 0.99)
         assert np.all(out > 0.0)
@@ -182,6 +194,47 @@ class TestRunDiscrete:
         assert report.lower_bound_margin >= -PATH_RTOL
         assert report.upper_bound_margin >= -PATH_RTOL
         assert report.exponent_rel_err <= PATH_RTOL
+
+    def test_gap_stays_infinite_where_the_clock_stops(self):
+        # regime "dry" pays nothing, so the selection clock does not move
+        # there; the gap of an abandoned asset stays +inf instead of inf * 0
+        wet = DiscreteIIDModel(atoms=(((1.0, 1.0), 0.1),), probabilities=(1.0,))
+        dry = DiscreteIIDModel(atoms=(((0.0, 0.0), 0.1),), probabilities=(1.0,))
+        model = MarkovModulatedModel(
+            states=("wet", "dry"), transition=np.array([[0.0, 1.0], [1.0, 0.0]]), regimes=(wet, dry)
+        )
+        spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=model)
+        handles = [constant_strategy([1.0, 0.0]), survival_strategy()]
+        traj = run_discrete(ProfileRun(spec, handles, 4, RngStream(0)))
+        np.testing.assert_array_equal(np.diff(traj.pressure)[1::2], 0.0)
+        np.testing.assert_array_equal(traj.gap_integral[1:, 0], np.inf)
+        np.testing.assert_array_equal(traj.gap_integral[:, 1], 0.0)
+
+    @pytest.mark.parametrize("dry_steps", [155, 200])
+    def test_sole_holder_wealth_underflow_stays_finite(self, dry_steps):
+        # investor 2 alone holds asset 2, which pays nothing for dry_steps
+        # steps while it keeps 1% a step: 155 steps leave it 1e-310
+        # (subnormal), 200 leave it exactly 0.  Then asset 2 pays 1: the
+        # subnormal holder takes it all, and with no wealth invested it
+        # splits 1/M.  Nothing may turn into inf or NaN on the way.
+        dry = DiscreteIIDModel(atoms=(((1.0, 0.0), 0.99),), probabilities=(1.0,))
+        wet = DiscreteIIDModel(atoms=(((1.0, 1.0), 0.99),), probabilities=(1.0,))
+        transition = np.eye(dry_steps + 1, k=1)
+        transition[-1, -1] = 1.0
+        model = MarkovModulatedModel(
+            states=tuple(range(dry_steps + 1)),
+            transition=transition,
+            regimes=(dry,) * dry_steps + (wet,),
+        )
+        spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=model)
+        handles = [constant_strategy([1.0, 0.0]), constant_strategy([0.0, 1.0])]
+        traj = run_discrete(ProfileRun(spec, handles, dry_steps + 3, RngStream(0)))
+        assert np.all(np.isfinite(traj.wealth))
+        y2 = traj.wealth[dry_steps, 1]
+        assert (y2 > 0.0) == (dry_steps == 155)
+        revived = traj.wealth[dry_steps + 1, 1]
+        np.testing.assert_allclose(revived, 1.0 if y2 > 0.0 else 0.5, rtol=1e-15)
+        np.testing.assert_allclose(traj.wealth.sum(axis=1), traj.total, rtol=PATH_RTOL)
 
     def test_fractional_horizon_rejected(self):
         spec = self._market(two_point_model(0.6, 0.0))
@@ -363,6 +416,27 @@ class TestRunContinuous:
         traj = run_continuous(ProfileRun(spec, handles, 0.1, RngStream(0), dt=0.001))
         y1 = 0.25 * math.sqrt(0.7 / 0.5)
         np.testing.assert_allclose(traj.wealth[-1], [y1, 0.7 - y1], rtol=1e-9)
+
+    def test_subnormal_wealth_still_takes_its_drift(self):
+        # investor 2 starts with 1e-310 and alone holds asset 2, so it takes
+        # all of that asset's drift, y2(t) = y2(0) e^{-vt} + b (1 - e^{-vt}) / v;
+        # pay / invested overflows there, and the integrator must not fail
+        kernel = KernelSpec(jump_atoms=(), drift=(1.0, 1.0), v_rate=0.5)
+        spec = MarketSpec(2, 2, [1.0, 1e-310], payoff_model=kernel)
+        handles = [constant_strategy([1.0, 0.0]), constant_strategy([0.0, 1.0])]
+        traj = run_continuous(ProfileRun(spec, handles, 1.0, RngStream(0), dt=0.01))
+        growth = -math.expm1(-0.5) / 0.5
+        np.testing.assert_allclose(traj.wealth[-1], [math.exp(-0.5) + growth, growth], rtol=1e-9)
+
+    def test_gap_is_zero_when_the_clock_never_moves(self):
+        # no jumps and no drift: the selection clock is 0 throughout, so the
+        # gap integral of a strategy off the (uniform) candidate is 0, not NaN
+        kernel = KernelSpec(jump_atoms=(), drift=(0.0, 0.0), v_rate=0.2)
+        spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=kernel)
+        handles = [constant_strategy([1.0, 0.0]), constant_strategy([0.5, 0.5])]
+        traj = run_continuous(ProfileRun(spec, handles, 1.0, RngStream(0), record_dt=0.25))
+        np.testing.assert_array_equal(traj.pressure, 0.0)
+        np.testing.assert_array_equal(traj.gap_integral, 0.0)
 
     def test_chunk_temporaries_do_not_grow_with_the_segment(self, monkeypatch):
         # one jump-free segment, no recording grid: the tracemalloc peak

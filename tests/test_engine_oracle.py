@@ -1,12 +1,14 @@
 """The staged engines against per-step reference loops.
 
 ``reference_run_discrete`` is the discrete engine as a plain per-step
-loop: every strategy evaluated by ``evaluate`` at each step, one step of
-the division rule, then the diagnostics added one step at a time.
+loop: every strategy evaluated by ``evaluate`` at each step, the step's
+payoff drawn from scalar uniforms one at a time (``reference_sample``),
+one ``discrete_step``, then the diagnostics added one step at a time.
 Strategies read the pre-step total wealth from the exogenous recursion
 W' = (1 - delta) W + |payoff|, as the staged engine does.  Random i.i.d.
-and Markov models with profiles mixing all five strategy kinds are run
-through both, over horizons of 0, 1 and lengths that cross block
+and Markov models with profiles mixing all five strategy kinds (or, in a
+market with an asset nobody holds, the three kinds that can leave it
+out) are run through both, over horizons of 0, 1 and lengths that cross block
 boundaries (the block byte budget is shrunk so blocks are a few steps).
 
 ``reference_run_continuous`` is the continuous engine as it stood before
@@ -50,11 +52,26 @@ from marketsel import (
 )
 from marketsel import engine
 from marketsel.core import PATH_RTOL, divergence_rows
-from marketsel.payoffs import _sample_arrays, expected_claim_rates, next_jump
+from marketsel.payoffs import expected_claim_rates, next_jump
 from marketsel.strategies import mc_samples
 
 RTOL = 1e-12
 CONTINUOUS_RTOL = 1e-10
+
+
+def reference_sample(model, regime, rng: np.random.Generator):
+    """One step's draw, two scalar uniforms at most: (payoff, delta, |payoff|, next regime)."""
+    emit = model.regimes[regime] if isinstance(model, MarkovModulatedModel) else model
+    idx = min(int(np.searchsorted(emit._cum_probs, rng.random(), side="right")), emit._deltas.size - 1)
+    if emit is not model:
+        row = model._cum_rows[regime]
+        regime = min(int(np.searchsorted(row, rng.random(), side="right")), len(model.states) - 1)
+    return emit._payoffs[idx], emit._deltas[idx], emit._abs_payoffs[idx], regime
+
+
+def _on_clock(rate, clock):
+    """The gap increment: rate * clock, and 0 where the clock does not move."""
+    return rate * clock if clock > 0.0 else np.zeros_like(rate)
 
 
 def reference_run_discrete(run: ProfileRun, rng: np.random.Generator):
@@ -76,8 +93,8 @@ def reference_run_discrete(run: ProfileRun, rng: np.random.Generator):
         cand_w = cand.weights
         for m, handle in enumerate(run.strategies):
             lam[m] = evaluate(handle, model, t, regime, w, rng, candidate=cand).weights
-        dx, dv, abs_dx, regime = _sample_arrays(model, regime, rng)
-        y = engine._step_core(y, lam, dx, dv)
+        dx, dv, abs_dx, regime = reference_sample(model, regime, rng)
+        y = discrete_step(y, lam, dx, dv)
         k = t - 1
         traj.times[t] = float(t)
         traj.wealth[t] = y
@@ -96,7 +113,7 @@ def reference_run_discrete(run: ProfileRun, rng: np.random.Generator):
         traj.pressure[t] = traj.pressure[k] + d_pressure
         if run.track_diagnostics:
             gaps = divergence_rows(cand_w, lam)
-            traj.gap_integral[t] = traj.gap_integral[k] + gaps * d_pressure
+            traj.gap_integral[t] = traj.gap_integral[k] + _on_clock(gaps, d_pressure)
             traj.closeness[t] = (
                 traj.closeness[k] + ((lam - cand_w) ** 2).sum(axis=1) * d_pressure
             )
@@ -117,11 +134,12 @@ class _Handout:
         return self.gen
 
 
-def _simplex(draw, n, zeros=True):
-    lo = 0.0 if zeros else 0.05
-    raw = np.array(draw(st.lists(st.floats(lo, 1.0), min_size=n, max_size=n)))
+def _simplex(draw, n, dead=None):
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    if dead is not None:
+        raw[dead] = 0.0
     if raw.sum() <= 0.0:
-        raw[draw(st.integers(0, n - 1))] = 1.0
+        raw[(dead + 1) % n if dead is not None else draw(st.integers(0, n - 1))] = 1.0
     return make_simplex(raw)
 
 
@@ -145,23 +163,28 @@ def _schedule(draw):
     return PerturbationSchedule(kind, draw(st.floats(0.0, hi)))
 
 
-def _handle(draw, n, n_regimes, depth=0):
-    kinds = ["constant", "survival_exact", "survival_mc", "table"]
+def _handle(draw, n, n_regimes, dead=None, depth=0):
+    # with a dead asset, leave out the survival kinds, which may weight it:
+    # then nobody holds it and its payoff splits 1/M
+    kinds = ["constant", "table"]
+    if dead is None:
+        kinds += ["survival_exact", "survival_mc"]
     if depth == 0:
         kinds.append("perturbed")
     kind = draw(st.sampled_from(kinds))
     if kind == "constant":
-        return constant_strategy(_simplex(draw, n))
+        return constant_strategy(_simplex(draw, n, dead))
     if kind == "survival_exact":
         return survival_strategy()
     if kind == "survival_mc":
         return survival_mc_strategy(draw(st.integers(1, 6)))
     if kind == "perturbed":
-        return perturbed(_handle(draw, n, n_regimes, depth + 1), _schedule(draw), _simplex(draw, n))
+        base = _handle(draw, n, n_regimes, dead, depth + 1)
+        return perturbed(base, _schedule(draw), _simplex(draw, n, dead))
 
     def entries():
         starts = sorted(set(draw(st.lists(st.integers(0, 12), min_size=1, max_size=3))))
-        return [(float(s), _simplex(draw, n)) for s in starts]
+        return [(float(s), _simplex(draw, n, dead)) for s in starts]
 
     per_regime = None
     if n_regimes > 1 and draw(st.booleans()):
@@ -188,7 +211,8 @@ def profile_runs(draw):
             regimes=tuple(_iid(draw, n) for _ in range(n_regimes)),
             initial_state=draw(st.integers(0, n_regimes - 1)),
         )
-    handles = [_handle(draw, n, n_regimes) for _ in range(m)]
+    dead = draw(st.integers(0, n - 1)) if n > 1 and draw(st.integers(0, 2)) == 0 else None
+    handles = [_handle(draw, n, n_regimes, dead) for _ in range(m)]
     y0 = draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m))
     block_bytes = draw(st.integers(1, 6000))
     with mock.patch.object(engine, "BLOCK_BYTES", block_bytes):
@@ -253,7 +277,7 @@ def _reference_drift_rates(kernel, handles, t, y, w):
     dy = shares @ b - kernel.v_rate * y
     rate_pressure = float((claim + b).sum()) / w
     gaps = divergence_rows(cand_w, lam)
-    rate_gap = gaps * rate_pressure
+    rate_gap = _on_clock(gaps, rate_pressure)
     rate_close = ((lam - cand_w) ** 2).sum(axis=1) * rate_pressure
     rate_logw = float(b.sum()) / w - kernel.v_rate
     rates = np.concatenate(([rate_pressure], rate_gap, rate_close, [rate_logw]))

@@ -19,8 +19,8 @@ from marketsel import (
     enumerate_support,
     expected_claim_rates,
     next_jump,
-    sample_discrete,
 )
+from marketsel.payoffs import _sample_arrays
 
 N_DRAWS = 100_000
 FREQ_TOL = 0.01
@@ -85,23 +85,23 @@ class TestModelValidation:
             KernelSpec(jump_atoms=(), drift=(1.0, 1.0), gamma_v=1.0)
 
 
+def _draw_block(model, regime, rng, steps):
+    """``steps`` steps from the engine's block sampler, with their uniforms from ``rng``."""
+    columns = 2 if isinstance(model, MarkovModulatedModel) else 1
+    return _sample_arrays(model, regime, rng.random((steps, columns)))
+
+
 class TestSampleDiscrete:
     def test_law_of_large_numbers(self):
         model = _two_asset_iid(p=0.3)
-        rng = RngStream(seed=1).generator()
-        hits = 0
-        for _ in range(N_DRAWS):
-            event, _ = sample_discrete(model, None, rng)
-            hits += event.dx[0] > 0
-        assert abs(hits / N_DRAWS - 0.3) < FREQ_TOL
+        dx, _, _, _, _ = _draw_block(model, None, RngStream(seed=1).generator(), N_DRAWS)
+        assert abs(np.mean(dx[:, 0] > 0) - 0.3) < FREQ_TOL
 
     def test_single_atom_always_returned(self):
         model = DiscreteIIDModel(atoms=(((2.0, 1.0), 0.25),), probabilities=(1.0,))
-        rng = RngStream(seed=2).generator()
-        for _ in range(50):
-            event, _ = sample_discrete(model, None, rng)
-            np.testing.assert_array_equal(event.dx, [2.0, 1.0])
-            assert event.dv == 0.25
+        dx, dv, abs_dx, _, _ = _draw_block(model, None, RngStream(seed=2).generator(), 50)
+        np.testing.assert_array_equal(dx, np.tile([2.0, 1.0], (50, 1)))
+        assert np.all(dv == 0.25) and np.all(abs_dx == 3.0)
 
     def test_identity_transition_freezes_regime(self):
         model = MarkovModulatedModel(
@@ -110,11 +110,23 @@ class TestSampleDiscrete:
             regimes=(_two_asset_iid(0.3), _two_asset_iid(0.9)),
             initial_state=1,
         )
-        rng = RngStream(seed=3).generator()
-        regime = model.initial_state
-        for _ in range(200):
-            _, regime = sample_discrete(model, regime, rng)
-            assert regime == 1
+        _, _, _, regimes, last = _draw_block(model, 1, RngStream(seed=3).generator(), 200)
+        assert np.all(regimes == 1) and last == 1
+
+    def test_markov_transition_and_emission_frequencies(self):
+        model = MarkovModulatedModel(
+            states=("calm", "stress"),
+            transition=np.array([[0.9, 0.1], [0.2, 0.8]]),
+            regimes=(_two_asset_iid(0.3), _two_asset_iid(0.9)),
+        )
+        dx, _, _, regimes, last = _draw_block(model, 0, RngStream(seed=7).generator(), N_DRAWS)
+        assert regimes[0] == 0
+        path = np.append(regimes, last)
+        for r, row in enumerate(model.transition):
+            moves = path[1:][path[:-1] == r]
+            assert abs(np.mean(moves == 1) - row[1]) < FREQ_TOL
+        for r, p in enumerate((0.3, 0.9)):
+            assert abs(np.mean(dx[regimes == r, 0] > 0) - p) < FREQ_TOL
 
     def test_sampled_atoms_lie_in_support(self):
         model = DiscreteIIDModel(
@@ -123,10 +135,9 @@ class TestSampleDiscrete:
         )
         support = enumerate_support(model)
         keys = {(tuple(a), d) for _, a, d in support}
-        rng = RngStream(seed=4).generator()
-        for _ in range(500):
-            event, _ = sample_discrete(model, None, rng)
-            assert (tuple(event.dx), event.dv) in keys
+        dx, dv, _, _, _ = _draw_block(model, None, RngStream(seed=4).generator(), 500)
+        for row, delta in zip(dx.tolist(), dv.tolist()):
+            assert (tuple(row), delta) in keys
 
 
 class TestEnumerateSupport:
@@ -168,11 +179,10 @@ class TestEnumerateSupport:
         support = enumerate_support(model)
         keys = [(tuple(a), d) for _, a, d in support]
         expected = np.array([p for p, _, _ in support]) * N_DRAWS
-        rng = RngStream(seed=5).generator()
+        dx, dv, _, _, _ = _draw_block(model, None, RngStream(seed=5).generator(), N_DRAWS)
         counts = dict.fromkeys(keys, 0)
-        for _ in range(N_DRAWS):
-            event, _ = sample_discrete(model, None, rng)
-            counts[(tuple(event.dx), event.dv)] += 1
+        for row, delta in zip(dx.tolist(), dv.tolist()):
+            counts[(tuple(row), delta)] += 1
         observed = np.array([counts[k] for k in keys])
         _, pvalue = stats.chisquare(observed, expected)
         assert pvalue > CHI2_ALPHA
