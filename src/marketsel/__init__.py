@@ -13,29 +13,23 @@ growth-rate optimality.
 from .core import (
     DomainError,
     MarketSpec,
-    PayoffEvent,
     SimplexVector,
     Trajectory,
-    WealthState,
     make_simplex,
     validate_market,
 )
 from .diagnostics import (
-    DriftLedger,
     GrowthSeries,
     IdentityReport,
     SufficientConditionReport,
     SurvivalConditionsReport,
     SurvivalVerdict,
-    accumulate_pressure,
     check_survival_conditions,
     closeness_integral,
-    drift_ledger,
     gibbs_gap,
     growth_comparison,
     growth_rate,
     identity_report,
-    market_portfolio,
     run_summary,
     submartingale_check,
     sufficient_condition_check,
@@ -43,13 +37,11 @@ from .diagnostics import (
     wilson_interval,
 )
 from .engine import (
-    ExponentAccumulator,
     ProfileRun,
     discrete_step,
     run,
     run_continuous,
     run_discrete,
-    stochastic_exponent,
 )
 from .payoffs import (
     DiscreteIIDModel,
@@ -68,7 +60,6 @@ from .strategies import (
     discrete_claim_vector,
     evaluate,
     perturbed,
-    representative,
     survival_continuous,
     survival_discrete_exact,
     survival_discrete_mc,

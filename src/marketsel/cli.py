@@ -69,7 +69,6 @@ class ScenarioConfig:
     """Validated scenario: everything needed to run one seed batch."""
 
     name: str
-    raw: dict
     market: MarketSpec
     strategies: tuple
     horizon: float
@@ -125,9 +124,6 @@ def _build_model(spec: dict, errors: list, path: str):
                     errors.append(f"{path}.jump_atoms[{i}].v: must lie in [0, 1)")
                     return None
             gamma = spec.get("gamma_v", max((a["v"] for a in spec["jump_atoms"]), default=0.0))
-            if not 0.0 <= gamma < 1.0:
-                errors.append(f"{path}.gamma_v: must lie in [0, 1)")
-                return None
             return KernelSpec(
                 jump_atoms=tuple(
                     (tuple(a["payoff"]), a["v"], a["intensity"]) for a in spec["jump_atoms"]
@@ -144,15 +140,10 @@ def _build_model(spec: dict, errors: list, path: str):
 
 
 def _build_iid(spec: dict, errors: list, path: str):
-    atoms = []
-    for i, atom in enumerate(spec["atoms"]):
-        if not atom["delta"] < 1.0:
-            errors.append(f"{path}.atoms[{i}].delta: delta must lie in [0, 1)")
-            return None
-        atoms.append((tuple(atom["payoff"]), atom["delta"]))
+    atoms = tuple((tuple(atom["payoff"]), atom["delta"]) for atom in spec["atoms"])
     probs = tuple(atom["probability"] for atom in spec["atoms"])
     try:
-        return DiscreteIIDModel(atoms=tuple(atoms), probabilities=probs)
+        return DiscreteIIDModel(atoms=atoms, probabilities=probs)
     except DomainError as exc:
         errors.append(f"{path}: {exc}")
         return None
@@ -263,7 +254,6 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
     )
     return ScenarioConfig(
         name=data.get("name", "scenario"),
-        raw=data,
         market=market,
         strategies=tuple(strategies),
         horizon=float(horizon),
@@ -524,7 +514,7 @@ def _load_config_arg(args) -> dict:
             return _json_object(fh.read())
     if args.scenario:
         try:
-            return json.loads(json.dumps(get_scenario(args.scenario).config))
+            return get_scenario(args.scenario).config
         except KeyError as exc:
             raise ConfigError([str(exc)]) from exc
     raise ConfigError(["run needs --config FILE or --scenario NAME"])
@@ -534,7 +524,7 @@ def _cmd_run(args) -> int:
     try:
         data = _load_config_arg(args)
         if args.grid is not None:
-            data.setdefault("record", {})["grid"] = args.grid
+            data = {**data, "record": {**data.get("record", {}), "grid": args.grid}}
         cfg = parse_config_dict(data)
         seeds = _parse_seeds_arg(args.seeds) if args.seeds else None
         out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV, DEFAULT_OUTPUT_DIR)

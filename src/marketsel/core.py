@@ -175,74 +175,19 @@ def validate_market(spec: MarketSpec) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
-class WealthState:
-    """Snapshot of the market at one instant: absolute, total and relative wealth."""
-
-    time: float
-    wealth: np.ndarray
-    total: float
-    rel: np.ndarray
-
-    def __post_init__(self):
-        y = as_vector(self.wealth, "wealth")
-        r = as_vector(self.rel, "rel")
-        w = float(self.total)
-        if w <= 0.0:
-            raise DomainError("total wealth must be positive")
-        if abs(y.sum() - w) > 1e-10 * w:
-            raise DomainError("total wealth does not match the sum of investor wealth")
-        if np.any(r <= 0.0):
-            raise DomainError("relative wealth must be strictly positive")
-        if abs(r.sum() - 1.0) > SUM_ATOL:
-            raise DomainError("relative wealth must sum to 1")
-        object.__setattr__(self, "wealth", _freeze(y))
-        object.__setattr__(self, "rel", _freeze(r))
-        object.__setattr__(self, "time", float(self.time))
-        object.__setattr__(self, "total", w)
-
-    @classmethod
-    def from_wealth(cls, time: float, wealth) -> "WealthState":
-        y = as_vector(wealth, "wealth")
-        w = float(y.sum())
-        return cls(time=time, wealth=y, total=w, rel=y / w)
-
-
-@dataclass(frozen=True)
-class PayoffEvent:
-    """One realized increment of the payoff environment.
-
-    ``dx`` is the payoff delivered per asset over the step (currency
-    units), ``dv`` the matching consumption increment.  ``is_jump``
-    distinguishes an actual payoff event from a continuous-rate segment
-    between events; the strict ``dv < 1`` bound applies only to jumps.
-    """
-
-    time: float
-    dx: np.ndarray
-    dv: float
-    is_jump: bool = True
-
-    def __post_init__(self):
-        dx = as_vector(self.dx, "dx")
-        if np.any(dx < 0.0):
-            raise DomainError("payoff increments must be non-negative")
-        dv = float(self.dv)
-        if not np.isfinite(dv) or dv < 0.0:
-            raise DomainError("consumption increment must be finite and >= 0")
-        if self.is_jump and dv >= 1.0:
-            raise DomainError("consumption jump must be < 1")
-        object.__setattr__(self, "dx", _freeze(dx))
-        object.__setattr__(self, "dv", dv)
-        object.__setattr__(self, "time", float(self.time))
-
-
 @dataclass
 class Trajectory:
     """Recorded path of one simulation run.
 
     Index k runs over recorded states (k = 0 is the initial state); the
     event arrays describe the interval between record k and record k+1.
+    A discrete interval is one payoff step (``is_jump`` is always set).  A
+    continuous interval is a jump-free segment, ended by a jump where
+    ``is_jump`` is set: its ``dx``/``dv`` add the segment's drift and
+    consumption rate to the jump's payoff and fraction, so ``dv`` may
+    exceed 1 there.  Both engines fill the running arrays (``cum_x``,
+    ``cum_v``, ``retention`` and the three integrals below) by adding or
+    multiplying the per-interval increments in record order.
     ``pressure`` is the selection-pressure clock (the integral of
     |claim + drift| / W against operational time), ``gap_integral`` the
     per-investor Gibbs-gap integral against it, and ``closeness`` the
@@ -284,26 +229,6 @@ class Trajectory:
     def n_records(self) -> int:
         return self.times.size - 1
 
-    def state_at(self, k: int) -> WealthState:
-        return WealthState(
-            time=self.times[k], wealth=self.wealth[k], total=self.total[k], rel=self.rel[k]
-        )
-
-    def event_at(self, k: int) -> PayoffEvent:
-        # Discrete records are pure payoff events.  Continuous records
-        # aggregate a rate segment with a possible terminal jump, so they
-        # map to segment events (the raw flag lives in ``is_jump[k]``).
-        return PayoffEvent(
-            time=self.times[k + 1],
-            dx=self.dx[k],
-            dv=self.dv[k],
-            is_jump=bool(self.is_jump[k]) and self.mode == "discrete",
-        )
-
-    def exponent_increments(self):
-        """Per-interval (continuous, jump) increments of ln W's driving process."""
-        return list(zip(self.z_cont.tolist(), self.z_jump.tolist()))
-
     def validate(self) -> list[str]:
         """Check recording invariants; returns a list of violations."""
         violations = []
@@ -311,6 +236,8 @@ class Trajectory:
             violations.append("record times must be strictly increasing")
         if np.any(self.wealth <= 0.0):
             violations.append("wealth must stay strictly positive")
+        if np.any(np.abs(self.wealth.sum(axis=1) - self.total) > 1e-10 * np.abs(self.total)):
+            violations.append("total wealth must match the sum of investor wealth")
         if np.any(self.rel <= 0.0):
             violations.append("relative wealth must stay strictly positive")
         for name in ("pressure", "gap_integral", "closeness"):

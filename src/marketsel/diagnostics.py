@@ -27,14 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DomainError,
-    SUM_ATOL,
-    SimplexVector,
-    Trajectory,
-    as_vector,
-)
-from .engine import discrete_step, stochastic_exponent
+from .core import DomainError, SUM_ATOL, Trajectory, as_vector, divergence_rows
+from .engine import discrete_step
 from .payoffs import enumerate_support
 from .strategies import discrete_claim_vector, survival_discrete_exact
 
@@ -47,45 +41,15 @@ def gibbs_gap(alpha, beta):
     and broadcasts; the result is always >= ||alpha - beta||^2 / 4 and is
     zero iff the inputs coincide.
     """
-    a = np.asarray(alpha, dtype=float)
-    b = np.asarray(beta, dtype=float)
-    a, b = np.broadcast_arrays(a, b)
+    a, b = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float))
     for name, arr in (("alpha", a), ("beta", b)):
         if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
             raise DomainError(f"{name} must be a non-negative finite array")
         if np.any(np.abs(arr.sum(axis=-1) - 1.0) > SUM_ATOL):
             raise DomainError(f"{name} rows must sum to 1")
-    pos = a > 0.0
-    bad = np.any(pos & (b <= 0.0), axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(
-            pos & (b > 0.0),
-            a * (np.log(np.where(pos, a, 1.0)) - np.log(np.where(b > 0.0, b, 1.0))),
-            0.0,
-        )
-    out = terms.sum(axis=-1)
-    out = np.where(bad, np.inf, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def accumulate_pressure(h: float, claim, drift, w_minus: float, dg: float) -> float:
-    """Advance the selection-pressure clock by |claim + drift| / W * dG."""
-    if not w_minus > 0.0:
-        raise DomainError("total wealth must be positive")
-    if dg < 0.0:
-        raise DomainError("operational-time increments must be >= 0")
-    claim = as_vector(claim, "claim")
-    drift = as_vector(drift, "drift") if drift is not None else np.zeros_like(claim)
-    return float(h + (claim + drift).sum() / w_minus * dg)
-
-
-def market_portfolio(weights, rel) -> SimplexVector:
-    """Wealth-weighted average of all investors' weights (the market portfolio)."""
-    lam = np.atleast_2d(np.asarray(weights, dtype=float))
-    r = as_vector(rel, "rel")
-    return SimplexVector(r @ lam)
+    n = a.shape[-1]
+    out = divergence_rows(a.reshape(-1, n), b.reshape(-1, 1, n)).reshape(a.shape[:-1])
+    return float(out) if out.ndim == 0 else out
 
 
 def submartingale_check(model, weights, y_prev, tracked: int, regime=None) -> float:
@@ -308,32 +272,6 @@ def sufficient_condition_check(traj: Trajectory, investor: int) -> SufficientCon
 
 
 @dataclass(frozen=True)
-class DriftLedger:
-    """Per-investor proof bookkeeping along a path: the log relative wealth,
-    its gap-compensated version (a submartingale for qualifying strategies),
-    the selection-pressure clock and the closeness integral."""
-
-    investor: int
-    times: np.ndarray
-    log_rel: np.ndarray
-    compensated: np.ndarray
-    pressure: np.ndarray
-    closeness: np.ndarray
-
-
-def drift_ledger(traj: Trajectory, investor: int) -> DriftLedger:
-    log_rel = np.log(traj.rel[:, investor])
-    return DriftLedger(
-        investor=investor,
-        times=traj.times.copy(),
-        log_rel=log_rel,
-        compensated=log_rel + traj.gap_integral[:, investor],
-        pressure=traj.pressure.copy(),
-        closeness=traj.closeness[:, investor].copy(),
-    )
-
-
-@dataclass(frozen=True)
 class IdentityReport:
     """Path-level bookkeeping identities of one run.
 
@@ -367,8 +305,14 @@ def identity_report(traj: Trajectory) -> IdentityReport:
         lower_slack = np.where(lower > 0.0, (traj.wealth - lower) / np.abs(lower), np.inf)
     lower_margin = float(np.min(lower_slack))
     upper_margin = float(np.min((upper - traj.wealth) / np.abs(upper)))
-    acc = stochastic_exponent(traj.exponent_increments())
-    reconstructed = traj.total[0] * acc.value
+    if np.any(traj.z_jump <= -1.0):
+        raise DomainError("jump increments must be > -1")
+    # exp(Z_c) * prod(1 + dZ_s), multiplied in record order; math.exp, not
+    # np.exp, whose last ulp differs on some inputs
+    factors = np.empty(2 * traj.n_records)
+    factors[0::2] = [math.exp(z) for z in traj.z_cont.tolist()]
+    factors[1::2] = 1.0 + traj.z_jump
+    reconstructed = traj.total[0] * np.multiply.accumulate(factors)[-1]
     exp_err = float(abs(reconstructed - traj.total[-1]) / traj.total[-1])
     return IdentityReport(
         total_wealth_max_rel_err=w_err,

@@ -57,9 +57,14 @@ same four stages:
 Fixed steps keep runs bit-reproducible; the integrator does not consume
 randomness, so refining the step never changes the jump sequence.
 
-Both engines record, along with the path, the increments of the process
-driving ln W, so the terminal total wealth can be reconstructed through
-the stochastic exponent as an independent bookkeeping check.
+Both engines record through the same running sums: each record's
+increments are added, or multiplied, in record order into a
+``Trajectory`` allocated once -- per block in the discrete engine, and in
+one pass over the list of segments (one per grid point, jump or the
+horizon) in the continuous one.  Along with the path they record the
+increments of the process driving ln W, so the terminal total wealth can
+be reconstructed through the stochastic exponent as an independent
+bookkeeping check.
 """
 
 from __future__ import annotations
@@ -191,51 +196,22 @@ def discrete_step(y_prev, weights, payoff, delta: float) -> np.ndarray:
 
     ``weights`` is the (M, N) matrix of investment proportions.  When no
     one invests in an asset its payoff splits equally (the 1/M rule).
+    Wealth may be 0 for some investors (a sole holder's wealth can
+    underflow there) but must have a positive total.
     """
     y = np.asarray(y_prev, dtype=float)
     lam = np.atleast_2d(np.asarray(weights, dtype=float))
     a = np.asarray(payoff, dtype=float)
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(lam)) and np.all(np.isfinite(a))):
         raise DomainError("non-finite inputs")
-    if np.any(y <= 0.0):
-        raise DomainError("wealth must be strictly positive")
+    if np.any(y < 0.0) or not y.sum() > 0.0:
+        raise DomainError("wealth must be non-negative with a positive total")
     if not 0.0 <= delta < 1.0:
         raise DomainError("delta must lie in [0, 1)")
     if np.any(a < 0.0):
         raise DomainError("payoffs must be non-negative")
     scaled, claimed, pad, free = _claims(lam, a)
     return _divide_checked(y, (scaled, claimed, pad, 1.0 - delta, free), a)
-
-
-@dataclass
-class ExponentAccumulator:
-    """Running stochastic exponent of a finite-variation process.
-
-    Tracks both the multiplicative value exp(Z_c) * prod(1 + dZ_s) and its
-    logarithm; for pure-jump inputs the value is the exact product.
-    """
-
-    value: float = 1.0
-    log_value: float = 0.0
-
-    def apply(self, z_cont: float = 0.0, z_jump: float = 0.0) -> "ExponentAccumulator":
-        if z_jump <= -1.0:
-            raise DomainError("jump increments must be > -1")
-        if z_cont != 0.0:
-            self.value *= math.exp(z_cont)
-            self.log_value += z_cont
-        if z_jump != 0.0:
-            self.value *= 1.0 + z_jump
-            self.log_value += math.log1p(z_jump)
-        return self
-
-
-def stochastic_exponent(increments) -> ExponentAccumulator:
-    """Fold (continuous, jump) increments into a stochastic exponent."""
-    acc = ExponentAccumulator()
-    for z_cont, z_jump in increments:
-        acc.apply(z_cont, z_jump)
-    return acc
 
 
 def _alloc(n_records: int, m: int, n: int, mode: str) -> Trajectory:
@@ -306,6 +282,11 @@ def _running(acc: np.ndarray, k: int, inc: np.ndarray, op=np.add) -> None:
     out[...] = inc
     out[0] = op(acc[k], inc[0])
     op.accumulate(out, axis=0, out=out)
+
+
+def _support_violations(lam: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Per investor, the records (K, M, N) ``lam`` leave an asset that ``cand`` (K, N) weights."""
+    return np.any((lam <= 0.0) & (cand > SUPPORT_TOL)[:, None, :], axis=2).sum(axis=0)
 
 
 def run_discrete(run: ProfileRun) -> Trajectory:
@@ -397,9 +378,7 @@ def run_discrete(run: ProfileRun) -> Trajectory:
             _running(traj.gap_integral, k0, _on_clock(gaps, d_pressure[:, None]))
             close = ((lam - cand[:, None, :]) ** 2).sum(axis=2)
             _running(traj.closeness, k0, close * d_pressure[:, None])
-            traj.support_violations += np.any(
-                (lam <= 0.0) & (cand > SUPPORT_TOL)[:, None, :], axis=2
-            ).sum(axis=0)
+            traj.support_violations += _support_violations(lam, cand)
     return traj
 
 
@@ -526,87 +505,6 @@ def _integrate_segment(kernel, handles, t0, t1, y, w0, dt):
     return y, acc, lam0, cand0
 
 
-class _Recorder:
-    """Append-only trajectory builder for the event-driven engine."""
-
-    def __init__(self, m_inv, n_assets, y0):
-        self.rows = []
-        self.m = m_inv
-        self.n = n_assets
-        w = float(y0.sum())
-        self.state = {
-            "t": 0.0,
-            "y": y0.copy(),
-            "cum_x": np.zeros(n_assets),
-            "cum_v": 0.0,
-            "retention": 1.0,
-            "pressure": 0.0,
-            "gap": np.zeros(m_inv),
-            "close": np.zeros(m_inv),
-        }
-        self.intervals = []
-        self.support_violations = np.zeros(m_inv, dtype=int)
-        self.rows.append(self._snapshot())
-
-    def _snapshot(self):
-        s = self.state
-        return (
-            s["t"],
-            s["y"].copy(),
-            s["cum_x"].copy(),
-            s["cum_v"],
-            s["retention"],
-            s["pressure"],
-            s["gap"].copy(),
-            s["close"].copy(),
-        )
-
-    def advance(self, t1, y1, dx, dv, is_jump, acc, zc, zj, lam, cand, retention_factor):
-        s = self.state
-        m = self.m
-        s["t"] = t1
-        s["y"] = y1
-        s["cum_x"] = s["cum_x"] + dx
-        s["cum_v"] = s["cum_v"] + dv
-        s["retention"] *= retention_factor
-        s["pressure"] += acc[0]
-        s["gap"] = s["gap"] + acc[1 : 1 + m]
-        s["close"] = s["close"] + acc[1 + m : 1 + 2 * m]
-        if lam is not None:
-            self.support_violations += np.any(
-                (lam <= 0.0) & (cand > SUPPORT_TOL)[None, :], axis=1
-            )
-        self.intervals.append((dx, dv, is_jump, zc, zj, lam, cand))
-        self.rows.append(self._snapshot())
-
-    def build(self) -> Trajectory:
-        k = len(self.intervals)
-        traj = _alloc(k, self.m, self.n, "continuous")
-        for i, row in enumerate(self.rows):
-            t, y, cum_x, cum_v, retention, pressure, gap, close = row
-            traj.times[i] = t
-            traj.wealth[i] = y
-            traj.total[i] = y.sum()
-            traj.rel[i] = y / y.sum()
-            traj.cum_x[i] = cum_x
-            traj.cum_v[i] = cum_v
-            traj.retention[i] = retention
-            traj.pressure[i] = pressure
-            traj.gap_integral[i] = gap
-            traj.closeness[i] = close
-        for i, (dx, dv, is_jump, zc, zj, lam, cand) in enumerate(self.intervals):
-            traj.dx[i] = dx
-            traj.dv[i] = dv
-            traj.is_jump[i] = is_jump
-            traj.z_cont[i] = zc
-            traj.z_jump[i] = zj
-            if lam is not None:
-                traj.weights[i] = lam
-                traj.candidate[i] = cand
-        traj.support_violations = self.support_violations
-        return traj
-
-
 def run_continuous(run: ProfileRun) -> Trajectory:
     """Simulate the continuous-time market up to the horizon.
 
@@ -631,7 +529,7 @@ def run_continuous(run: ProfileRun) -> Trajectory:
     b = kernel.drift
     v_rate = kernel.v_rate
 
-    rec = _Recorder(market.num_investors, market.num_assets, market.initial_wealth.copy())
+    segments = []
     t = 0.0
     y = market.initial_wealth.copy()
     w = float(y.sum())
@@ -658,7 +556,7 @@ def run_continuous(run: ProfileRun) -> Trajectory:
             dx = dx + x
             dv = dv + v
             retention_factor *= 1.0 - v
-        rec.advance(t_to, y1, dx, dv, jump is not None, acc, acc[-1], zj, lam, cand, retention_factor)
+        segments.append((t_to, y1, dx, dv, jump is not None, acc, zj, lam, cand, retention_factor))
         t, y, w = t_to, y1, w1
 
     while t < horizon:
@@ -676,7 +574,36 @@ def run_continuous(run: ProfileRun) -> Trajectory:
             if horizon > t:
                 segment(horizon)
             break
-    return rec.build()
+    return _record_segments(market, segments)
+
+
+def _record_segments(market: MarketSpec, segments: list) -> Trajectory:
+    """The trajectory of ``run_continuous``'s segments, one record each.
+
+    A segment is (end time, end wealth, payoffs, consumption, is_jump,
+    integrated rates, jump increment of ln W, weights, candidate, retention
+    factor); the running sums add in record order, as the discrete
+    engine's do.
+    """
+    m = market.num_investors
+    traj = _alloc(len(segments), m, market.num_assets, "continuous")
+    traj.wealth[0] = market.initial_wealth
+    if segments:
+        t, y, dx, dv, is_jump, acc, z_jump, lam, cand, keep = map(np.array, zip(*segments))
+        traj.times[1:], traj.wealth[1:] = t, y
+        traj.dx[...], traj.dv[...], traj.is_jump[...] = dx, dv, is_jump
+        traj.z_cont[...], traj.z_jump[...] = acc[:, -1], z_jump
+        traj.weights[...], traj.candidate[...] = lam, cand
+        _running(traj.cum_x, 0, dx)
+        _running(traj.cum_v, 0, dv)
+        _running(traj.retention, 0, keep, np.multiply)
+        _running(traj.pressure, 0, acc[:, 0])
+        _running(traj.gap_integral, 0, acc[:, 1 : 1 + m])
+        _running(traj.closeness, 0, acc[:, 1 + m : 1 + 2 * m])
+        traj.support_violations += _support_violations(lam, cand)
+    traj.total[...] = traj.wealth.sum(axis=1)
+    traj.rel[...] = traj.wealth / traj.total[:, None]
+    return traj
 
 
 def run(profile: ProfileRun) -> Trajectory:

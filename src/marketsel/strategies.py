@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DomainError, SimplexVector, as_vector, make_simplex, simplex_rows
+from .core import DomainError, SimplexVector, make_simplex, simplex_rows
 from .payoffs import (
     DiscreteIIDModel,
     KernelSpec,
@@ -98,24 +98,6 @@ def survival_continuous(kernel: KernelSpec, w_minus: float) -> SimplexVector:
     drift yields the uniform weights.
     """
     return make_simplex(expected_claim_rates(kernel, w_minus) + kernel.drift)
-
-
-def representative(weights, rel_prev, excluded: int) -> SimplexVector:
-    """Wealth-weighted average strategy of all investors except ``excluded``.
-
-    The weights are the competitors' relative wealths renormalized to the
-    coalition, so the output is itself a simplex vector.
-    """
-    lam = np.atleast_2d(np.asarray(weights, dtype=float))
-    rel = as_vector(rel_prev, "rel_prev")
-    if lam.shape[0] != rel.size:
-        raise DomainError("need one weight vector per investor")
-    coalition = 1.0 - rel[excluded]
-    if not coalition > 0.0:
-        raise DomainError("the excluded investor holds all wealth; coalition is empty")
-    mask = np.ones(rel.size, dtype=bool)
-    mask[excluded] = False
-    return SimplexVector((rel[mask] @ lam[mask]) / coalition)
 
 
 @dataclass(frozen=True)

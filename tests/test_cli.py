@@ -457,6 +457,12 @@ class TestMainEntryPoint:
         lines = (out_dir / "mini_seed0.csv").read_text().strip().splitlines()
         assert len(lines) >= 1 + 8  # header plus at least the 0.25-spaced grid
 
+    def test_grid_flag_leaves_the_catalog_unchanged(self, tmp_path):
+        before = copy.deepcopy(CATALOG["dominance-2pt"].config)
+        argv = ["run", "--scenario", "dominance-2pt", "--seeds", "0", "--grid", "0.5"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert CATALOG["dominance-2pt"].config == before
+
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(minimal_config(seeds=[0])))

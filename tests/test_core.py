@@ -1,5 +1,5 @@
-"""Core domain-type tests: simplex normalization, market validation,
-wealth-state invariants and trajectory bookkeeping."""
+"""Core domain-type tests: simplex normalization, market validation and
+the invariants of recorded trajectories."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marketsel import (
+    DiscreteIIDModel,
     DomainError,
+    KernelSpec,
     MarketSpec,
-    PayoffEvent,
+    ProfileRun,
+    RngStream,
     SimplexVector,
-    WealthState,
+    constant_strategy,
     make_simplex,
+    run,
+    survival_strategy,
     validate_market,
 )
 from marketsel.scenarios import two_point_model
@@ -114,34 +119,87 @@ class TestValidateMarket:
         assert any("payoff model" in v for v in validate_market(spec))
 
 
+def _runs():
+    """One discrete and one continuous run of the same two strategies."""
+    handles = [survival_strategy(), constant_strategy([0.5, 0.5])]
+    kernel = KernelSpec(
+        jump_atoms=(((1.0, 0.0), 0.1, 1.0), ((0.0, 1.0), 0.05, 2.0)), drift=(0.3, 0.1),
+        v_rate=0.2, gamma_v=0.2,
+    )
+    return [
+        run(ProfileRun(MarketSpec(2, 2, [1.0, 3.0], payoff_model=model), handles, horizon,
+                       RngStream(3), record_dt=0.5))
+        for model, horizon in ((two_point_model(0.6, 0.3), 50), (kernel, 5.0))
+    ]
+
+
 class TestWealthState:
+    """The recorded wealth states: totals and shares follow from the wealth."""
+
     def test_from_wealth(self):
-        s = WealthState.from_wealth(3.0, [1.0, 3.0])
-        assert s.total == 4.0
-        np.testing.assert_allclose(s.rel, [0.25, 0.75], atol=STRUCT_TOL, rtol=0)
+        for traj in _runs():
+            np.testing.assert_array_equal(traj.total, traj.wealth.sum(axis=1))
+            np.testing.assert_array_equal(traj.rel, traj.wealth / traj.total[:, None])
+            assert traj.validate() == []
 
     def test_total_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            WealthState(time=0.0, wealth=np.array([1.0, 1.0]), total=3.0, rel=np.array([0.5, 0.5]))
+        traj = _runs()[0]
+        traj.total[4] *= 1.0 + 1e-6
+        assert traj.validate() == ["total wealth must match the sum of investor wealth"]
 
     def test_zero_share_rejected(self):
-        with pytest.raises(DomainError):
-            WealthState(time=0.0, wealth=np.array([2.0, 0.0]), total=2.0, rel=np.array([1.0, 0.0]))
+        traj = _runs()[0]
+        traj.wealth[3, 1] = 0.0
+        traj.total[3] = traj.wealth[3].sum()
+        traj.rel[3] = traj.wealth[3] / traj.total[3]
+        assert traj.validate() == [
+            "wealth must stay strictly positive",
+            "relative wealth must stay strictly positive",
+        ]
 
 
 class TestPayoffEvent:
+    """The recorded payoff events and the models that generate them."""
+
     def test_valid_jump(self):
-        e = PayoffEvent(time=1.0, dx=np.array([1.0, 0.0]), dv=0.3)
-        assert e.is_jump and e.dv == 0.3
+        traj = _runs()[0]
+        assert traj.is_jump.all()
+        assert np.all(traj.dx >= 0.0)
+        assert np.all((0.0 <= traj.dv) & (traj.dv < 1.0))
 
     def test_jump_consumption_must_stay_below_one(self):
         with pytest.raises(DomainError):
-            PayoffEvent(time=1.0, dx=np.array([1.0, 0.0]), dv=1.0)
+            DiscreteIIDModel(atoms=(((1.0, 0.0), 1.0),), probabilities=(1.0,))
+        with pytest.raises(DomainError):
+            KernelSpec(jump_atoms=(), drift=(0.0, 0.0), gamma_v=1.0)
+        with pytest.raises(DomainError):
+            KernelSpec(jump_atoms=(((1.0, 0.0), 0.3, 1.0),), drift=(0.0, 0.0), gamma_v=0.2)
 
     def test_segment_consumption_may_exceed_one(self):
-        e = PayoffEvent(time=1.0, dx=np.array([0.0, 0.0]), dv=1.5, is_jump=False)
-        assert not e.is_jump
+        # a continuous record adds the segment's rate consumption to the
+        # jump's fraction, so its dv may exceed 1 on a valid path
+        kernel = KernelSpec(
+            jump_atoms=(((1.0, 0.0), 0.1, 1.0),), drift=(0.0, 0.0), v_rate=2.0, gamma_v=0.2
+        )
+        spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=kernel)
+        traj = run(ProfileRun(spec, [constant_strategy([0.5, 0.5])] * 2, 6.0, RngStream(9)))
+        assert np.any(traj.dv > 1.0)
+        assert traj.validate() == []
 
     def test_negative_payoff_rejected(self):
         with pytest.raises(DomainError):
-            PayoffEvent(time=1.0, dx=np.array([-1.0, 0.0]), dv=0.0)
+            DiscreteIIDModel(atoms=(((-1.0, 0.0), 0.0),), probabilities=(1.0,))
+        with pytest.raises(DomainError):
+            KernelSpec(jump_atoms=(((-1.0, 0.0), 0.0, 1.0),), drift=(0.0, 0.0))
+        traj = _runs()[0]
+        traj.dx[2] = [-1.0, 0.0]
+        traj.cum_x[1:] = np.cumsum(traj.dx, axis=0)
+        assert traj.validate() == ["cumulative payoff/consumption must be non-decreasing"]
+
+
+class TestTrajectoryRecords:
+    def test_running_sums_add_the_increments_in_record_order(self):
+        for traj in _runs():
+            np.testing.assert_array_equal(np.diff(traj.times) > 0.0, True)
+            np.testing.assert_array_equal(traj.cum_x[1:], np.cumsum(traj.dx, axis=0))
+            np.testing.assert_array_equal(traj.cum_v[1:], np.cumsum(traj.dv))

@@ -1,5 +1,5 @@
 """Engine tests: the one-step division rule, both run loops against
-independent oracles, and the stochastic-exponent bookkeeping.
+independent oracles, and the stochastic-exponent reconstruction of W.
 
 The discrete-run oracle is a self-contained recursion written directly
 from the division rule, independent of the engine's internals; the
@@ -27,7 +27,6 @@ from marketsel import (
     run,
     run_continuous,
     run_discrete,
-    stochastic_exponent,
     survival_strategy,
 )
 from marketsel import PerturbationSchedule, engine, perturbed, survival_mc_strategy, table_strategy
@@ -84,6 +83,12 @@ class TestDiscreteStep:
         out = discrete_step([1.0, 1e-310], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], 0.0)
         np.testing.assert_array_equal(out, [2.0, 1.0])
 
+    def test_zero_wealth_holder_splits_its_asset_equally(self):
+        # investor 2's wealth is exactly 0 and it alone holds asset 2, so no
+        # wealth is invested there and that payoff splits 1/M
+        out = discrete_step([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], 0.99)
+        np.testing.assert_array_equal(out, [(1.0 - 0.99) + 1.5, 0.5])
+
     def test_output_strictly_positive(self):
         out = discrete_step([1.0, 1e-9], [[1.0, 0.0], [1.0, 0.0]], [0.0, 5.0], 0.99)
         assert np.all(out > 0.0)
@@ -92,7 +97,9 @@ class TestDiscreteStep:
         with pytest.raises(DomainError):
             discrete_step([1.0, np.nan], [[0.5, 0.5]] * 2, [1.0, 0.0], 0.0)
         with pytest.raises(DomainError):
-            discrete_step([1.0, 0.0], [[0.5, 0.5]] * 2, [1.0, 0.0], 0.0)
+            discrete_step([0.0, 0.0], [[0.5, 0.5]] * 2, [1.0, 0.0], 0.0)
+        with pytest.raises(DomainError):
+            discrete_step([1.0, -1e-300], [[0.5, 0.5]] * 2, [1.0, 0.0], 0.0)
         with pytest.raises(DomainError):
             discrete_step([1.0, 1.0], [[0.5, 0.5]] * 2, [1.0, 0.0], 1.0)
         with pytest.raises(DomainError):
@@ -236,6 +243,23 @@ class TestRunDiscrete:
         np.testing.assert_allclose(revived, 1.0 if y2 > 0.0 else 0.5, rtol=1e-15)
         np.testing.assert_allclose(traj.wealth.sum(axis=1), traj.total, rtol=PATH_RTOL)
 
+    def test_zero_wealth_row_replays_through_discrete_step(self):
+        # 200 dry steps leave investor 2 exactly 0 (the case above); the
+        # next row is still discrete_step of that row, bit for bit
+        dry = DiscreteIIDModel(atoms=(((1.0, 0.0), 0.99),), probabilities=(1.0,))
+        wet = DiscreteIIDModel(atoms=(((1.0, 1.0), 0.99),), probabilities=(1.0,))
+        transition = np.eye(201, k=1)
+        transition[-1, -1] = 1.0
+        model = MarkovModulatedModel(
+            states=tuple(range(201)), transition=transition, regimes=(dry,) * 200 + (wet,)
+        )
+        spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=model)
+        handles = [constant_strategy([1.0, 0.0]), constant_strategy([0.0, 1.0])]
+        traj = run_discrete(ProfileRun(spec, handles, 203, RngStream(0)))
+        assert traj.wealth[200, 1] == 0.0
+        replayed = discrete_step(traj.wealth[200], traj.weights[200], traj.dx[200], traj.dv[200])
+        np.testing.assert_array_equal(replayed, traj.wealth[201])
+
     def test_fractional_horizon_rejected(self):
         spec = self._market(two_point_model(0.6, 0.0))
         with pytest.raises(DomainError):
@@ -246,13 +270,13 @@ class TestRunDiscrete:
         traj = run_discrete(
             ProfileRun(spec, [constant_strategy([0.5, 0.5])] * 2, 5, RngStream(6))
         )
-        state = traj.state_at(3)
-        assert state.time == 3.0
-        assert state.total == pytest.approx(traj.total[3])
-        event = traj.event_at(2)
-        assert event.is_jump
-        np.testing.assert_array_equal(event.dx, traj.dx[2])
-
+        np.testing.assert_array_equal(traj.times, np.arange(6.0))
+        assert traj.total[3] == traj.wealth[3].sum()
+        assert traj.is_jump.all()
+        for k in range(traj.n_records):
+            assert traj.dx[k].tolist() in ([1.0, 0.0], [0.0, 1.0])
+            step = discrete_step(traj.wealth[k], traj.weights[k], traj.dx[k], traj.dv[k])
+            np.testing.assert_array_equal(step, traj.wealth[k + 1])
 
     def test_block_temporaries_do_not_grow_with_the_horizon(self):
         # 40 investors x 10 assets, 2-regime Markov model, all five kinds
@@ -466,18 +490,22 @@ class TestRunContinuous:
         assert excess(8) <= 1.1 * excess(2)
 
     def test_event_accessor_total_under_heavy_consumption(self):
-        # interval consumption (rate * span + jump) can exceed 1; the
-        # accessor must still yield a valid segment event
+        # a record's consumption is the rate times the segment plus the
+        # jump's fraction, which can exceed 1; retention multiplies the
+        # matching factors exp(-rate * span) (1 - v)
         kernel = KernelSpec(
-            jump_atoms=(((1.0, 0.0), 0.1, 0.2),), drift=(0.0, 0.0), v_rate=2.0, gamma_v=0.2
+            jump_atoms=(((1.0, 0.0), 0.1, 1.0),), drift=(0.0, 0.0), v_rate=2.0, gamma_v=0.2
         )
         spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=kernel)
         traj = run_continuous(
             ProfileRun(spec, [constant_strategy([0.5, 0.5])] * 2, 6.0, RngStream(9))
         )
-        for k in range(traj.n_records):
-            event = traj.event_at(k)
-            assert not event.is_jump
+        span = np.diff(traj.times)
+        np.testing.assert_allclose(traj.dv, 2.0 * span + 0.1 * traj.is_jump, rtol=1e-15)
+        assert np.any(traj.dv > 1.0) and traj.is_jump.any()
+        factors = np.exp(-2.0 * span) * np.where(traj.is_jump, 0.9, 1.0)
+        np.testing.assert_allclose(traj.retention[1:], np.cumprod(factors), rtol=1e-14)
+        assert traj.validate() == []
 
     def test_dispatch_by_model_type(self):
         kernel = KernelSpec(jump_atoms=(), drift=(1.0, 0.5))
@@ -489,35 +517,51 @@ class TestRunContinuous:
         assert traj2.mode == "discrete"
 
 
+def _exponent_err(z_cont, z_jump, w_end):
+    """identity_report's exponent error on a path from W = 1 to ``w_end``."""
+    traj = engine._alloc(len(z_cont), 1, 1, "continuous")
+    traj.times[:] = np.arange(traj.times.size)
+    traj.total[:] = 1.0
+    traj.total[-1] = w_end
+    traj.wealth[:, 0] = traj.total
+    traj.z_cont[:], traj.z_jump[:] = z_cont, z_jump
+    return identity_report(traj).exponent_rel_err
+
+
 class TestStochasticExponent:
     def test_zero_process_gives_one(self):
-        acc = stochastic_exponent([])
-        assert acc.value == 1.0 and acc.log_value == 0.0
+        assert _exponent_err([0.0, 0.0], [0.0, 0.0], 1.0) == 0.0
 
     def test_single_jump(self):
-        acc = stochastic_exponent([(0.0, 0.5)])
-        assert acc.value == 1.5
+        assert _exponent_err([0.0], [0.5], 1.5) == 0.0
 
     def test_continuous_drift(self):
-        acc = stochastic_exponent([(1.0, 0.0)])
-        assert acc.value == pytest.approx(math.e, rel=1e-15)
+        assert _exponent_err([1.0], [0.0], math.e) <= 1e-15
 
     def test_pure_jump_product_form_is_exact(self):
         jumps = [0.1, -0.2, 0.35, 0.0, 2.0]
-        acc = stochastic_exponent([(0.0, z) for z in jumps])
         product = 1.0
         for z in jumps:
             product *= 1.0 + z
-        assert acc.value == product
+        assert _exponent_err([0.0] * len(jumps), jumps, product) == 0.0
 
     def test_jump_at_minus_one_rejected(self):
         with pytest.raises(DomainError):
-            stochastic_exponent([(0.0, -1.0)])
+            _exponent_err([0.0], [-1.0], 1.0)
 
     def test_positivity(self):
+        # jumps above -1 keep the exponent positive; its factors
+        # exp(z_cont[k]) then 1 + z_jump[k] multiply record by record, as a
+        # sequential fold over the increments would multiply them
         rng = np.random.default_rng(1)
-        incs = [(rng.normal(scale=0.3), rng.uniform(-0.99, 3.0)) for _ in range(200)]
-        assert stochastic_exponent(incs).value > 0.0
+        z_cont = rng.normal(scale=0.3, size=200)
+        z_jump = rng.uniform(-0.99, 3.0, size=200)
+        value = 1.0
+        for zc, zj in zip(z_cont.tolist(), z_jump.tolist()):
+            value *= math.exp(zc)
+            value *= 1.0 + zj
+        assert value > 0.0
+        assert _exponent_err(z_cont, z_jump, value) == 0.0
 
 
 class TestProfileRunValidation:

@@ -13,8 +13,9 @@ boundaries (the block byte budget is shrunk so blocks are a few steps).
 
 ``reference_run_continuous`` is the continuous engine as it stood before
 its stages were split: each RK4 stage evaluates every strategy through
-``evaluate`` and the share rule at that stage's state, and the
-diagnostic rates ride along as RK4 on the augmented system.  Strategies
+``evaluate`` and the share rule at that stage's state, the diagnostic
+rates ride along as RK4 on the augmented system, and every running sum
+advances one record at a time inside the event loop.  Strategies
 read the closed-form total wealth, as the staged engine does, so the
 two differ only in the order of floating-point operations.  Random
 kernels (with and without drift, consumption rate and jumps) and
@@ -335,10 +336,14 @@ def reference_run_continuous(run: ProfileRun, rng: np.random.Generator):
     """The per-stage event loop; also returns the closed-form W per record."""
     market, kernel = run.market, run.market.payoff_model
     handles, b, v_rate, grid = run.strategies, kernel.drift, kernel.v_rate, run.record_dt
-    rec = engine._Recorder(market.num_investors, market.num_assets, market.initial_wealth.copy())
+    m_inv = market.num_investors
     t, y = 0.0, market.initial_wealth.copy()
     w = float(y.sum())
     closed = [w]
+    times, wealth, events = [t], [y], []
+    cum_x, cum_v, retention = [np.zeros(market.num_assets)], [0.0], [1.0]
+    pressure, gap, close = [0.0], [np.zeros(m_inv)], [np.zeros(m_inv)]
+    support = np.zeros(m_inv, dtype=int)
     k_grid = 1
     pending = next_jump(kernel, rng, t)
 
@@ -367,7 +372,16 @@ def reference_run_continuous(run: ProfileRun, rng: np.random.Generator):
             closed[-1] = (1.0 - v) * closed[-1] + float(x.sum())
             dx, dv = dx + x, dv + v
             retention_factor *= 1.0 - v
-        rec.advance(t_to, y1, dx, dv, jump is not None, acc, acc[-1], zj, lam, cand, retention_factor)
+        times.append(t_to)
+        wealth.append(y1)
+        events.append((dx, dv, jump is not None, acc[-1], zj, lam, cand))
+        cum_x.append(cum_x[-1] + dx)
+        cum_v.append(cum_v[-1] + dv)
+        retention.append(retention[-1] * retention_factor)
+        pressure.append(pressure[-1] + acc[0])
+        gap.append(gap[-1] + acc[1 : 1 + m_inv])
+        close.append(close[-1] + acc[1 + m_inv : 1 + 2 * m_inv])
+        support[...] += np.any((lam <= 0.0) & (cand > engine.SUPPORT_TOL)[None, :], axis=1)
         t, y, w = t_to, y1, w1
 
     while t < run.horizon:
@@ -383,7 +397,19 @@ def reference_run_continuous(run: ProfileRun, rng: np.random.Generator):
             break
         segment(t_jump, pending[1])
         pending = next_jump(kernel, rng, t)
-    return rec.build(), np.array(closed)
+
+    traj = engine._alloc(len(events), m_inv, market.num_assets, "continuous")
+    traj.times[:], traj.wealth[:] = times, wealth
+    traj.total[:] = [float(y.sum()) for y in wealth]
+    traj.rel[:] = [y / y.sum() for y in wealth]
+    traj.cum_x[:], traj.cum_v[:], traj.retention[:] = cum_x, cum_v, retention
+    traj.pressure[:], traj.gap_integral[:], traj.closeness[:] = pressure, gap, close
+    traj.support_violations = support
+    for k, (dx, dv, is_jump, zc, zj, lam, cand) in enumerate(events):
+        traj.dx[k], traj.dv[k], traj.is_jump[k] = dx, dv, is_jump
+        traj.z_cont[k], traj.z_jump[k] = zc, zj
+        traj.weights[k], traj.candidate[k] = lam, cand
+    return traj, np.array(closed)
 
 
 def _kernel(draw, n, dead):

@@ -22,9 +22,9 @@ from marketsel import (
     PerturbationSchedule,
     RngStream,
     constant_strategy,
+    discrete_step,
     evaluate,
     perturbed,
-    representative,
     survival_continuous,
     survival_discrete_exact,
     survival_discrete_mc,
@@ -198,25 +198,36 @@ class TestPerturbed:
 
 
 class TestRepresentative:
+    """A coalition acts on the investor it excludes as one representative
+    investor: it holds the coalition's wealth and plays the wealth-weighted
+    average of its members' weights.  The division rule sees the others
+    only through what they invest, so merging them changes no one's step."""
+
+    PAY, DELTA = np.array([1.0, 2.0]), 0.1
+
+    def _merged_step(self, y, lam, shared):
+        """Investor 0 and the coalition's total after one step, unmerged and
+        merged into one investor playing ``shared``."""
+        y = np.asarray(y, dtype=float)
+        out = discrete_step(y, lam, self.PAY, self.DELTA)
+        merged = discrete_step([y[0], y[1:].sum()], [lam[0], shared], self.PAY, self.DELTA)
+        return [out[0], out[1:].sum()], merged
+
     def test_two_investors_reduces_to_opponent(self):
         weights = np.array([[0.6, 0.4], [0.1, 0.9]])
-        out = representative(weights, [0.3, 0.7], excluded=0)
-        np.testing.assert_allclose(out.weights, [0.1, 0.9], atol=EXACT_TOL, rtol=0)
+        out, merged = self._merged_step([0.3, 0.7], weights, weights[1])
+        np.testing.assert_array_equal(merged, out)
 
     def test_weighted_average(self):
+        # the coalition's average of [1, 0] and [0, 1] at equal wealth
         weights = np.array([[0.6, 0.4], [1.0, 0.0], [0.0, 1.0]])
-        out = representative(weights, [0.5, 0.25, 0.25], excluded=0)
-        np.testing.assert_allclose(out.weights, [0.5, 0.5], atol=EXACT_TOL, rtol=0)
+        out, merged = self._merged_step([0.5, 0.25, 0.25], weights, [0.5, 0.5])
+        np.testing.assert_allclose(merged, out, rtol=EXACT_TOL, atol=0)
 
     def test_identical_coalition_returns_shared_weights(self):
         weights = np.array([[0.6, 0.4], [0.2, 0.8], [0.2, 0.8]])
-        out = representative(weights, [0.4, 0.4, 0.2], excluded=0)
-        np.testing.assert_allclose(out.weights, [0.2, 0.8], atol=EXACT_TOL, rtol=0)
-
-    def test_empty_coalition_rejected(self):
-        weights = np.array([[0.6, 0.4], [0.2, 0.8]])
-        with pytest.raises(DomainError):
-            representative(weights, [1.0, 0.0], excluded=0)
+        out, merged = self._merged_step([0.4, 0.4, 0.2], weights, [0.2, 0.8])
+        np.testing.assert_allclose(merged, out, rtol=EXACT_TOL, atol=0)
 
     @given(
         rel=st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=5),
@@ -226,10 +237,13 @@ class TestRepresentative:
     def test_output_is_valid_simplex(self, rel, seed):
         rng = np.random.default_rng(seed)
         rel = np.asarray(rel) / np.sum(rel)
-        weights = rng.dirichlet(np.ones(3), size=rel.size)
-        out = representative(weights, rel, excluded=0)
-        assert np.all(out.weights >= 0.0)
-        assert abs(out.weights.sum() - 1.0) <= EXACT_TOL
+        weights = rng.dirichlet(np.ones(2), size=rel.size)
+        shared = rel[1:] @ weights[1:] / rel[1:].sum()
+        assert np.all(shared >= 0.0) and abs(shared.sum() - 1.0) <= EXACT_TOL
+        out, merged = self._merged_step(rel, weights, shared)
+        np.testing.assert_allclose(merged, out, rtol=1e-10, atol=0)
+        shares = merged / merged.sum()
+        assert np.all(shares > 0.0) and abs(shares.sum() - 1.0) <= EXACT_TOL
 
 
 class TestHandlesAndTables:
