@@ -139,7 +139,9 @@ def survival_verdict(
     """Proxy survival verdict from a completed trajectory."""
     rel = traj.rel[:, investor]
     tail = _tail(rel.size, 0.1)
-    slope = _ls_slope(traj.times[tail], np.log(rel[tail]))
+    with np.errstate(divide="ignore"):  # a share that underflowed to 0 has log -inf
+        log_rel = np.log(rel[tail])
+    slope = _ls_slope(traj.times[tail], log_rel)
     min_rel = float(rel.min())
     return SurvivalVerdict(
         investor=investor,
@@ -168,7 +170,8 @@ def growth_rate(traj: Trajectory, investor: int) -> GrowthSeries:
     if not np.any(mask):
         raise DomainError("growth rates need at least one record at t > 0")
     t = traj.times[mask]
-    rates = np.log(traj.wealth[mask, investor]) / t
+    with np.errstate(divide="ignore"):  # a wealth that underflowed to 0 has log -inf
+        rates = np.log(traj.wealth[mask, investor]) / t
     return GrowthSeries(
         investor=investor, times=t, rates=rates, terminal=float(rates[-1])
     )
@@ -301,7 +304,7 @@ def identity_report(traj: Trajectory) -> IdentityReport:
     lower = y0[None, :] * traj.retention[:, None]
     upper = y0[None, :] + traj.cum_x.sum(axis=1)[:, None]
     # A retention floor that underflowed to zero constrains nothing.
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lower_slack = np.where(lower > 0.0, (traj.wealth - lower) / np.abs(lower), np.inf)
     lower_margin = float(np.min(lower_slack))
     upper_margin = float(np.min((upper - traj.wealth) / np.abs(upper)))

@@ -26,7 +26,11 @@ wealth, and runs blocks of steps through four stages:
   uniforms, the payoff uniform, the regime transition uniform), the
   payoff rows and regime path they select, and the W recursion;
 * policy -- the survival candidate and every strategy's weights for the
-  whole block, as array operations grouped by strategy kind;
+  whole block, one array pass per strategy kind: the Monte Carlo
+  strategies share one kernel per emitting regime, which gathers the
+  per-atom claims for all of them and folds their samples in chunks, the
+  tables one lookup per regime, and the perturbed blends one operation
+  per nesting level;
 * dynamics -- the investor-wealth recursion, the only sequential stage:
   ``_claims`` once per block, then ``_divide`` once per step (and the
   block again through ``_divide_checked`` if a row is not finite), so
@@ -77,7 +81,7 @@ import numpy as np
 
 from .core import DomainError, MarketSpec, Trajectory, divergence_rows, simplex_rows
 from .payoffs import KernelSpec, RngStream, _sample_arrays, expected_claim_rates, next_jump
-from .strategies import block_weights, discrete_claim_vector, mc_samples, regime_groups
+from .strategies import Policy, block_weights, discrete_claim_vector, mc_samples, regime_groups
 
 # Neither engine calls these per decision any more, but perfbench's tracer
 # rebinds them by name in this module, so they stay importable here.
@@ -239,17 +243,31 @@ def _alloc(n_records: int, m: int, n: int, mode: str) -> Trajectory:
     )
 
 
+def _block_budget(m_inv: int, n_assets: int, mc_sizes):
+    """(words, fold bytes): ``_block_steps``'s per-step estimate, and the
+    fold term's share of BLOCK_BYTES, which bounds each gathered chunk of
+    Monte Carlo samples."""
+    u = sum(mc_sizes)
+    fold = 2 * max(mc_sizes, default=0) * (n_assets + 1)
+    words = u + max(2 * u + fold, 4 * (m_inv + 1) * (n_assets + 1))
+    return words, BLOCK_BYTES * fold // words
+
+
 def _block_steps(m_inv: int, n_assets: int, mc_sizes) -> int:
     """Steps per block of ``run_discrete``: as many as fit in BLOCK_BYTES.
 
-    The per-step estimate covers the largest block temporaries alive at
-    once: three (M, N) arrays of the divergence and closeness increments,
-    the scaled weights of the division rule, the largest Monte Carlo
-    handle's two (S, N) claim arrays and every handle's uniforms.
+    The per-step estimate, in 8-byte words, covers the largest block
+    temporaries alive at once: every handle's uniforms (U in all), which
+    live through the block, plus the larger of two stage terms.  The
+    policy stage's Monte Carlo kernel holds a regime group's copy of the
+    uniforms and their atom indices (2U) and the fold's sample chunk,
+    which ``mc_claim`` keeps within the fold term: two (S, N + 1) arrays
+    for the largest sample count S.  The policy stage's table lookups and
+    perturbed blends, the scaled weights of the division rule and the
+    divergence and closeness increments each take at most four
+    (M + 1, N + 1) arrays.
     """
-    s_max = max(mc_sizes, default=0)
-    per_step = 8 * (4 * (m_inv + 1) * (n_assets + 1) + 2 * s_max * (n_assets + 1) + sum(mc_sizes))
-    return max(1, BLOCK_BYTES // per_step)
+    return max(1, BLOCK_BYTES // (8 * _block_budget(m_inv, n_assets, mc_sizes)[0]))
 
 
 def _environment(model, rng, regime, w: float, steps: int, n_uniforms: int):
@@ -289,6 +307,23 @@ def _support_violations(lam: np.ndarray, cand: np.ndarray) -> np.ndarray:
     return np.any((lam <= 0.0) & (cand > SUPPORT_TOL)[:, None, :], axis=2).sum(axis=0)
 
 
+def _advance(wealth, k0: int, lam, dx, dv) -> None:
+    """The dynamics of a block: row k0 + 1 + i of ``wealth`` is
+    ``discrete_step`` of row k0 + i with weights lam[i], payoff dx[i] and
+    delta dv[i].  Its temporaries die with the call, before the next
+    block's policy stage."""
+    scaled, claimed, pad, free = _claims(lam, dx)
+    keep, free = (1.0 - dv).tolist(), free.tolist()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for i, step in enumerate(zip(scaled, claimed, pad, keep, free), k0 + 1):
+            wealth[i] = _divide(wealth[i - 1], step)
+    if not np.isfinite(wealth[k0 + 1 : k0 + 1 + len(dx)]).all():
+        # an invested wealth was too small for the fast order somewhere
+        steps = zip(zip(scaled, claimed, pad, keep, free), dx)
+        for i, (step, pay) in enumerate(steps, k0 + 1):
+            wealth[i] = _divide_checked(wealth[i - 1], step, pay)
+
+
 def run_discrete(run: ProfileRun) -> Trajectory:
     """Simulate the discrete-time market over an integer number of steps.
 
@@ -313,10 +348,10 @@ def run_discrete(run: ProfileRun) -> Trajectory:
         raise DomainError("payoff model and market disagree on the number of assets")
     rng = run.rng.generator()
     regime = getattr(model, "initial_state", None)
-    handles = run.strategies
-    mc_sizes = [mc_samples(h) for h in handles]
+    mc_sizes = [mc_samples(h) for h in run.strategies]
     n_uniforms = sum(mc_sizes)
     block = _block_steps(m_inv, n_assets, mc_sizes)
+    policy = Policy(run.strategies, _block_budget(m_inv, n_assets, mc_sizes)[1])
 
     traj = _alloc(t_end, m_inv, n_assets, "discrete")
     traj.wealth[0] = market.initial_wealth
@@ -343,25 +378,17 @@ def run_discrete(run: ProfileRun) -> Trajectory:
         dx, dv = traj.dx[k0:k1], traj.dv[k0:k1]
 
         # policy
+        groups = regime_groups(regimes)
         claim = np.empty((k1 - k0, n_assets))
-        for r, sel in regime_groups(regimes):
+        for r, sel in groups:
             claim[sel] = discrete_claim_vector(model, r, w_pre[sel])
         cand = traj.candidate[k0:k1]
         cand[...] = simplex_rows(claim)
         lam = traj.weights[k0:k1]
-        block_weights(handles, model, t, regimes, w_pre, cand, uniforms, out=lam)
+        block_weights(policy, model, t, groups, w_pre, cand, uniforms, out=lam)
 
         # dynamics
-        scaled, claimed, pad, free = _claims(lam, dx)
-        keep, free = (1.0 - dv).tolist(), free.tolist()
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for i, step in enumerate(zip(scaled, claimed, pad, keep, free), k0 + 1):
-                wealth[i] = _divide(wealth[i - 1], step)
-        if not np.isfinite(wealth[rows]).all():
-            # an invested wealth was too small for the fast order somewhere
-            steps = zip(zip(scaled, claimed, pad, keep, free), dx)
-            for i, (step, pay) in enumerate(steps, k0 + 1):
-                wealth[i] = _divide_checked(wealth[i - 1], step, pay)
+        _advance(wealth, k0, lam, dx, dv)
 
         # diagnostics
         total = wealth[rows].sum(axis=1)
@@ -406,7 +433,7 @@ def _chunk_substeps(m_inv: int, n_assets: int, n_atoms: int) -> int:
     return max(1, BLOCK_BYTES // (2 * per_point))
 
 
-def _drift_rates(kernel, handles, t, w):
+def _drift_rates(kernel, policy, t, w):
     """Policy and diagnostic rates at times ``t`` with total wealth ``w``.
 
     ``t`` and ``w`` are vectors of K points.  Returns the weights lam
@@ -417,8 +444,8 @@ def _drift_rates(kernel, handles, t, w):
     b = kernel.drift
     claim = expected_claim_rates(kernel, w) + b  # jump claims plus payoff drift
     cand = simplex_rows(claim)
-    lam = np.empty((t.size, len(handles), b.size))
-    block_weights(handles, kernel, t, None, w, cand, np.empty((t.size, 0)), out=lam)
+    lam = np.empty((t.size, policy.size, b.size))
+    block_weights(policy, kernel, t, regime_groups(None), w, cand, np.empty((t.size, 0)), out=lam)
     pressure = claim.sum(axis=1) / w
     rates = np.column_stack(
         (
@@ -464,7 +491,7 @@ def _rk4(y, lam, b, v_rate: float, h: float, t0: float):
     return y
 
 
-def _integrate_segment(kernel, handles, t0, t1, y, w0, dt):
+def _integrate_segment(kernel, policy, t0, t1, y, w0, dt):
     """Advance the investor wealth over a jump-free interval [t0, t1].
 
     The interval splits into n = ceil((t1 - t0) / dt) substeps of length h.
@@ -481,7 +508,7 @@ def _integrate_segment(kernel, handles, t0, t1, y, w0, dt):
     """
     span = t1 - t0
     if span <= 0.0:
-        lam, cand, _ = _drift_rates(kernel, handles, np.array([t0]), np.array([w0]))
+        lam, cand, _ = _drift_rates(kernel, policy, np.array([t0]), np.array([w0]))
         return y.copy(), np.zeros(2 * y.size + 2), lam[0], cand[0]
     n_steps = max(1, int(math.ceil(span / dt)))
     h = span / n_steps
@@ -491,7 +518,7 @@ def _integrate_segment(kernel, handles, t0, t1, y, w0, dt):
     for i0 in range(0, n_steps, chunk):
         i1 = min(i0 + chunk, n_steps)
         s = np.arange(2 * i0, 2 * i1 + 1) * (0.5 * h)
-        lam, cand, rates = _drift_rates(kernel, handles, t0 + s, _total_wealth(kernel, w0, s))
+        lam, cand, rates = _drift_rates(kernel, policy, t0 + s, _total_wealth(kernel, w0, s))
         if i0 == 0:
             lam0, cand0 = lam[0].copy(), cand[0].copy()
         simpson = np.full(s.size, 2.0)
@@ -525,7 +552,7 @@ def run_continuous(run: ProfileRun) -> Trajectory:
         raise DomainError("kernel and market disagree on the number of assets")
     horizon = float(run.horizon)
     rng = run.rng.generator()
-    handles = run.strategies
+    policy = Policy(run.strategies)
     b = kernel.drift
     v_rate = kernel.v_rate
 
@@ -539,7 +566,7 @@ def run_continuous(run: ProfileRun) -> Trajectory:
     def segment(t_to, jump=None):
         nonlocal t, y, w
         span = t_to - t
-        y1, acc, lam, cand = _integrate_segment(kernel, handles, t, t_to, y, w, run.dt)
+        y1, acc, lam, cand = _integrate_segment(kernel, policy, t, t_to, y, w, run.dt)
         w1 = _total_wealth(kernel, w, span)
         dx = b * span
         dv = v_rate * span
@@ -547,7 +574,7 @@ def run_continuous(run: ProfileRun) -> Trajectory:
         retention_factor = math.exp(-v_rate * span)
         if jump is not None:
             x, v = jump
-            lam, cand, _ = _drift_rates(kernel, handles, np.array([t_to]), np.array([w1]))
+            lam, cand, _ = _drift_rates(kernel, policy, np.array([t_to]), np.array([w1]))
             lam, cand = lam[0], cand[0]
             y1 = discrete_step(y1, lam, x, v)
             size = float(x.sum())

@@ -212,7 +212,8 @@ class KernelSpec:
 
 
 def _atom_index(model: DiscreteIIDModel, u: np.ndarray) -> np.ndarray:
-    return np.minimum(np.searchsorted(model._cum_probs, u, side="right"), model._deltas.size - 1)
+    idx = np.searchsorted(model._cum_probs, u, side="right")
+    return np.minimum(idx, model._deltas.size - 1, out=idx)
 
 
 def _sample_arrays(model, regime_state, u: np.ndarray):

@@ -24,15 +24,17 @@ from .payoffs import (
     DiscreteIIDModel,
     KernelSpec,
     MarkovModulatedModel,
+    _atom_index,
     expected_claim_rates,
 )
 
 
-def _support(model, regime_state):
+def _emitter(model, regime_state) -> DiscreteIIDModel:
+    """The i.i.d. model that emits in ``regime_state`` (None for an i.i.d. model)."""
     if isinstance(model, MarkovModulatedModel):
-        return model.support_arrays(regime_state)
+        return model.regimes[regime_state]
     if isinstance(model, DiscreteIIDModel):
-        return model.support_arrays()
+        return model
     raise DomainError(f"model of type {type(model).__name__} has no finite support")
 
 
@@ -47,7 +49,7 @@ def discrete_claim_vector(model, regime_state, w_prev) -> np.ndarray:
     w = np.asarray(w_prev, dtype=float)
     if not np.all(w > 0.0):
         raise DomainError("total wealth must be positive")
-    probs, payoffs, abs_payoffs, deltas = _support(model, regime_state)
+    probs, payoffs, abs_payoffs, deltas = _emitter(model, regime_state).support_arrays()
     post_total = (1.0 - deltas) * w[..., None] + abs_payoffs
     # The sum over atoms runs along a non-contiguous axis, so it adds in
     # atom order whatever the leading shape: scalar and vector W agree.
@@ -59,19 +61,46 @@ def survival_discrete_exact(model, regime_state, w_prev: float) -> SimplexVector
     return make_simplex(discrete_claim_vector(model, regime_state, w_prev))
 
 
-def mc_claim(model, regime_state, w_prev, uniforms: np.ndarray) -> np.ndarray:
-    """Monte Carlo estimate of ``discrete_claim_vector`` from given uniforms.
+def mc_claim(emit: DiscreteIIDModel, w, idx, cols, fold_bytes=None) -> list:
+    """Monte Carlo estimates of ``discrete_claim_vector`` from drawn atoms.
 
-    ``uniforms`` has shape (..., S): S draws for each entry of ``w_prev``
-    (a scalar, or a vector matching the leading shape).
+    ``w`` holds B wealth levels and ``idx`` (B, U) the atoms drawn from
+    ``emit`` for them (``_atom_index`` of their uniforms).  Each entry of
+    ``cols`` is an (S, H) array of column indices: handle h of that entry
+    averages the S samples in columns ``cols[:, h]``.  Returns one
+    (B, H, N) claim array per entry.
+
+    The per-atom claims payoff / ((1 - delta) W + |payoff|) are formed
+    once per wealth level and gathered sample-major, then folded over the
+    samples in order, as a mean over the sample axis adds them.  Each
+    gathered chunk of samples, with its index, takes at most
+    ``fold_bytes`` (None: the samples in one chunk).
     """
-    probs, payoffs, abs_payoffs, deltas = _support(model, regime_state)
-    idx = np.searchsorted(np.cumsum(probs), uniforms, side="right")
-    idx = np.minimum(idx, probs.size - 1)
-    w = np.asarray(w_prev, dtype=float)
-    post_total = (1.0 - deltas[idx]) * w[..., None] + abs_payoffs[idx]
-    claims = payoffs[idx] / post_total[..., None]
-    return w[..., None] * claims.mean(axis=-2)
+    n_atoms, n = emit._deltas.size, emit.num_assets
+    post_total = (1.0 - emit._deltas) * w[:, None] + emit._abs_payoffs
+    per_atom = (emit._payoffs / post_total[..., None]).reshape(-1, n)
+    first_atom = n_atoms * np.arange(w.size)[:, None, None]  # level b's rows of per_atom
+    claims = []
+    for c in cols:
+        s, h = c.shape
+        chunk = s
+        if fold_bytes is not None:
+            # each sample of a chunk takes (B, H, N) claims and a (B, H)
+            # index; buf's carried sum and the old and new sums 3 (B, H, N)
+            chunk = max(1, fold_bytes // (8 * w.size * h * (n + 1)) - 3)
+        buf = np.empty((min(chunk, s) + (chunk < s), w.size, h, n))
+        acc = None
+        for s0 in range(0, s, chunk):
+            rows = idx[:, c[s0 : s0 + chunk]]
+            rows += first_atom
+            lo = 0 if acc is None else 1
+            hi = lo + rows.shape[1]
+            np.take(per_atom, rows.transpose(1, 0, 2), axis=0, out=buf[lo:hi], mode="clip")
+            if acc is not None:
+                buf[0] = acc
+            acc = np.add.reduce(buf[:hi], axis=0)
+        claims.append(w[:, None, None] * (acc / s))
+    return claims
 
 
 def survival_discrete_mc(
@@ -87,7 +116,10 @@ def survival_discrete_mc(
         raise DomainError("total wealth must be positive")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    return make_simplex(mc_claim(model, regime_state, w_prev, rng.random(n_samples)))
+    emit = _emitter(model, regime_state)
+    idx = _atom_index(emit, rng.random((1, n_samples)))
+    (claim,) = mc_claim(emit, np.array([w_prev], dtype=float), idx, [np.arange(n_samples)[:, None]])
+    return make_simplex(claim[0, 0])
 
 
 def survival_continuous(kernel: KernelSpec, w_minus: float) -> SimplexVector:
@@ -290,50 +322,113 @@ def regime_groups(regimes):
     return [(int(r), regimes == r) for r in np.unique(regimes)]
 
 
-def block_weights(handles, model, t, regimes, w, candidate, uniforms, out) -> None:
-    """``evaluate`` every handle at every step of a block of a discrete run.
+class Policy:
+    """A profile's handles sorted by kind for ``block_weights``, once per run.
 
-    Step b decides at time ``t[b]`` in emitting regime ``regimes[b]``
-    (``regimes`` is None for an i.i.d. model) with pre-step total wealth
-    ``w[b]`` and survival candidate ``candidate[b]``; ``uniforms[b]``
-    holds the step's Monte Carlo uniforms, consumed in investor order.
-    Writes the (B, M, N) weights into ``out``.  Constant and exact
-    survival handles are filled one array operation per kind.
+    Every handle is a leaf -- constant, survival_exact, survival_mc or
+    table -- inside zero or more perturbed blends.  Leaves are grouped by
+    kind (Monte Carlo leaves also by sample count), and the blends by
+    their distance from the leaf, so each group is one array operation.
+    ``fold_bytes`` bounds each gathered chunk of Monte Carlo samples (see
+    ``mc_claim``).
     """
-    kinds = [h.kind for h in handles]
-    const = [m for m, k in enumerate(kinds) if k == "constant"]
-    if const:
-        out[:, const] = np.array([handles[m].weights.weights for m in const])
-    exact = [m for m, k in enumerate(kinds) if k == "survival_exact"]
-    if exact:
-        out[:, exact] = candidate[:, None, :]
-    offset = 0
-    for m, handle in enumerate(handles):
-        n = mc_samples(handle)
-        if kinds[m] not in ("constant", "survival_exact"):
-            out[:, m] = _handle_block(
-                handle, model, t, regimes, w, candidate, uniforms[:, offset : offset + n]
+
+    def __init__(self, handles, fold_bytes=None):
+        self.size = len(handles)
+        self.fold_bytes = fold_bytes
+        leaves, levels = [], []
+        for m, handle in enumerate(handles):
+            chain = []
+            while handle.kind == "perturbed":
+                chain.append(handle)
+                handle = handle.base
+            for depth, blend in enumerate(reversed(chain)):
+                if depth == len(levels):
+                    levels.append([])
+                levels[depth].append((m, blend))
+            if handle.kind not in ("constant", "survival_exact", "survival_mc", "table"):
+                raise DomainError(f"unknown strategy kind {handle.kind!r}")
+            leaves.append(handle)
+
+        def of(kind):
+            return [m for m, leaf in enumerate(leaves) if leaf.kind == kind]
+
+        self.constant = of("constant")
+        self.constant_weights = np.array([leaves[m].weights.weights for m in self.constant])
+        self.exact = of("survival_exact")
+        self.tables = of("table")
+        self._table_defs = [leaves[m].table for m in self.tables]
+        self._stacks = {}
+        # a Monte Carlo leaf of S samples reads uniform columns offset + 0..S-1
+        offsets = np.cumsum([0] + [mc_samples(h) for h in handles])
+        mc = of("survival_mc")
+        self.mc = []
+        for s in sorted({leaves[m].n_samples for m in mc}):
+            ms = [m for m in mc if leaves[m].n_samples == s]
+            self.mc.append((ms, offsets[ms] + np.arange(s)[:, None]))
+        self.levels = [
+            (
+                [m for m, _ in level],
+                [blend.schedule for _, blend in level],
+                np.array([blend.target.weights for _, blend in level]),
             )
-        offset += n
+            for level in levels
+        ]
+
+    def table_stack(self, regime):
+        """The tables in force in ``regime``, stacked: (breakpoints, entry, weights).
+
+        ``breakpoints`` is the sorted union of every table's breakpoints;
+        at a time with p of them at or before it, table h uses row
+        ``entry[p, h]`` of ``weights``.
+        """
+        if regime not in self._stacks:
+            entries = [_table_entries(table, regime) for table in self._table_defs]
+            breaks = np.unique([t_from for e in entries for t_from, _ in e])
+            # the time at which each union interval starts; -inf before them all
+            probes = np.concatenate(([-np.inf], breaks))
+            first = np.cumsum([0] + [len(e) for e in entries])
+            entry = np.column_stack(
+                [first[h] + _table_index(e, probes) for h, e in enumerate(entries)]
+            )
+            weights = np.array([w.weights for e in entries for _, w in e])
+            self._stacks[regime] = (breaks, entry, weights)
+        return self._stacks[regime]
 
 
-def _handle_block(handle, model, t, regimes, w, candidate, uniforms) -> np.ndarray:
-    kind = handle.kind
-    if kind == "constant":
-        return handle.weights.weights
-    if kind == "survival_exact":
-        return candidate
-    if kind == "perturbed":
-        base = _handle_block(handle.base, model, t, regimes, w, candidate, uniforms)
-        eps = handle.schedule.epsilon(t)[:, None]
-        return (1.0 - eps) * base + eps * handle.target.weights
-    out = np.empty(candidate.shape)
-    for r, sel in regime_groups(regimes):
-        if kind == "table":
-            entries = _table_entries(handle.table, r)
-            out[sel] = np.array([v.weights for _, v in entries])[_table_index(entries, t[sel])]
-        elif kind == "survival_mc":
-            out[sel] = simplex_rows(mc_claim(model, r, w[sel], uniforms[sel]))
-        else:
-            raise DomainError(f"unknown strategy kind {kind!r}")
-    return out
+def block_weights(policy: Policy, model, t, groups, w, candidate, uniforms, out) -> None:
+    """``evaluate`` every handle at every step of a block, one array pass per kind.
+
+    Step b decides at time ``t[b]`` with pre-step total wealth ``w[b]`` and
+    survival candidate ``candidate[b]``; ``groups`` is ``regime_groups`` of
+    the block's emitting regimes.  ``uniforms[b]`` holds the step's Monte
+    Carlo uniforms, consumed in investor order.  Writes the (B, M, N)
+    weights into ``out``: every leaf kind in one array operation (Monte
+    Carlo and table leaves one per regime group), then the perturbed
+    blends, innermost first, one operation per nesting level.
+    """
+    n = out.shape[2]
+    if policy.constant:
+        out[:, policy.constant] = policy.constant_weights
+    if policy.exact:
+        out[:, policy.exact] = candidate[:, None, :]
+    if policy.tables:
+        vals = np.empty((len(t), len(policy.tables), n))
+        for r, sel in groups:
+            breaks, entry, weights = policy.table_stack(r)
+            vals[sel] = weights[entry[np.searchsorted(breaks, t[sel], side="right")]]
+        out[:, policy.tables] = vals
+    if policy.mc:
+        vals = [np.empty((len(t), len(ms), n)) for ms, _ in policy.mc]
+        cols = [c for _, c in policy.mc]
+        for r, sel in groups:
+            emit = _emitter(model, r)
+            idx = _atom_index(emit, uniforms[sel])
+            claims = mc_claim(emit, w[sel], idx, cols, policy.fold_bytes)
+            for v, claim in zip(vals, claims):
+                v[sel] = simplex_rows(claim.reshape(-1, n)).reshape(claim.shape)
+        for (ms, _), v in zip(policy.mc, vals):
+            out[:, ms] = v
+    for ms, schedules, targets in policy.levels:
+        eps = np.array([s.epsilon(t) for s in schedules]).T[..., None]
+        out[:, ms] = (1.0 - eps) * out[:, ms] + eps * targets

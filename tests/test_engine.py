@@ -9,6 +9,8 @@ growth) and the jump-replay equivalence.
 
 import math
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from marketsel import (
     survival_strategy,
 )
 from marketsel import PerturbationSchedule, engine, perturbed, survival_mc_strategy, table_strategy
+from marketsel.diagnostics import run_summary
 from marketsel.scenarios import two_point_model
 from marketsel.strategies import mc_samples
 
@@ -243,9 +246,9 @@ class TestRunDiscrete:
         np.testing.assert_allclose(revived, 1.0 if y2 > 0.0 else 0.5, rtol=1e-15)
         np.testing.assert_allclose(traj.wealth.sum(axis=1), traj.total, rtol=PATH_RTOL)
 
-    def test_zero_wealth_row_replays_through_discrete_step(self):
-        # 200 dry steps leave investor 2 exactly 0 (the case above); the
-        # next row is still discrete_step of that row, bit for bit
+    @staticmethod
+    def _zero_wealth_run():
+        """200 dry steps leave investor 2 exactly 0 (the case above), then 3 wet ones."""
         dry = DiscreteIIDModel(atoms=(((1.0, 0.0), 0.99),), probabilities=(1.0,))
         wet = DiscreteIIDModel(atoms=(((1.0, 1.0), 0.99),), probabilities=(1.0,))
         transition = np.eye(201, k=1)
@@ -255,10 +258,26 @@ class TestRunDiscrete:
         )
         spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=model)
         handles = [constant_strategy([1.0, 0.0]), constant_strategy([0.0, 1.0])]
-        traj = run_discrete(ProfileRun(spec, handles, 203, RngStream(0)))
+        return run_discrete(ProfileRun(spec, handles, 203, RngStream(0)))
+
+    def test_zero_wealth_row_replays_through_discrete_step(self):
+        # the row after the 0 is still discrete_step of that row, bit for bit
+        traj = self._zero_wealth_run()
         assert traj.wealth[200, 1] == 0.0
         replayed = discrete_step(traj.wealth[200], traj.weights[200], traj.dx[200], traj.dv[200])
         np.testing.assert_array_equal(replayed, traj.wealth[201])
+
+    def test_zero_wealth_run_summarizes_without_warnings(self):
+        # the 0 share and wealth have log -inf and the retention floor
+        # underflows to 0; the summary reports them without a warning
+        traj = self._zero_wealth_run()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = run_summary(traj)
+        zero = summary["investors"][1]
+        assert zero["min_rel"] == 0.0 and zero["tail_slope"] == math.inf
+        assert not zero["survives"]
+        assert summary["identities"]["lower_bound_margin"] == 0.0
 
     def test_fractional_horizon_rejected(self):
         spec = self._market(two_point_model(0.6, 0.0))
@@ -317,6 +336,59 @@ class TestRunDiscrete:
 
         excess(block)  # first-call allocations (lazy imports, caches) are not per block
         assert excess(8 * block) <= 1.1 * excess(2 * block)
+
+    @pytest.mark.parametrize("samples", [1, 64])
+    def test_block_temporaries_fit_the_budget(self, samples):
+        # 40 investors x 10 assets, 2 regimes, all five kinds with Monte
+        # Carlo leaves, alone and inside perturbed handles: the policy
+        # stage stays within the per-step estimate beyond the uniforms,
+        # and the whole run's peak beyond the trajectory within BLOCK_BYTES.
+        gen = np.random.default_rng(1)
+        m, n = 40, 10
+
+        def regime():
+            atoms = tuple((tuple(gen.uniform(0.0, 1.0, n)), 0.3) for _ in range(6))
+            return DiscreteIIDModel(atoms=atoms, probabilities=(1 / 6,) * 6)
+
+        model = MarkovModulatedModel(
+            states=("a", "b"), transition=np.array([[0.6, 0.4], [0.5, 0.5]]),
+            regimes=(regime(), regime()),
+        )
+        simplex = lambda: gen.dirichlet(np.ones(n))  # noqa: E731
+        kinds = [
+            lambda: survival_strategy(),
+            lambda: constant_strategy(simplex()),
+            lambda: perturbed(survival_mc_strategy(samples), PerturbationSchedule("inverse_t", 2.0),
+                              simplex()),
+            lambda: survival_mc_strategy(samples),
+            lambda: table_strategy([(0, simplex()), (50, simplex())], {1: [(0, simplex())]}),
+        ]
+        handles = [kinds[i % 5]() for i in range(m)]
+        spec = MarketSpec(m, n, np.ones(m), payoff_model=model)
+        sizes = [mc_samples(h) for h in handles]
+        block = engine._block_steps(m, n, sizes)
+        words = engine._block_budget(m, n, sizes)[0]
+        policy_term = 8 * block * (words - sum(sizes))
+        policy_peaks = []
+        block_weights = engine.block_weights
+
+        def traced(*args, **kwargs):
+            at_entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            block_weights(*args, **kwargs)
+            policy_peaks.append(tracemalloc.get_traced_memory()[1] - at_entry)
+
+        run_discrete(ProfileRun(spec, handles, 2 * block, RngStream(2)))  # warm caches
+        tracemalloc.start()
+        try:
+            with mock.patch.object(engine, "block_weights", traced):
+                traj = run_discrete(ProfileRun(spec, handles, 2 * block, RngStream(2)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = sum(v.nbytes for v in vars(traj).values() if isinstance(v, np.ndarray))
+        assert max(policy_peaks) <= policy_term
+        assert peak - own <= engine.BLOCK_BYTES
 
 
 class TestRunContinuous:

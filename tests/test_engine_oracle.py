@@ -170,7 +170,7 @@ def _handle(draw, n, n_regimes, dead=None, depth=0):
     kinds = ["constant", "table"]
     if dead is None:
         kinds += ["survival_exact", "survival_mc"]
-    if depth == 0:
+    if depth < 2:  # perturbed handles nest up to two deep
         kinds.append("perturbed")
     kind = draw(st.sampled_from(kinds))
     if kind == "constant":

@@ -9,6 +9,7 @@ normalization and the survival candidate equals the outcome distribution
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,19 +20,32 @@ from marketsel import (
     DiscreteIIDModel,
     DomainError,
     KernelSpec,
+    MarkovModulatedModel,
     PerturbationSchedule,
     RngStream,
     constant_strategy,
     discrete_step,
     evaluate,
+    make_simplex,
     perturbed,
     survival_continuous,
     survival_discrete_exact,
     survival_discrete_mc,
+    survival_mc_strategy,
     survival_strategy,
     table_strategy,
 )
+from marketsel import engine
+from marketsel.core import simplex_rows
 from marketsel.scenarios import two_point_model
+from marketsel.strategies import (
+    Policy,
+    _table_entries,
+    _table_index,
+    block_weights,
+    mc_samples,
+    regime_groups,
+)
 
 EXACT_TOL = 1e-12
 
@@ -274,3 +288,179 @@ class TestHandlesAndTables:
 
         with pytest.raises(DomainError):
             evaluate(survival_mc_strategy(10), two_point_model(0.5, 0.0), 1.0, None, 1.0)
+
+
+def reference_mc_claim(model, regime, w, uniforms):
+    """The per-handle Monte Carlo claim: (B, S) uniforms, mean over the samples."""
+    emit = model.regimes[regime] if isinstance(model, MarkovModulatedModel) else model
+    probs, payoffs, abs_payoffs, deltas = emit.support_arrays()
+    idx = np.searchsorted(np.cumsum(probs), uniforms, side="right")
+    idx = np.minimum(idx, probs.size - 1)
+    post_total = (1.0 - deltas[idx]) * w[..., None] + abs_payoffs[idx]
+    claims = payoffs[idx] / post_total[..., None]
+    return w[..., None] * claims.mean(axis=-2)
+
+
+def reference_handle_block(handle, model, t, regimes, w, candidate, uniforms):
+    """One handle's (B, N) weights over a block, resolved recursively."""
+    kind = handle.kind
+    if kind == "constant":
+        return handle.weights.weights
+    if kind == "survival_exact":
+        return candidate
+    if kind == "perturbed":
+        base = reference_handle_block(handle.base, model, t, regimes, w, candidate, uniforms)
+        eps = handle.schedule.epsilon(t)[:, None]
+        return (1.0 - eps) * base + eps * handle.target.weights
+    out = np.empty(candidate.shape)
+    for r, sel in regime_groups(regimes):
+        if kind == "table":
+            entries = _table_entries(handle.table, r)
+            out[sel] = np.array([v.weights for _, v in entries])[_table_index(entries, t[sel])]
+        else:
+            out[sel] = simplex_rows(reference_mc_claim(model, r, w[sel], uniforms[sel]))
+    return out
+
+
+def reference_block_weights(handles, model, t, regimes, w, candidate, uniforms):
+    """``block_weights`` one handle at a time, each reading its own uniform columns."""
+    out = np.empty((len(t), len(handles), candidate.shape[1]))
+    offset = 0
+    for m, handle in enumerate(handles):
+        n = mc_samples(handle)
+        block = uniforms[:, offset : offset + n]
+        out[:, m] = reference_handle_block(handle, model, t, regimes, w, candidate, block)
+        offset += n
+    return out
+
+
+def _draw_simplex(draw, n):
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    if raw.sum() <= 0.0:
+        raw[0] = 1.0
+    return make_simplex(raw)
+
+
+def _draw_model(draw, n):
+    def iid():
+        k = draw(st.integers(1, 5))
+        atoms = tuple(
+            (tuple(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))),
+             draw(st.floats(0.0, 0.95)))
+            for _ in range(k)
+        )
+        probs = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+        return DiscreteIIDModel(atoms=atoms, probabilities=tuple(probs / probs.sum()))
+
+    n_regimes = draw(st.integers(0, 3))
+    if n_regimes == 0:
+        return iid(), 1
+    return MarkovModulatedModel(
+        states=tuple(f"s{r}" for r in range(n_regimes)),
+        transition=np.full((n_regimes, n_regimes), 1.0 / n_regimes),
+        regimes=tuple(iid() for _ in range(n_regimes)),
+    ), n_regimes
+
+
+def _draw_handle(draw, n, n_regimes, kinds, depth=0):
+    kind = draw(st.sampled_from(kinds + (["perturbed"] if depth < 2 else [])))
+    if kind == "constant":
+        return constant_strategy(_draw_simplex(draw, n))
+    if kind == "survival_exact":
+        return survival_strategy()
+    if kind == "survival_mc":
+        return survival_mc_strategy(draw(st.sampled_from([1, 7, 64])))
+    if kind == "perturbed":
+        base = _draw_handle(draw, n, n_regimes, kinds, depth + 1)
+        sched = draw(st.sampled_from([("zero", 0.0), ("constant", 0.3), ("inverse_t", 2.5)]))
+        return perturbed(base, PerturbationSchedule(*sched), _draw_simplex(draw, n))
+
+    def entries():
+        starts = sorted(set(draw(st.lists(st.integers(0, 12), min_size=1, max_size=3))))
+        return [(float(t_from), _draw_simplex(draw, n)) for t_from in starts]
+
+    per_regime = {r: entries() for r in range(n_regimes) if draw(st.booleans())}
+    return table_strategy(entries(), per_regime or None)
+
+
+@st.composite
+def discrete_blocks(draw):
+    n = draw(st.integers(1, 4))
+    model, n_regimes = _draw_model(draw, n)
+    kinds = ["constant", "survival_exact", "survival_mc", "table"]
+    handles = [_draw_handle(draw, n, n_regimes, kinds) for _ in range(draw(st.integers(1, 7)))]
+    b = draw(st.integers(1, 9))
+    regimes = None
+    if isinstance(model, MarkovModulatedModel):
+        # at least one regime emits nowhere in the block when there are several
+        emitting = draw(st.lists(st.integers(0, n_regimes - 1), min_size=1, max_size=max(1, n_regimes - 1)))
+        regimes = np.array(draw(st.lists(st.sampled_from(emitting), min_size=b, max_size=b)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return model, handles, regimes, b, n, seed, draw(st.booleans())
+
+
+class TestBlockWeights:
+    """The batched policy stage against the per-handle reference, bit for bit."""
+
+    @staticmethod
+    def _inputs(model, handles, b, n, seed):
+        gen = np.random.default_rng(seed)
+        t = gen.integers(1, 15, b).astype(float)
+        w = gen.uniform(0.1, 10.0, b)
+        if isinstance(model, KernelSpec):
+            cand = simplex_rows(gen.uniform(0.0, 1.0, (b, n)))
+        else:
+            cand = np.array([survival_discrete_exact(model, 0 if isinstance(
+                model, MarkovModulatedModel) else None, x).weights for x in w])
+        uniforms = gen.random((b, sum(mc_samples(h) for h in handles)))
+        return t, w, cand, uniforms
+
+    @given(discrete_blocks())
+    @settings(max_examples=150, deadline=None)
+    def test_discrete_block_matches_per_handle_reference(self, case):
+        model, handles, regimes, b, n, seed, tiny_budget = case
+        t, w, cand, uniforms = self._inputs(model, handles, b, n, seed)
+        sizes = [mc_samples(h) for h in handles]
+        # a tiny BLOCK_BYTES leaves a fold budget of a few bytes: one sample per chunk
+        with mock.patch.object(engine, "BLOCK_BYTES", 8 if tiny_budget else engine.BLOCK_BYTES):
+            fold_bytes = engine._block_budget(len(handles), n, sizes)[1]
+        if tiny_budget:
+            assert fold_bytes < 32
+        out = np.full((b, len(handles), n), np.nan)
+        block_weights(Policy(handles, fold_bytes), model, t, regime_groups(regimes), w, cand,
+                      uniforms, out)
+        ref = reference_block_weights(handles, model, t, regimes, w, cand, uniforms)
+        assert np.array_equal(out, ref)
+
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 9), st.integers(0, 2**32 - 1),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_continuous_call_without_uniforms(self, n, m, b, seed, data):
+        kernel = KernelSpec(jump_atoms=(), drift=tuple(range(1, n + 1)))
+        kinds = ["constant", "survival_exact", "table"]
+        handles = [_draw_handle(data.draw, n, 1, kinds) for _ in range(m)]
+        t, w, cand, uniforms = self._inputs(kernel, handles, b, n, seed)
+        t = t / 3.0  # the substep grid is not integer
+        assert uniforms.shape == (b, 0)
+        out = np.full((b, m, n), np.nan)
+        block_weights(Policy(handles), kernel, t, regime_groups(None), w, cand, uniforms, out)
+        ref = reference_block_weights(handles, kernel, t, None, w, cand, uniforms)
+        assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("n_samples", [1, 7, 64])
+    def test_scalar_estimate_matches_reference(self, n_samples):
+        model = DiscreteIIDModel(
+            atoms=(((2.0, 0.5, 0.0), 0.2), ((0.1, 1.5, 0.7), 0.9), ((1.0, 1.0, 1.0), 0.0)),
+            probabilities=(0.25, 0.5, 0.25),
+        )
+        got = survival_discrete_mc(model, None, 1.7, RngStream(5).generator(), n_samples)
+        u = RngStream(5).generator().random(n_samples)
+        ref = make_simplex(reference_mc_claim(model, None, np.float64(1.7), u))
+        assert np.array_equal(got.weights, ref.weights)
+
+    def test_mc_leaf_on_a_kernel_is_rejected(self):
+        kernel = KernelSpec(jump_atoms=(), drift=(1.0, 1.0))
+        handles = [survival_mc_strategy(3)]
+        with pytest.raises(DomainError):
+            block_weights(Policy(handles), kernel, np.ones(2), regime_groups(None),
+                          np.ones(2), np.full((2, 2), 0.5), np.zeros((2, 3)), np.empty((2, 1, 2)))
