@@ -42,6 +42,7 @@ from .scenarios import get_scenario, list_scenarios
 from .strategies import (
     PerturbationSchedule,
     constant_strategy,
+    mc_samples,
     perturbed,
     survival_mc_strategy,
     survival_strategy,
@@ -75,7 +76,6 @@ class ScenarioConfig:
     seeds: tuple
     record_dt: Optional[float]
     dt: float
-    diagnostics_enabled: bool
     survival_floor: float
     trend_tol: float
 
@@ -196,6 +196,18 @@ def _expand_seeds(spec) -> list:
     return list(spec)
 
 
+def _seed_errors(seeds: list, where: str) -> list:
+    """Violations of a seed batch: it must be non-empty, with distinct seeds in [0, 2**64)."""
+    if not seeds:
+        return [f"{where}: selects no seeds"]
+    errors = []
+    if min(seeds) < 0 or max(seeds) >= 2**64:
+        errors.append(f"{where}: seeds must lie in [0, 2**64)")
+    if len(set(seeds)) != len(seeds):
+        errors.append(f"{where}: duplicate seeds")
+    return errors
+
+
 def parse_config_dict(data: dict) -> ScenarioConfig:
     """Validate a config mapping and build the runnable scenario."""
     if not isinstance(data, dict):
@@ -216,26 +228,24 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
             f"$.payoff_model: payoffs have {model.num_assets} assets, market declares {n_assets}"
         )
 
-    strategies = []
-    for i, spec in enumerate(data["strategies"]):
-        handle = _build_strategy(spec, errors, f"$.strategies[{i}]")
-        if handle is not None:
-            strategies.append(handle)
-    if len(data["strategies"]) != n_inv:
+    strategies = [
+        _build_strategy(spec, errors, f"$.strategies[{i}]")
+        for i, spec in enumerate(data["strategies"])
+    ]
+    if len(strategies) != n_inv:
         errors.append(
             f"$.strategies: need exactly one strategy per investor "
-            f"(got {len(data['strategies'])}, expected {n_inv})"
+            f"(got {len(strategies)}, expected {n_inv})"
         )
     if isinstance(model, KernelSpec):
-        for i, spec in enumerate(data["strategies"]):
-            if _mentions_mc(spec):
+        for i, handle in enumerate(strategies):
+            if handle is not None and mc_samples(handle) > 0:
                 errors.append(
                     f"$.strategies[{i}]: survival_mc needs a finite-support discrete model"
                 )
 
     seeds = _expand_seeds(data["seeds"])
-    if len(set(seeds)) != len(seeds):
-        errors.append("$.seeds: duplicate seeds")
+    errors += _seed_errors(seeds, "$.seeds")
 
     horizon = data["horizon"]
     if not isinstance(model, KernelSpec) and model is not None:
@@ -260,18 +270,9 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
         seeds=tuple(seeds),
         record_dt=data.get("record", {}).get("grid"),
         dt=data.get("integrator", {}).get("dt", 0.01),
-        diagnostics_enabled=diag.get("enabled", True),
         survival_floor=diag.get("survival_floor", 0.05),
         trend_tol=diag.get("trend_tol", 1e-4),
     )
-
-
-def _mentions_mc(strategy_spec: dict) -> bool:
-    if strategy_spec["kind"] == "survival_mc":
-        return True
-    if strategy_spec["kind"] == "perturbed":
-        return _mentions_mc(strategy_spec["base"])
-    return False
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -288,7 +289,6 @@ def build_run(cfg: ScenarioConfig, seed: int) -> ProfileRun:
         rng=RngStream(seed=seed, stream=0),
         dt=cfg.dt,
         record_dt=cfg.record_dt,
-        track_diagnostics=cfg.diagnostics_enabled,
     )
 
 
@@ -326,14 +326,12 @@ def trajectory_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_seed(
-    cfg: ScenarioConfig, seed: int, include_csv: bool = True, *, csv_path: Optional[str] = None
-) -> dict:
+def run_seed(cfg: ScenarioConfig, seed: int, *, csv_path: Optional[str] = None) -> dict:
     """Execute one seed of a parsed scenario; the worker unit for parallel batches.
 
     With ``csv_path`` the trajectory CSV is written there by the process
-    that ran the seed, so its text never crosses a process pool;
-    ``include_csv`` returns the text as well.
+    that ran the seed, so its text never crosses a process pool; without
+    it the result carries the text under ``"csv"``.
     """
     traj = run_engine(build_run(cfg, seed))
     recording = traj.validate()
@@ -342,13 +340,12 @@ def run_seed(
     if recording:
         summary["recording_violations"] = recording
     result = {"seed": seed, "summary": summary}
-    if include_csv or csv_path is not None:
-        text = trajectory_csv(traj)
-        if csv_path is not None:
-            with open(csv_path, "w") as fh:
-                fh.write(text)
-        if include_csv:
-            result["csv"] = text
+    text = trajectory_csv(traj)
+    if csv_path is None:
+        result["csv"] = text
+    else:
+        with open(csv_path, "w") as fh:
+            fh.write(text)
     return result
 
 
@@ -400,7 +397,6 @@ def run_batch(
     cfg: ScenarioConfig,
     jobs: int = 1,
     seeds=None,
-    include_csv: bool = False,
     out_dir: Optional[str] = None,
 ) -> dict:
     """Run every seed of a parsed scenario, serially or with a worker pool.
@@ -408,7 +404,8 @@ def run_batch(
     Returns {"config", "per_seed", "aggregate"}; per-seed failures are
     recorded as {"seed", "error"} entries rather than aborting the batch.
     With ``out_dir`` every seed writes ``<name>_seed<seed>.csv`` there
-    itself; an OSError from that write aborts the batch.  Results are
+    itself, and an OSError from that write aborts the batch; without it
+    each entry carries its CSV text under ``"csv"``.  Results are
     keyed and ordered by seed, so the output is identical for any job
     count.
     """
@@ -421,7 +418,7 @@ def run_batch(
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {
-                seed: pool.submit(run_seed, cfg, seed, include_csv, **csv_kwargs(seed))
+                seed: pool.submit(run_seed, cfg, seed, **csv_kwargs(seed))
                 for seed in batch
             }
             for seed in batch:
@@ -429,9 +426,7 @@ def run_batch(
     else:
         for seed in batch:
             per_seed.append(
-                _seed_result(
-                    seed, lambda: run_seed(cfg, seed, include_csv, **csv_kwargs(seed))
-                )
+                _seed_result(seed, lambda: run_seed(cfg, seed, **csv_kwargs(seed)))
             )
     return {"config": cfg, "per_seed": per_seed, "aggregate": _aggregate(cfg, per_seed)}
 
@@ -487,12 +482,9 @@ def _parse_seeds_arg(text: str) -> list:
         raise ConfigError(
             [f"--seeds: expected 'a,b,c' or 'base:count' with integers, got {text!r}"]
         ) from None
-    if not seeds:
-        raise ConfigError([f"--seeds: {text!r} selects no seeds"])
-    if min(seeds) < 0 or max(seeds) >= 2**64:
-        raise ConfigError([f"--seeds: seeds must lie in [0, 2**64), got {text!r}"])
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError([f"--seeds: duplicate seeds in {text!r}"])
+    errors = _seed_errors(seeds, "--seeds")
+    if errors:
+        raise ConfigError(errors)
     return seeds
 
 

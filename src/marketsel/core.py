@@ -81,27 +81,19 @@ class SimplexVector:
 
 
 def make_simplex(raw) -> SimplexVector:
-    """Normalize a non-negative vector onto the simplex.
-
-    A vector with (numerically) zero total mass maps to the uniform
-    weights ``(1/N, ..., 1/N)``, which is the degenerate branch used when
-    a strategy has nothing to normalize.
-    """
-    arr = as_vector(raw, "raw")
-    if arr.size == 0:
-        raise DomainError("cannot normalize an empty vector")
-    if np.any(arr < 0.0):
-        raise DomainError("components must be non-negative")
-    total = float(arr.sum())
-    if total < NORM_FLOOR:
-        return SimplexVector._trusted(_freeze(np.full(arr.size, 1.0 / arr.size)))
-    out = arr / total
+    """Normalize a non-negative vector onto the simplex: ``simplex_rows`` of one row."""
+    out = simplex_rows(as_vector(raw, "raw")[None, :])[0]
     out.flags.writeable = False
     return SimplexVector._trusted(out)
 
 
 def simplex_rows(raw: np.ndarray) -> np.ndarray:
-    """``make_simplex`` applied to every row of a (B, N) array, with the same checks."""
+    """Normalize every row of a non-negative (B, N) array onto the simplex.
+
+    A row with (numerically) zero total mass maps to the uniform weights
+    ``(1/N, ..., 1/N)``, which is the degenerate branch used when a
+    strategy has nothing to normalize.
+    """
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise DomainError(f"raw must be a (B, N) array with N >= 1, got shape {arr.shape}")

@@ -17,58 +17,51 @@ the invested wealth is tiny or 0, so a non-finite result is redone by
 an asset with no invested wealth 1/M.
 
 A strategy sees only the time, the emitting regime and the total wealth
-W, and W follows the exogenous recursion W' = (1 - delta) W + |A|.  So
-the discrete engine reads W from that recursion, never from the investor
-wealth, and runs blocks of steps through four stages:
+W, and W is exogenous: W' = (1 - delta) W + |A| at a payoff step or jump
+(W+ = (1 - v) W- + |x| in continuous time), and between continuous jumps
+the closed form of dW = (|b| - v W) dt.  So both engines run the same
+four stages, and only the investor wealth is stepped in sequence:
 
-* environment -- every uniform of the block in one draw, laid out in the
-  order a per-step loop would consume them (the Monte Carlo strategies'
-  uniforms, the payoff uniform, the regime transition uniform), the
-  payoff rows and regime path they select, and the W recursion;
-* policy -- the survival candidate and every strategy's weights for the
-  whole block, one array pass per strategy kind: the Monte Carlo
-  strategies share one kernel per emitting regime, which gathers the
-  per-atom claims for all of them and folds their samples in chunks, the
-  tables one lookup per regime, and the perturbed blends one operation
-  per nesting level;
-* dynamics -- the investor-wealth recursion, the only sequential stage:
-  ``_claims`` once per block, then ``_divide`` once per step (and the
-  block again through ``_divide_checked`` if a row is not finite), so
-  each row is exactly ``discrete_step`` of the row before;
-* diagnostics -- the selection-pressure clock, gap and closeness
-  integrals, running payoff and consumption sums, retention and support
-  violations, by running sums that add in per-step order.  Where the
-  clock does not move the gap increment is 0, even for an infinite gap.
+* environment -- the discrete engine draws each block of steps in one
+  call, every uniform laid out in the order a per-step loop would consume
+  them (the Monte Carlo strategies' uniforms, the payoff uniform, the
+  regime transition uniform), then the payoff rows, regime path and W
+  they give.  The continuous engine draws every jump up to the horizon
+  first (``_jump_schedule``), each from the time of the one before, and
+  merges them with the recording grid into the list of record end times,
+  so the ``Trajectory`` is allocated before any wealth is stepped; W
+  between jumps is the closed form on each segment's substep grid
+  t0 + j h / 2;
+* policy and its diagnostic rates -- ``_stage``, shared by both engines:
+  the survival candidate and every strategy's weights at a whole block or
+  grid of decision points, one array pass per strategy kind (one Monte
+  Carlo kernel per emitting regime, one table lookup per regime, one
+  operation per nesting level of perturbed blends), then the
+  selection-clock rate and every investor's gap and closeness rates on
+  it.  Where the clock does not move the gap increment is 0, even for an
+  infinite gap.  A discrete step adds the rates once; a continuous
+  segment integrates them, and the ln W drift rate, by composite Simpson
+  over its grid (``_drift_rates``);
+* dynamics -- a discrete block runs ``_claims`` once, then ``_divide``
+  once per step (and the block again through ``_divide_checked`` if a
+  row is not finite), so each row is exactly ``discrete_step`` of the
+  row before.  A continuous segment runs fixed-step classical RK4 on the
+  investor wealth alone, reading the grid's weights (exact exponential
+  decay without payoff drift), then ``discrete_step`` at its jump;
+* running sums -- ``_record``, shared by both engines: total and
+  relative wealth, and the payoff, consumption, retention, pressure, gap
+  and closeness increments added (or multiplied) in record order, plus
+  the support violations, over a block of steps or over all continuous
+  records at once.
 
-The block length comes from a fixed byte budget for the block's
-temporaries, so transient memory does not grow with the horizon.
-
-The continuous engine is event-driven: jump times come from the kernel's
-total intensity and the same division rule applies at each jump.  Between
-jumps total wealth solves dW = (|b| - v W) dt in closed form, and at a
-jump W+ = (1 - v) W- + |x|, so it runs each jump-free segment through the
-same four stages:
-
-* environment -- W at every point of the substep grid t0 + j h / 2;
-* policy -- the survival candidate and every strategy on that grid, as
-  array operations, in chunks of at most BLOCK_BYTES of temporaries;
-* dynamics -- fixed-step classical RK4 on the investor wealth alone,
-  reading the grid's weights (exact exponential decay when there is no
-  payoff drift);
-* diagnostics -- the selection-clock, gap, closeness and ln W rates
-  integrated by composite Simpson over the grid.
-
-Fixed steps keep runs bit-reproducible; the integrator does not consume
-randomness, so refining the step never changes the jump sequence.
-
-Both engines record through the same running sums: each record's
-increments are added, or multiplied, in record order into a
-``Trajectory`` allocated once -- per block in the discrete engine, and in
-one pass over the list of segments (one per grid point, jump or the
-horizon) in the continuous one.  Along with the path they record the
-increments of the process driving ln W, so the terminal total wealth can
-be reconstructed through the stochastic exponent as an independent
-bookkeeping check.
+The discrete block length and the continuous grid chunk come from a
+fixed byte budget for their temporaries, so transient memory does not
+grow with the horizon.  Fixed steps keep continuous runs
+bit-reproducible; the integrator does not consume randomness, so
+refining the step never changes the jump sequence.  Along with the path
+both engines record the increments of the process driving ln W, so the
+terminal total wealth can be reconstructed through the stochastic
+exponent as an independent bookkeeping check.
 """
 
 from __future__ import annotations
@@ -116,7 +109,6 @@ class ProfileRun:
     rng: RngStream
     dt: float = 0.01
     record_dt: Optional[float] = None
-    track_diagnostics: bool = True
 
     def __post_init__(self):
         # The game proper needs M >= 2 (validate_market reports that), but
@@ -294,6 +286,30 @@ def _on_clock(rate: np.ndarray, clock: np.ndarray) -> np.ndarray:
     return np.where(clock > 0.0, rate, 0.0) * clock
 
 
+def _stage(policy, model, t, groups, w, claim, uniforms, lam):
+    """Policy and diagnostics at K decision points.
+
+    Point k decides at time ``t[k]`` with total wealth ``w[k]``; ``claim``
+    (K, N) is the survival claim per asset there, ``groups`` and
+    ``uniforms`` are as ``block_weights`` takes them.  Writes every
+    strategy's weights into ``lam`` (K, M, N) and returns the survival
+    candidate (K, N) and the rates (K, 2M + 1): the selection-clock rate
+    |claim| / W, then per investor the Gibbs gap and the squared distance
+    to the candidate, each on that clock.
+    """
+    cand = simplex_rows(claim)
+    block_weights(policy, model, t, groups, w, cand, uniforms, out=lam)
+    pressure = claim.sum(axis=1) / w
+    rates = np.column_stack(
+        (
+            pressure,
+            _on_clock(divergence_rows(cand, lam), pressure[:, None]),
+            ((lam - cand[:, None, :]) ** 2).sum(axis=2) * pressure[:, None],
+        )
+    )
+    return cand, rates
+
+
 def _running(acc: np.ndarray, k: int, inc: np.ndarray, op=np.add) -> None:
     """acc[k+1+i] = op(acc[k+i], inc[i]) for every i, in that order."""
     out = acc[k + 1 : k + 1 + len(inc)]
@@ -302,9 +318,28 @@ def _running(acc: np.ndarray, k: int, inc: np.ndarray, op=np.add) -> None:
     op.accumulate(out, axis=0, out=out)
 
 
-def _support_violations(lam: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Per investor, the records (K, M, N) ``lam`` leave an asset that ``cand`` (K, N) weights."""
-    return np.any((lam <= 0.0) & (cand > SUPPORT_TOL)[:, None, :], axis=2).sum(axis=0)
+def _record(traj: Trajectory, k: int, keep, rates) -> None:
+    """Complete records k + 1 .. k + K, whose wealth, payoffs, consumption,
+    weights and candidate are written.
+
+    ``keep`` (K,) holds each record's retention factor and ``rates``
+    (K, >= 2M + 1) its pressure, gap and closeness increments, laid out
+    as ``_stage`` returns them.
+    """
+    m = traj.num_investors
+    k1 = k + len(keep)
+    rows = slice(k + 1, k1 + 1)
+    total = traj.wealth[rows].sum(axis=1)
+    traj.total[rows] = total
+    traj.rel[rows] = traj.wealth[rows] / total[:, None]
+    _running(traj.cum_x, k, traj.dx[k:k1])
+    _running(traj.cum_v, k, traj.dv[k:k1])
+    _running(traj.retention, k, keep, np.multiply)
+    _running(traj.pressure, k, rates[:, 0])
+    _running(traj.gap_integral, k, rates[:, 1 : 1 + m])
+    _running(traj.closeness, k, rates[:, 1 + m : 1 + 2 * m])
+    abandoned = (traj.weights[k:k1] <= 0.0) & (traj.candidate[k:k1] > SUPPORT_TOL)[:, None, :]
+    traj.support_violations += np.any(abandoned, axis=2).sum(axis=0)
 
 
 def _advance(wealth, k0: int, lam, dx, dv) -> None:
@@ -324,17 +359,25 @@ def _advance(wealth, k0: int, lam, dx, dv) -> None:
             wealth[i] = _divide_checked(wealth[i - 1], step, pay)
 
 
+def _start(n_records: int, market: MarketSpec, mode: str) -> Trajectory:
+    """A trajectory of ``n_records`` records whose record 0 is the initial state."""
+    traj = _alloc(n_records, market.num_investors, market.num_assets, mode)
+    traj.wealth[0] = market.initial_wealth
+    traj.total[0] = traj.wealth[0].sum()
+    traj.rel[0] = traj.wealth[0] / traj.total[0]
+    return traj
+
+
 def run_discrete(run: ProfileRun) -> Trajectory:
     """Simulate the discrete-time market over an integer number of steps.
 
     Strategies are evaluated on start-of-step information only: the time,
     the regime that will emit this step's payoff and the pre-step total
     wealth W from its exogenous recursion.  Steps run in blocks through
-    four stages: environment (draws and the W recursion), policy (the
-    survival candidate and every strategy, as array operations), dynamics
-    (the investor-wealth recursion, the only sequential stage) and
-    diagnostics (selection pressure, gap and closeness integrals, support
-    violations, running sums).
+    four stages: environment (draws and the W recursion), policy and its
+    diagnostic rates (``_stage``), dynamics (the investor-wealth
+    recursion, the only sequential stage) and the running sums
+    (``_record``).
     """
     market = run.market
     model = market.payoff_model
@@ -353,59 +396,40 @@ def run_discrete(run: ProfileRun) -> Trajectory:
     block = _block_steps(m_inv, n_assets, mc_sizes)
     policy = Policy(run.strategies, _block_budget(m_inv, n_assets, mc_sizes)[1])
 
-    traj = _alloc(t_end, m_inv, n_assets, "discrete")
-    traj.wealth[0] = market.initial_wealth
-    w = float(traj.wealth[0].sum())
-    traj.total[0] = w
-    traj.rel[0] = traj.wealth[0] / w
+    traj = _start(t_end, market, "discrete")
     traj.is_jump[:] = True
-    wealth = traj.wealth
+    w = float(traj.total[0])
 
     for k0 in range(0, t_end, block):
         k1 = min(k0 + block, t_end)
-        rows = slice(k0 + 1, k1 + 1)
         t = np.arange(k0 + 1, k1 + 1, dtype=float)
 
         # environment
         (uniforms, regimes, dx, dv, abs_dx, w_pre), regime, w = _environment(
             model, rng, regime, w, k1 - k0, n_uniforms
         )
-        traj.times[rows] = t
+        traj.times[k0 + 1 : k1 + 1] = t
         traj.dx[k0:k1] = dx
         traj.dv[k0:k1] = dv
         # Step from the recorded rows themselves, so that every wealth row
         # is discrete_step of the recorded row, weights, payoff and delta.
         dx, dv = traj.dx[k0:k1], traj.dv[k0:k1]
+        traj.z_jump[k0:k1] = abs_dx / w_pre - dv
 
-        # policy
+        # policy and its diagnostic rates
         groups = regime_groups(regimes)
         claim = np.empty((k1 - k0, n_assets))
         for r, sel in groups:
             claim[sel] = discrete_claim_vector(model, r, w_pre[sel])
-        cand = traj.candidate[k0:k1]
-        cand[...] = simplex_rows(claim)
         lam = traj.weights[k0:k1]
-        block_weights(policy, model, t, groups, w_pre, cand, uniforms, out=lam)
+        cand, rates = _stage(policy, model, t, groups, w_pre, claim, uniforms, lam)
+        traj.candidate[k0:k1] = cand
 
         # dynamics
-        _advance(wealth, k0, lam, dx, dv)
+        _advance(traj.wealth, k0, lam, dx, dv)
 
-        # diagnostics
-        total = wealth[rows].sum(axis=1)
-        traj.total[rows] = total
-        traj.rel[rows] = wealth[rows] / total[:, None]
-        traj.z_jump[k0:k1] = abs_dx / w_pre - dv
-        _running(traj.cum_x, k0, dx)
-        _running(traj.cum_v, k0, dv)
-        _running(traj.retention, k0, 1.0 - dv, np.multiply)
-        d_pressure = claim.sum(axis=1) / w_pre
-        _running(traj.pressure, k0, d_pressure)
-        if run.track_diagnostics:
-            gaps = divergence_rows(cand, lam)
-            _running(traj.gap_integral, k0, _on_clock(gaps, d_pressure[:, None]))
-            close = ((lam - cand[:, None, :]) ** 2).sum(axis=2)
-            _running(traj.closeness, k0, close * d_pressure[:, None])
-            traj.support_violations += _support_violations(lam, cand)
+        # running sums
+        _record(traj, k0, 1.0 - dv, rates)
     return traj
 
 
@@ -438,24 +462,16 @@ def _drift_rates(kernel, policy, t, w):
 
     ``t`` and ``w`` are vectors of K points.  Returns the weights lam
     (K, M, N), the survival candidate (K, N) and the rates (K, 2M + 2):
-    the selection-clock rate, per-investor gap and closeness rates, and
-    the ln W drift rate.
+    ``_stage``'s selection-clock, gap and closeness rates, then the ln W
+    drift rate.
     """
     b = kernel.drift
     claim = expected_claim_rates(kernel, w) + b  # jump claims plus payoff drift
-    cand = simplex_rows(claim)
     lam = np.empty((t.size, policy.size, b.size))
-    block_weights(policy, kernel, t, regime_groups(None), w, cand, np.empty((t.size, 0)), out=lam)
-    pressure = claim.sum(axis=1) / w
-    rates = np.column_stack(
-        (
-            pressure,
-            _on_clock(divergence_rows(cand, lam), pressure[:, None]),
-            ((lam - cand[:, None, :]) ** 2).sum(axis=2) * pressure[:, None],
-            float(b.sum()) / w - kernel.v_rate,
-        )
+    cand, rates = _stage(
+        policy, kernel, t, regime_groups(None), w, claim, np.empty((t.size, 0)), lam
     )
-    return lam, cand, rates
+    return lam, cand, np.column_stack((rates, float(b.sum()) / w - kernel.v_rate))
 
 
 def _rk4(y, lam, b, v_rate: float, h: float, t0: float):
@@ -532,17 +548,45 @@ def _integrate_segment(kernel, policy, t0, t1, y, w0, dt):
     return y, acc, lam0, cand0
 
 
+def _jump_schedule(kernel, rng, horizon: float, grid):
+    """The continuous engine's environment: (end time, jump or None) per record.
+
+    Jumps come from ``next_jump``, each drawn from the time of the one
+    before; a record ends at every jump, at grid point k * ``grid`` and at
+    the horizon.  A grid point within GRID_ULPS ulps of a jump or of the
+    horizon is that record, displaced by rounding, and is not emitted.
+    """
+    events = []
+    t, k_grid = 0.0, 1
+    pending = next_jump(kernel, rng, t)
+    while t < horizon:
+        t_jump = pending[0] if pending is not None else math.inf
+        t_stop = min(t_jump, horizon)
+        if grid is not None:
+            while (g := k_grid * grid) < t_stop - GRID_ULPS * math.ulp(t_stop):
+                if g > t + GRID_ULPS * math.ulp(t):
+                    events.append((g, None))
+                k_grid += 1
+        if t_jump > horizon:
+            events.append((horizon, None))
+            break
+        events.append(pending)
+        t = t_jump
+        pending = next_jump(kernel, rng, t)
+    return events
+
+
 def run_continuous(run: ProfileRun) -> Trajectory:
     """Simulate the continuous-time market up to the horizon.
 
-    Event-driven loop: draw the next kernel jump, integrate the inter-jump
-    dynamics (recording at the uniform grid if one is configured), then
-    apply the payoff-division update with the jump's (x, v) at the
-    pre-jump state.  Total wealth W follows its closed form between jumps
-    and W+ = (1 - v) W- + |x| at a jump; strategies read that W.  Records
-    always include every jump and the horizon; grid point k is k *
-    record_dt, and one within GRID_ULPS ulps of a jump or the horizon
-    merges into it.
+    The environment comes first: every jump and record time up to the
+    horizon (``_jump_schedule``), which fixes the number of records.
+    Record k then integrates the jump-free segment up to its end time
+    (``_integrate_segment``) and, at a jump, applies the payoff-division
+    update with the jump's (x, v) at the pre-jump state.  Total wealth W
+    follows its closed form between jumps and W+ = (1 - v) W- + |x| at a
+    jump; strategies read that W.  The running sums are added once, over
+    all records (``_record``).
     """
     market = run.market
     kernel = market.payoff_model
@@ -550,86 +594,40 @@ def run_continuous(run: ProfileRun) -> Trajectory:
         raise DomainError("run_continuous needs a kernel payoff model")
     if kernel.num_assets != market.num_assets:
         raise DomainError("kernel and market disagree on the number of assets")
-    horizon = float(run.horizon)
-    rng = run.rng.generator()
+    events = _jump_schedule(kernel, run.rng.generator(), float(run.horizon), run.record_dt)
     policy = Policy(run.strategies)
     b = kernel.drift
     v_rate = kernel.v_rate
 
-    segments = []
-    t = 0.0
-    y = market.initial_wealth.copy()
-    w = float(y.sum())
-    grid, k_grid = run.record_dt, 1
-    pending = next_jump(kernel, rng, t)
-
-    def segment(t_to, jump=None):
-        nonlocal t, y, w
+    traj = _start(len(events), market, "continuous")
+    acc = np.empty((len(events), 2 * market.num_investors + 2))
+    keep = np.empty(len(events))
+    t, y, w = 0.0, market.initial_wealth.copy(), float(traj.total[0])
+    for k, (t_to, jump) in enumerate(events):
         span = t_to - t
-        y1, acc, lam, cand = _integrate_segment(kernel, policy, t, t_to, y, w, run.dt)
-        w1 = _total_wealth(kernel, w, span)
-        dx = b * span
-        dv = v_rate * span
-        zj = 0.0
-        retention_factor = math.exp(-v_rate * span)
+        y, acc[k], lam, cand = _integrate_segment(kernel, policy, t, t_to, y, w, run.dt)
+        w = _total_wealth(kernel, w, span)
+        traj.dx[k] = b * span
+        traj.dv[k] = v_rate * span
+        keep[k] = math.exp(-v_rate * span)
         if jump is not None:
             x, v = jump
-            lam, cand, _ = _drift_rates(kernel, policy, np.array([t_to]), np.array([w1]))
+            lam, cand, _ = _drift_rates(kernel, policy, np.array([t_to]), np.array([w]))
             lam, cand = lam[0], cand[0]
-            y1 = discrete_step(y1, lam, x, v)
+            y = discrete_step(y, lam, x, v)
             size = float(x.sum())
-            zj = size / w1 - v
-            w1 = (1.0 - v) * w1 + size
-            dx = dx + x
-            dv = dv + v
-            retention_factor *= 1.0 - v
-        segments.append((t_to, y1, dx, dv, jump is not None, acc, zj, lam, cand, retention_factor))
-        t, y, w = t_to, y1, w1
-
-    while t < horizon:
-        t_jump = pending[0] if pending is not None else math.inf
-        t_stop = min(t_jump, horizon)
-        if grid is not None:
-            while (g := k_grid * grid) < t_stop - GRID_ULPS * math.ulp(t_stop):
-                if g > t + GRID_ULPS * math.ulp(t):
-                    segment(g)
-                k_grid += 1
-        if t_jump <= horizon:
-            segment(t_jump, pending[1])
-            pending = next_jump(kernel, rng, t)
-        else:
-            if horizon > t:
-                segment(horizon)
-            break
-    return _record_segments(market, segments)
-
-
-def _record_segments(market: MarketSpec, segments: list) -> Trajectory:
-    """The trajectory of ``run_continuous``'s segments, one record each.
-
-    A segment is (end time, end wealth, payoffs, consumption, is_jump,
-    integrated rates, jump increment of ln W, weights, candidate, retention
-    factor); the running sums add in record order, as the discrete
-    engine's do.
-    """
-    m = market.num_investors
-    traj = _alloc(len(segments), m, market.num_assets, "continuous")
-    traj.wealth[0] = market.initial_wealth
-    if segments:
-        t, y, dx, dv, is_jump, acc, z_jump, lam, cand, keep = map(np.array, zip(*segments))
-        traj.times[1:], traj.wealth[1:] = t, y
-        traj.dx[...], traj.dv[...], traj.is_jump[...] = dx, dv, is_jump
-        traj.z_cont[...], traj.z_jump[...] = acc[:, -1], z_jump
-        traj.weights[...], traj.candidate[...] = lam, cand
-        _running(traj.cum_x, 0, dx)
-        _running(traj.cum_v, 0, dv)
-        _running(traj.retention, 0, keep, np.multiply)
-        _running(traj.pressure, 0, acc[:, 0])
-        _running(traj.gap_integral, 0, acc[:, 1 : 1 + m])
-        _running(traj.closeness, 0, acc[:, 1 + m : 1 + 2 * m])
-        traj.support_violations += _support_violations(lam, cand)
-    traj.total[...] = traj.wealth.sum(axis=1)
-    traj.rel[...] = traj.wealth / traj.total[:, None]
+            traj.z_jump[k] = size / w - v
+            w = (1.0 - v) * w + size
+            traj.dx[k] += x
+            traj.dv[k] += v
+            keep[k] *= 1.0 - v
+            traj.is_jump[k] = True
+        traj.times[k + 1], traj.wealth[k + 1] = t_to, y
+        traj.weights[k], traj.candidate[k] = lam, cand
+        t = t_to
+    traj.z_cont[...] = acc[:, -1]
+    if events:
+        _record(traj, 0, keep, acc)
     return traj
 
 

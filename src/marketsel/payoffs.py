@@ -248,19 +248,22 @@ def _sample_arrays(model, regime_state, u: np.ndarray):
     return rows, deltas, sizes, regimes, regime_state
 
 
+def _emitter(model, regime_state) -> DiscreteIIDModel:
+    """The i.i.d. model that emits in ``regime_state`` (None for an i.i.d. model)."""
+    if isinstance(model, MarkovModulatedModel):
+        return model.regimes[regime_state]
+    if isinstance(model, DiscreteIIDModel):
+        return model
+    raise DomainError(f"model of type {type(model).__name__} has no finite support")
+
+
 def enumerate_support(model, regime_state=None):
     """Exact one-step conditional distribution of (payoff, delta).
 
     Returns a list of (probability, payoff vector, delta) triples for the
     model's current regime.  Only finite-support models are accepted.
     """
-    if isinstance(model, MarkovModulatedModel):
-        emit = model.regimes[regime_state]
-    elif isinstance(model, DiscreteIIDModel):
-        emit = model
-    else:
-        raise DomainError(f"model of type {type(model).__name__} has no finite support")
-    probs, payoffs, _, deltas = emit.support_arrays()
+    probs, payoffs, _, deltas = _emitter(model, regime_state).support_arrays()
     return [(float(p), payoffs[i].copy(), float(deltas[i])) for i, p in enumerate(probs)]
 
 

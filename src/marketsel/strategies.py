@@ -20,22 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DomainError, SimplexVector, make_simplex, simplex_rows
-from .payoffs import (
-    DiscreteIIDModel,
-    KernelSpec,
-    MarkovModulatedModel,
-    _atom_index,
-    expected_claim_rates,
-)
-
-
-def _emitter(model, regime_state) -> DiscreteIIDModel:
-    """The i.i.d. model that emits in ``regime_state`` (None for an i.i.d. model)."""
-    if isinstance(model, MarkovModulatedModel):
-        return model.regimes[regime_state]
-    if isinstance(model, DiscreteIIDModel):
-        return model
-    raise DomainError(f"model of type {type(model).__name__} has no finite support")
+from .payoffs import DiscreteIIDModel, KernelSpec, _atom_index, _emitter, expected_claim_rates
 
 
 def discrete_claim_vector(model, regime_state, w_prev) -> np.ndarray:
@@ -159,19 +144,13 @@ class PerturbationSchedule:
     def epsilon(self, t):
         """Blend fraction at time ``t``: a float, or an array for an array of times."""
         c = self.coefficient
-        if np.ndim(t):
-            if self.kind == "inverse_t":
-                clipped = np.asarray(t) <= c
-                # where t > c, t > 0 too, so the division is safe
-                return np.where(clipped, 1.0, c / np.where(clipped, 1.0, t))
-            return np.full(np.shape(t), 0.0 if self.kind == "zero" else c)
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            return c
-        if t <= c:
-            return 1.0
-        return c / t
+        if self.kind == "inverse_t":
+            clipped = np.asarray(t) <= c
+            # where t > c, t > 0 too, so the division is safe
+            eps = np.where(clipped, 1.0, c / np.where(clipped, 1.0, t))
+        else:
+            eps = np.full(np.shape(t), 0.0 if self.kind == "zero" else c)
+        return eps if np.ndim(t) else float(eps)
 
 
 @dataclass(frozen=True)

@@ -121,9 +121,18 @@ class TestParseConfig:
         }
         data["horizon"] = 2.0
         data["strategies"][0] = {"kind": "survival_mc", "samples": 10}
+        data["strategies"][1] = {
+            "kind": "perturbed",
+            "base": {"kind": "survival_mc", "samples": 3},
+            "schedule": {"kind": "zero"},
+            "target": [0.5, 0.5],
+        }
         with pytest.raises(ConfigError) as err:
             parse_config_dict(data)
-        assert any("finite-support" in msg for msg in err.value.errors)
+        assert [msg.split(":")[0] for msg in err.value.errors if "finite-support" in msg] == [
+            "$.strategies[0]",
+            "$.strategies[1]",
+        ]
 
     def test_probabilities_must_sum(self):
         data = minimal_config()
@@ -192,8 +201,8 @@ class TestDeterminism:
 
     def test_parallel_matches_serial(self):
         cfg = parse_config_dict(minimal_config(seeds=[0, 1, 2, 3]))
-        serial = run_batch(cfg, jobs=1, include_csv=True)
-        parallel = run_batch(cfg, jobs=2, include_csv=True)
+        serial = run_batch(cfg, jobs=1)
+        parallel = run_batch(cfg, jobs=2)
         for a, b in zip(serial["per_seed"], parallel["per_seed"]):
             assert a["seed"] == b["seed"]
             assert a["csv"] == b["csv"]
@@ -383,6 +392,19 @@ class TestMainEntryPoint:
         assert main(["validate", "--config", str(path)]) == 1
         assert "delta must lie in [0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "seeds", [[2**64], [0, 2**64], {"base": 2**64 - 1, "count": 2}]
+    )
+    def test_seeds_beyond_64_bits_are_a_config_error(self, tmp_path, capsys, seeds):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config(seeds=seeds)))
+        out_dir = tmp_path / "out"
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("config error: $.seeds: seeds must lie in [0, 2**64)") == 2
+        assert not out_dir.exists()
+
     def test_list_scenarios_prints_catalog(self, capsys):
         assert main(["list-scenarios"]) == 0
         out = capsys.readouterr().out
@@ -477,10 +499,10 @@ class TestFailureHandling:
 
         original = cli_mod.run_seed
 
-        def flaky(cfg, seed, include_csv=True):
+        def flaky(cfg, seed, **kwargs):
             if seed == 1:
                 raise RuntimeError("boom")
-            return original(cfg, seed, include_csv)
+            return original(cfg, seed, **kwargs)
 
         monkeypatch.setattr(cli_mod, "run_seed", flaky)
         result = cli_mod.run_batch(parse_config_dict(minimal_config(seeds=[0, 1, 2])))

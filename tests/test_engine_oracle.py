@@ -112,15 +112,12 @@ def reference_run_discrete(run: ProfileRun, rng: np.random.Generator):
         traj.z_jump[k] = abs_dx / w - dv
         d_pressure = float(claim.sum()) / w
         traj.pressure[t] = traj.pressure[k] + d_pressure
-        if run.track_diagnostics:
-            gaps = divergence_rows(cand_w, lam)
-            traj.gap_integral[t] = traj.gap_integral[k] + _on_clock(gaps, d_pressure)
-            traj.closeness[t] = (
-                traj.closeness[k] + ((lam - cand_w) ** 2).sum(axis=1) * d_pressure
-            )
-            traj.support_violations += np.any(
-                (lam <= 0.0) & (cand_w > engine.SUPPORT_TOL)[None, :], axis=1
-            )
+        gaps = divergence_rows(cand_w, lam)
+        traj.gap_integral[t] = traj.gap_integral[k] + _on_clock(gaps, d_pressure)
+        traj.closeness[t] = traj.closeness[k] + ((lam - cand_w) ** 2).sum(axis=1) * d_pressure
+        traj.support_violations += np.any(
+            (lam <= 0.0) & (cand_w > engine.SUPPORT_TOL)[None, :], axis=1
+        )
         w = (1.0 - dv) * w + abs_dx
     return traj
 
@@ -220,21 +217,17 @@ def profile_runs(draw):
         block = engine._block_steps(m, n, [mc_samples(h) for h in handles])
     horizon = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 2 * block + 1, 3 * block]))
     spec = MarketSpec(m, n, y0, payoff_model=model)
-    return spec, handles, horizon, block_bytes, draw(st.integers(0, 2**32)), draw(st.booleans())
+    return spec, handles, horizon, block_bytes, draw(st.integers(0, 2**32))
 
 
 @given(profile_runs())
 @settings(max_examples=150, deadline=None)
 def test_staged_engine_matches_per_step_reference(case):
-    spec, handles, horizon, block_bytes, seed, diagnostics = case
+    spec, handles, horizon, block_bytes, seed = case
     staged_rng, ref_rng = _Handout(seed), _Handout(seed)
     with mock.patch.object(engine, "BLOCK_BYTES", block_bytes):
-        got = run_discrete(
-            ProfileRun(spec, handles, horizon, staged_rng, track_diagnostics=diagnostics)
-        )
-    ref = reference_run_discrete(
-        ProfileRun(spec, handles, horizon, ref_rng, track_diagnostics=diagnostics), ref_rng.gen
-    )
+        got = run_discrete(ProfileRun(spec, handles, horizon, staged_rng))
+    ref = reference_run_discrete(ProfileRun(spec, handles, horizon, ref_rng), ref_rng.gen)
 
     for f in fields(got):
         a, b = getattr(got, f.name), getattr(ref, f.name)
