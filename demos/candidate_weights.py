@@ -12,12 +12,18 @@ from marketsel import (
     DiscreteIIDModel,
     KernelSpec,
     RngStream,
+    evaluate,
     expected_claim_rates,
-    survival_continuous,
-    survival_discrete_exact,
-    survival_discrete_mc,
+    survival_mc_strategy,
+    survival_strategy,
 )
 from marketsel.scenarios import two_point_model
+
+
+def candidate(env, w):
+    """The survival candidate on a model or kernel at total wealth ``w``."""
+    return evaluate(survival_strategy(), env, 0.0, None, w)
+
 
 print("=" * 70)
 print("SURVIVAL CANDIDATE WEIGHTS")
@@ -32,7 +38,7 @@ print("any reinvestment fraction delta:")
 print()
 for p in (0.3, 0.6):
     for w in (0.1, 1.0, 100.0):
-        out = survival_discrete_exact(two_point_model(p, 0.5), None, w)
+        out = candidate(two_point_model(p, 0.5), w)
         print(f"  p={p}, W={w:>6}: candidate = ({out[0]:.12f}, {out[1]:.12f})")
 
 # ── Asymmetric payoffs: the discount matters ────────────────────────────
@@ -40,21 +46,21 @@ print()
 print("Asymmetric payoffs break the cancellation.  Atoms (2,0) and (0,1)")
 print("each w.p. 1/2 at W = 1: claims are (1/3, 1/4), candidate (4/7, 3/7):")
 model = DiscreteIIDModel(atoms=(((2.0, 0.0), 0.0), ((0.0, 1.0), 0.0)), probabilities=(0.5, 0.5))
-out = survival_discrete_exact(model, None, 1.0)
+out = candidate(model, 1.0)
 print(f"  candidate = ({out[0]:.12f}, {out[1]:.12f})   [4/7 = {4/7:.12f}]")
 print()
 print("The same candidate depends on wealth once payoffs are asymmetric:")
 for w in (0.5, 1.0, 10.0):
-    out = survival_discrete_exact(model, None, w)
+    out = candidate(model, w)
     print(f"  W={w:>5}: candidate = ({out[0]:.6f}, {out[1]:.6f})")
 
 # ── Monte Carlo route ───────────────────────────────────────────────────
 print()
 print("Monte Carlo construction converges to the exact one at 1/sqrt(n):")
 rng = RngStream(seed=2024).generator()
-exact = survival_discrete_exact(model, None, 1.0)
+exact = candidate(model, 1.0)
 for n in (100, 10_000, 1_000_000):
-    mc = survival_discrete_mc(model, None, 1.0, rng, n)
+    mc = evaluate(survival_mc_strategy(n), model, 0.0, None, 1.0, rng)
     err = np.max(np.abs(mc.weights - exact.weights))
     print(f"  n={n:>9,}: estimate = ({mc[0]:.6f}, {mc[1]:.6f}), err = {err:.2e}")
 
@@ -67,10 +73,10 @@ kernel = KernelSpec(
     drift=(0.0, 0.0),
 )
 print(f"  claim rates at W=1: {expected_claim_rates(kernel, 1.0)}")
-print(f"  candidate:          {survival_continuous(kernel, 1.0).weights}  [= (1/3, 2/3)]")
+print(f"  candidate:          {candidate(kernel, 1.0).weights}  [= (1/3, 2/3)]")
 
 drifty = KernelSpec(jump_atoms=(), drift=(3.0, 1.0))
-print(f"  pure drift (3,1):   {survival_continuous(drifty, 1.0).weights}  [= (3/4, 1/4)]")
+print(f"  pure drift (3,1):   {candidate(drifty, 1.0).weights}  [= (3/4, 1/4)]")
 
 # ── Invariance under the operational-clock choice ──────────────────────
 print()
@@ -82,5 +88,5 @@ for c in (1e-3, 1.0, 1e3):
         drift=(0.2 * c, 0.4 * c),
         gamma_v=0.2,
     )
-    out = survival_continuous(kernel_c, 1.7)
+    out = candidate(kernel_c, 1.7)
     print(f"  c={c:>6}: candidate = ({out[0]:.15f}, {out[1]:.15f})")

@@ -17,11 +17,11 @@ from marketsel import (
     RngStream,
     check_survival_conditions,
     constant_strategy,
+    evaluate,
     gibbs_gap,
     perturbed,
     run_discrete,
     submartingale_check,
-    survival_discrete_exact,
     survival_strategy,
     survival_verdict,
 )
@@ -77,7 +77,7 @@ print()
 print("Mechanism: the exact one-step drift of ln r + gap * dH, enumerated")
 print("over the model's outcomes, is non-negative.  At even shares:")
 w = float(traj.total[0])
-cand = survival_discrete_exact(model, None, w)
+cand = evaluate(survival_strategy(), model, 0.0, None, w)
 lam = np.array([cand.weights, [0.5, 0.5], cand.weights])
 y = np.full(3, w / 3)
 for m, label in ((0, "candidate"), (1, "constant ")):

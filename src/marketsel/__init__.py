@@ -39,6 +39,7 @@ from .diagnostics import (
 from .engine import (
     ProfileRun,
     discrete_step,
+    evaluate,
     run,
     run_continuous,
     run_discrete,
@@ -58,11 +59,7 @@ from .strategies import (
     StrategyHandle,
     constant_strategy,
     discrete_claim_vector,
-    evaluate,
     perturbed,
-    survival_continuous,
-    survival_discrete_exact,
-    survival_discrete_mc,
     survival_mc_strategy,
     survival_strategy,
     table_strategy,

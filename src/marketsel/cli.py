@@ -208,11 +208,26 @@ def _seed_errors(seeds: list, where: str) -> list:
     return errors
 
 
+def _non_finite(value, path: str = "$") -> list:
+    """A violation for every NaN or infinite number in a JSON value, with its path.
+
+    Python's ``json`` reads ``NaN`` and ``Infinity``, and schema bounds
+    let NaN through.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return [f"{path}: numbers must be finite, got {value!r}"]
+    if isinstance(value, dict):
+        return [e for k, v in value.items() for e in _non_finite(v, f"{path}.{k}")]
+    if isinstance(value, list):
+        return [e for i, v in enumerate(value) for e in _non_finite(v, f"{path}[{i}]")]
+    return []
+
+
 def parse_config_dict(data: dict) -> ScenarioConfig:
     """Validate a config mapping and build the runnable scenario."""
     if not isinstance(data, dict):
         raise ConfigError(["$: configuration must be a JSON object"])
-    errors = _schema_errors(data)
+    errors = _schema_errors(data) or _non_finite(data)
     if errors:
         raise ConfigError(errors)
 
@@ -519,6 +534,8 @@ def _cmd_run(args) -> int:
             data = {**data, "record": {**data.get("record", {}), "grid": args.grid}}
         cfg = parse_config_dict(data)
         seeds = _parse_seeds_arg(args.seeds) if args.seeds else None
+        if args.jobs < 1:
+            raise ConfigError([f"--jobs: must be at least 1, got {args.jobs}"])
         out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV, DEFAULT_OUTPUT_DIR)
         code, paths = run_scenario(cfg, out_dir, jobs=args.jobs, seeds=seeds)
     except ConfigError as exc:

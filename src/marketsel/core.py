@@ -226,12 +226,14 @@ class Trajectory:
         violations = []
         if np.any(np.diff(self.times) <= 0.0):
             violations.append("record times must be strictly increasing")
-        if np.any(self.wealth <= 0.0):
-            violations.append("wealth must stay strictly positive")
+        # the wealth rule of discrete_step: an investor's wealth may
+        # underflow to 0, but every row is finite with a positive total
+        for name, rows in (("wealth", self.wealth), ("relative wealth", self.rel)):
+            valid = np.isfinite(rows).all() and (rows >= 0.0).all()
+            if not (valid and (rows.sum(axis=1) > 0.0).all()):
+                violations.append(f"{name} must be non-negative and finite with a positive total")
         if np.any(np.abs(self.wealth.sum(axis=1) - self.total) > 1e-10 * np.abs(self.total)):
             violations.append("total wealth must match the sum of investor wealth")
-        if np.any(self.rel <= 0.0):
-            violations.append("relative wealth must stay strictly positive")
         for name in ("pressure", "gap_integral", "closeness"):
             arr = getattr(self, name)
             # an accumulator stuck at +inf differences to nan; that is not

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, SUM_ATOL, Trajectory, as_vector, divergence_rows
+from .core import DomainError, SUM_ATOL, Trajectory, as_vector, divergence_rows, make_simplex
 from .engine import discrete_step
 from .payoffs import enumerate_support
-from .strategies import discrete_claim_vector, survival_discrete_exact
+from .strategies import discrete_claim_vector
 
 
 def gibbs_gap(alpha, beta):
@@ -73,8 +73,8 @@ def submartingale_check(model, weights, y_prev, tracked: int, regime=None) -> fl
         raise DomainError("need one weight vector per investor")
     support = enumerate_support(model, regime)
     w = float(y.sum())
-    cand = survival_discrete_exact(model, regime, w)
     claim = discrete_claim_vector(model, regime, w)
+    cand = make_simplex(claim)
     d_pressure = float(claim.sum()) / w
     gap = gibbs_gap(cand.weights, lam[tracked])
     expected_log_rel = 0.0

@@ -33,15 +33,19 @@ four stages, and only the investor wealth is stepped in sequence:
   between jumps is the closed form on each segment's substep grid
   t0 + j h / 2;
 * policy and its diagnostic rates -- ``_stage``, shared by both engines:
-  the survival candidate and every strategy's weights at a whole block or
-  grid of decision points, one array pass per strategy kind (one Monte
-  Carlo kernel per emitting regime, one table lookup per regime, one
-  operation per nesting level of perturbed blends), then the
-  selection-clock rate and every investor's gap and closeness rates on
-  it.  Where the clock does not move the gap increment is 0, even for an
-  infinite gap.  A discrete step adds the rates once; a continuous
-  segment integrates them, and the ln W drift rate, by composite Simpson
-  over its grid (``_drift_rates``);
+  the survival claim from ``_claim``, the one rule that chooses it (the
+  discrete claim per emitting regime, or the kernel's claim rates plus
+  the payoff drift), the candidate it normalizes to and every strategy's
+  weights at a whole block or grid of decision points, one array pass per
+  strategy kind (one Monte Carlo kernel per emitting regime, one table
+  lookup per regime, one operation per nesting level of perturbed
+  blends), then the selection-clock rate and every investor's gap and
+  closeness rates on it.  Where the clock does not move the gap
+  increment is 0, even for an infinite gap.  A discrete step adds the
+  rates once; a continuous segment integrates them, and the ln W drift
+  rate, by composite Simpson over its grid (``_drift_rates``).
+  ``evaluate`` is this stage on a block of one decision point: one
+  strategy's weights there;
 * dynamics -- a discrete block runs ``_claims`` once, then ``_divide``
   once per step (and the block again through ``_divide_checked`` if a
   row is not finite), so each row is exactly ``discrete_step`` of the
@@ -72,14 +76,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DomainError, MarketSpec, Trajectory, divergence_rows, simplex_rows
+from .core import DomainError, MarketSpec, SimplexVector, Trajectory, divergence_rows, simplex_rows
 from .payoffs import KernelSpec, RngStream, _sample_arrays, expected_claim_rates, next_jump
 from .strategies import Policy, block_weights, discrete_claim_vector, mc_samples, regime_groups
 
-# Neither engine calls these per decision any more, but perfbench's tracer
-# rebinds them by name in this module, so they stay importable here.
+# Neither engine calls this per decision any more, but perfbench's tracer
+# rebinds it by name in this module, so it stays importable here.
 from .core import make_simplex  # noqa: F401
-from .strategies import evaluate  # noqa: F401
 
 # Components below this are treated as zero when checking whether a
 # strategy abandoned an asset the survival candidate still weights.
@@ -286,17 +289,33 @@ def _on_clock(rate: np.ndarray, clock: np.ndarray) -> np.ndarray:
     return np.where(clock > 0.0, rate, 0.0) * clock
 
 
-def _stage(policy, model, t, groups, w, claim, uniforms, lam):
+def _claim(model, groups, w):
+    """The survival claim per asset (K, N) at K decision points with total wealth ``w``.
+
+    On a discrete model it is ``discrete_claim_vector`` in each point's
+    emitting regime (``groups`` is ``regime_groups`` of them); on a
+    kernel, the expected jump claim rates plus the payoff drift.
+    """
+    if isinstance(model, KernelSpec):
+        return expected_claim_rates(model, w) + model.drift
+    claim = np.empty((w.size, model.num_assets))
+    for r, sel in groups:
+        claim[sel] = discrete_claim_vector(model, r, w[sel])
+    return claim
+
+
+def _stage(policy, model, t, groups, w, uniforms, lam):
     """Policy and diagnostics at K decision points.
 
-    Point k decides at time ``t[k]`` with total wealth ``w[k]``; ``claim``
-    (K, N) is the survival claim per asset there, ``groups`` and
-    ``uniforms`` are as ``block_weights`` takes them.  Writes every
+    Point k decides at time ``t[k]`` with total wealth ``w[k]``; ``groups``
+    and ``uniforms`` are as ``block_weights`` takes them.  Writes every
     strategy's weights into ``lam`` (K, M, N) and returns the survival
     candidate (K, N) and the rates (K, 2M + 1): the selection-clock rate
-    |claim| / W, then per investor the Gibbs gap and the squared distance
-    to the candidate, each on that clock.
+    |claim| / W of the survival claim (``_claim``), then per investor the
+    Gibbs gap and the squared distance to the candidate, each on that
+    clock.
     """
+    claim = _claim(model, groups, w)
     cand = simplex_rows(claim)
     block_weights(policy, model, t, groups, w, cand, uniforms, out=lam)
     pressure = claim.sum(axis=1) / w
@@ -308,6 +327,28 @@ def _stage(policy, model, t, groups, w, claim, uniforms, lam):
         )
     )
     return cand, rates
+
+
+def evaluate(handle, env, t: float, regime, w_minus: float, rng=None) -> SimplexVector:
+    """``handle``'s weights at one decision point: the policy stage on a block of one.
+
+    ``env`` is the payoff model (discrete or Markov) or kernel the market
+    runs on, ``regime`` the emitting regime (None for an i.i.d. model or a
+    kernel) and ``w_minus`` the total wealth.  A Monte Carlo handle draws
+    its uniforms from ``rng``, one row of ``mc_samples(handle)``.
+    """
+    n_samples = mc_samples(handle)
+    if n_samples and rng is None:
+        raise DomainError("survival_mc evaluation needs a random generator")
+    t, w = np.array([t], dtype=float), np.array([w_minus], dtype=float)
+    groups = regime_groups(None if regime is None else np.array([regime]))
+    cand = simplex_rows(_claim(env, groups, w))
+    uniforms = rng.random((1, n_samples)) if n_samples else np.empty((1, 0))
+    out = np.empty((1, 1, cand.shape[1]))
+    block_weights(Policy([handle]), env, t, groups, w, cand, uniforms, out)
+    weights = out[0, 0]
+    weights.flags.writeable = False
+    return SimplexVector._trusted(weights)
 
 
 def _running(acc: np.ndarray, k: int, inc: np.ndarray, op=np.add) -> None:
@@ -417,12 +458,8 @@ def run_discrete(run: ProfileRun) -> Trajectory:
         traj.z_jump[k0:k1] = abs_dx / w_pre - dv
 
         # policy and its diagnostic rates
-        groups = regime_groups(regimes)
-        claim = np.empty((k1 - k0, n_assets))
-        for r, sel in groups:
-            claim[sel] = discrete_claim_vector(model, r, w_pre[sel])
         lam = traj.weights[k0:k1]
-        cand, rates = _stage(policy, model, t, groups, w_pre, claim, uniforms, lam)
+        cand, rates = _stage(policy, model, t, regime_groups(regimes), w_pre, uniforms, lam)
         traj.candidate[k0:k1] = cand
 
         # dynamics
@@ -465,13 +502,9 @@ def _drift_rates(kernel, policy, t, w):
     ``_stage``'s selection-clock, gap and closeness rates, then the ln W
     drift rate.
     """
-    b = kernel.drift
-    claim = expected_claim_rates(kernel, w) + b  # jump claims plus payoff drift
-    lam = np.empty((t.size, policy.size, b.size))
-    cand, rates = _stage(
-        policy, kernel, t, regime_groups(None), w, claim, np.empty((t.size, 0)), lam
-    )
-    return lam, cand, np.column_stack((rates, float(b.sum()) / w - kernel.v_rate))
+    lam = np.empty((t.size, policy.size, kernel.num_assets))
+    cand, rates = _stage(policy, kernel, t, regime_groups(None), w, np.empty((t.size, 0)), lam)
+    return lam, cand, np.column_stack((rates, float(kernel.drift.sum()) / w - kernel.v_rate))
 
 
 def _rk4(y, lam, b, v_rate: float, h: float, t0: float):
@@ -499,7 +532,9 @@ def _rk4(y, lam, b, v_rate: float, h: float, t0: float):
                 k3 = rate(y + half * k2, mid)
                 k4 = rate(y + h * k3, right)
                 y_next = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if 0.0 < y_next.min() <= y_next.max() < math.inf:
+                # discrete_step's wealth rule: non-negative and finite,
+                # with a positive total (NaN fails every comparison)
+                if 0.0 <= y_next.min() and 0.0 < y_next.max() < math.inf:
                     break
             else:
                 raise DomainError(f"integrator produced an invalid state near t={t0 + (i + 1) * h}")

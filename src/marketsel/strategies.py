@@ -1,4 +1,4 @@
-"""Strategy constructors and evaluation.
+"""Strategy constructors and the batched policy stage.
 
 A strategy maps (time, regime, pre-event total wealth) to simplex weights
 over the assets.  Strategies never see competitors' wealth or actions;
@@ -6,10 +6,13 @@ total wealth is fair game because it is a function of the exogenous
 payoff/consumption processes alone.
 
 The survival candidate weights an asset by its expected payoff share
-after the proportional division discount.  In discrete time this is an
-exact enumeration over the model's support; in continuous time it is the
-kernel's expected claim rate plus the payoff drift, normalized.  A Monte
-Carlo variant of the discrete construction is provided for cross-checks.
+after the proportional division discount.  In discrete time the claim is
+an exact enumeration over the model's support (``discrete_claim_vector``);
+in continuous time it is the kernel's expected claim rate plus the payoff
+drift.  The engine forms that claim and normalizes it; ``block_weights``
+resolves every strategy handle at a block of decision points, and the
+``survival_mc`` handle estimates the discrete claim from drawn atoms
+(``mc_claim``).
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DomainError, SimplexVector, make_simplex, simplex_rows
-from .payoffs import DiscreteIIDModel, KernelSpec, _atom_index, _emitter, expected_claim_rates
+from .core import DomainError, SimplexVector, simplex_rows
+from .payoffs import DiscreteIIDModel, _atom_index, _emitter
 
 
 def discrete_claim_vector(model, regime_state, w_prev) -> np.ndarray:
@@ -39,11 +42,6 @@ def discrete_claim_vector(model, regime_state, w_prev) -> np.ndarray:
     # The sum over atoms runs along a non-contiguous axis, so it adds in
     # atom order whatever the leading shape: scalar and vector W agree.
     return w[..., None] * ((probs / post_total)[..., None] * payoffs).sum(axis=-2)
-
-
-def survival_discrete_exact(model, regime_state, w_prev: float) -> SimplexVector:
-    """Survival candidate weights for a finite-support discrete model."""
-    return make_simplex(discrete_claim_vector(model, regime_state, w_prev))
 
 
 def mc_claim(emit: DiscreteIIDModel, w, idx, cols, fold_bytes=None) -> list:
@@ -86,35 +84,6 @@ def mc_claim(emit: DiscreteIIDModel, w, idx, cols, fold_bytes=None) -> list:
             acc = np.add.reduce(buf[:hi], axis=0)
         claims.append(w[:, None, None] * (acc / s))
     return claims
-
-
-def survival_discrete_mc(
-    model, regime_state, w_prev: float, rng: np.random.Generator, n_samples: int
-) -> SimplexVector:
-    """Monte Carlo estimate of the survival candidate.
-
-    Draws atoms from the model's one-step distribution and averages the
-    discounted payoff claims; converges to the exact construction at the
-    usual 1/sqrt(n) rate.
-    """
-    if not w_prev > 0.0:
-        raise DomainError("total wealth must be positive")
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
-    emit = _emitter(model, regime_state)
-    idx = _atom_index(emit, rng.random((1, n_samples)))
-    (claim,) = mc_claim(emit, np.array([w_prev], dtype=float), idx, [np.arange(n_samples)[:, None]])
-    return make_simplex(claim[0, 0])
-
-
-def survival_continuous(kernel: KernelSpec, w_minus: float) -> SimplexVector:
-    """Survival candidate weights for a jump kernel with payoff drift.
-
-    The continuous consumption rate plays no role here; only the jump
-    claims and the payoff drift enter.  A kernel with no jumps and no
-    drift yields the uniform weights.
-    """
-    return make_simplex(expected_claim_rates(kernel, w_minus) + kernel.drift)
 
 
 @dataclass(frozen=True)
@@ -235,53 +204,6 @@ def _table_index(entries, t):
     return np.maximum(np.searchsorted(starts, t, side="right") - 1, 0)
 
 
-def _table_lookup(table, t: float, regime) -> SimplexVector:
-    entries = _table_entries(table, regime)
-    return entries[int(_table_index(entries, t))][1]
-
-
-def evaluate(
-    handle: StrategyHandle,
-    env,
-    t: float,
-    regime,
-    w_minus: float,
-    rng: Optional[np.random.Generator] = None,
-    candidate: Optional[SimplexVector] = None,
-) -> SimplexVector:
-    """Resolve a handle to concrete weights at one decision point.
-
-    ``env`` is the payoff model (discrete/Markov) or kernel the market
-    runs on; ``candidate`` lets callers that already computed the survival
-    candidate at this state pass it in instead of recomputing.
-    """
-    if handle.kind == "constant":
-        return handle.weights
-    if handle.kind == "survival_exact":
-        if candidate is not None:
-            return candidate
-        if isinstance(env, KernelSpec):
-            return survival_continuous(env, w_minus)
-        return survival_discrete_exact(env, regime, w_minus)
-    if handle.kind == "survival_mc":
-        if rng is None:
-            raise DomainError("survival_mc evaluation needs a random generator")
-        return survival_discrete_mc(env, regime, w_minus, rng, handle.n_samples)
-    if handle.kind == "perturbed":
-        base = evaluate(handle.base, env, t, regime, w_minus, rng, candidate)
-        eps = handle.schedule.epsilon(t)
-        if eps == 0.0:
-            return base
-        if eps == 1.0:
-            return handle.target
-        blend = (1.0 - eps) * base.weights + eps * handle.target.weights
-        blend.flags.writeable = False
-        return SimplexVector._trusted(blend)
-    if handle.kind == "table":
-        return _table_lookup(handle.table, t, regime)
-    raise DomainError(f"unknown strategy kind {handle.kind!r}")
-
-
 def mc_samples(handle: StrategyHandle) -> int:
     """Uniforms one evaluation of ``handle`` draws: its survival_mc samples."""
     if handle.kind == "survival_mc":
@@ -376,7 +298,7 @@ class Policy:
 
 
 def block_weights(policy: Policy, model, t, groups, w, candidate, uniforms, out) -> None:
-    """``evaluate`` every handle at every step of a block, one array pass per kind.
+    """Every handle's weights at every step of a block, one array pass per kind.
 
     Step b decides at time ``t[b]`` with pre-step total wealth ``w[b]`` and
     survival candidate ``candidate[b]``; ``groups`` is ``regime_groups`` of

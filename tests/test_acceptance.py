@@ -19,13 +19,12 @@ from marketsel import (
     RngStream,
     constant_strategy,
     discrete_step,
+    evaluate,
     gibbs_gap,
     identity_report,
     run_continuous,
     submartingale_check,
-    survival_continuous,
-    survival_discrete_exact,
-    survival_discrete_mc,
+    survival_mc_strategy,
     survival_strategy,
 )
 from marketsel.cli import build_run, parse_config_dict, run_batch
@@ -105,7 +104,7 @@ def test_criterion_2_one_step_submartingale():
             for _ in range(250):
                 rel = rng.dirichlet((1.0, 1.0))
                 total = rng.uniform(0.5, 5.0)
-                cand = survival_discrete_exact(model, None, total)
+                cand = evaluate(survival_strategy(), model, 1.0, None, total)
                 weights = np.array([cand.weights, rng.dirichlet((1.0, 1.0))])
                 drift = submartingale_check(model, weights, rel * total, tracked=0)
                 worst = min(worst, drift)
@@ -122,14 +121,14 @@ def test_criterion_3_closed_form_candidate():
     for p in (0.1, 0.3, 0.5, 0.9):
         for w_prev in (0.1, 1.0, 100.0):
             for delta in (0.0, 0.5):
-                out = survival_discrete_exact(two_point_model(p, delta), None, w_prev)
+                out = evaluate(survival_strategy(), two_point_model(p, delta), 1.0, None, w_prev)
                 err = np.max(np.abs(out.weights - [p, 1.0 - p]))
                 assert err <= CLOSED_FORM_TOL, (p, w_prev, delta, err)
     n = 100_000
     worst_sigmas = 0.0
     for i, p in enumerate((0.1, 0.3, 0.5, 0.9)):
         rng = RngStream(seed=300 + i).generator()
-        mc = survival_discrete_mc(two_point_model(p, 0.0), None, 1.0, rng, n)
+        mc = evaluate(survival_mc_strategy(n), two_point_model(p, 0.0), 1.0, None, 1.0, rng)
         se = math.sqrt(p * (1.0 - p) / n)
         worst_sigmas = max(worst_sigmas, abs(mc.weights[0] - p) / se)
     assert worst_sigmas <= 5.0
@@ -287,7 +286,7 @@ def test_criterion_9_candidate_scale_invariance():
             drift=base_drift * c,
             gamma_v=0.2,
         )
-        out = survival_continuous(kernel, 1.7).weights
+        out = evaluate(survival_strategy(), kernel, 0.0, None, 1.7).weights
         if reference is None:
             reference = out
         worst = max(worst, float(np.max(np.abs(out - reference))))

@@ -4,6 +4,7 @@ built-in catalog and the command-line entry points."""
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -403,6 +404,45 @@ class TestMainEntryPoint:
         assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
         err = capsys.readouterr().err
         assert err.count("config error: $.seeds: seeds must lie in [0, 2**64)") == 2
+        assert not out_dir.exists()
+
+    def test_infinite_horizon_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config(horizon=math.inf)))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert "config error: $.horizon: numbers must be finite, got inf" in capsys.readouterr().err
+
+    def test_nan_initial_wealth_is_a_config_error(self, tmp_path, capsys):
+        data = minimal_config()
+        data["market"]["initial_wealth"] = [math.nan, 1.0]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        message = "config error: $.market.initial_wealth[0]: numbers must be finite, got nan"
+        assert err.count(message) == 2
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("grid", ["nan", "inf"])
+    def test_non_finite_grid_is_a_config_error(self, tmp_path, capsys, grid):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config()))
+        out_dir = tmp_path / "out"
+        argv = ["run", "--config", str(path), "--out", str(out_dir), "--grid", grid]
+        assert main(argv) == 1
+        message = f"config error: $.record.grid: numbers must be finite, got {grid}"
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_is_a_config_error(self, tmp_path, capsys, jobs):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config()))
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir), f"--jobs={jobs}"]) == 1
+        assert f"config error: --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_list_scenarios_prints_catalog(self, capsys):

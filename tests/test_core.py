@@ -148,13 +148,27 @@ class TestWealthState:
         assert traj.validate() == ["total wealth must match the sum of investor wealth"]
 
     def test_zero_share_rejected(self):
+        # one investor at 0 is a valid state (discrete_step's rule); a row
+        # whose every share is 0 has no positive total and is not
         traj = _runs()[0]
         traj.wealth[3, 1] = 0.0
         traj.total[3] = traj.wealth[3].sum()
         traj.rel[3] = traj.wealth[3] / traj.total[3]
+        assert traj.validate() == []
+        traj.wealth[3] = traj.total[3] = traj.rel[3] = 0.0
         assert traj.validate() == [
-            "wealth must stay strictly positive",
-            "relative wealth must stay strictly positive",
+            "wealth must be non-negative and finite with a positive total",
+            "relative wealth must be non-negative and finite with a positive total",
+        ]
+
+    def test_nan_wealth_rejected(self):
+        traj = _runs()[1]
+        traj.wealth[2, 0] = np.nan
+        traj.total[2] = traj.wealth[2].sum()
+        traj.rel[2] = traj.wealth[2] / traj.total[2]
+        assert traj.validate() == [
+            "wealth must be non-negative and finite with a positive total",
+            "relative wealth must be non-negative and finite with a positive total",
         ]
 
 

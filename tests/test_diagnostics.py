@@ -32,6 +32,7 @@ from marketsel import (
     constant_strategy,
     discrete_claim_vector,
     discrete_step,
+    evaluate,
     gibbs_gap,
     growth_comparison,
     growth_rate,
@@ -40,7 +41,6 @@ from marketsel import (
     run_discrete,
     submartingale_check,
     sufficient_condition_check,
-    survival_discrete_exact,
     survival_strategy,
     survival_verdict,
     wilson_interval,
@@ -220,7 +220,7 @@ class TestSubmartingaleCheck:
         for _ in range(100):
             r = rng.dirichlet((1.0, 1.0))
             w = rng.uniform(0.5, 5.0)
-            cand = survival_discrete_exact(model, None, w)
+            cand = evaluate(survival_strategy(), model, 1.0, None, w)
             lam = np.array([cand.weights, rng.dirichlet((1.0, 1.0))])
             drift = submartingale_check(model, lam, r * w, tracked=0)
             assert drift >= -EXACT_TOL
@@ -240,7 +240,7 @@ class TestSubmartingaleCheck:
         )
         rng = np.random.default_rng(23)
         for regime in (0, 1):
-            cand = survival_discrete_exact(model, regime, 2.0)
+            cand = evaluate(survival_strategy(), model, 1.0, regime, 2.0)
             for _ in range(50):
                 lam = np.array([cand.weights, rng.dirichlet((1.0, 1.0))])
                 drift = submartingale_check(model, lam, [1.0, 1.0], tracked=0, regime=regime)

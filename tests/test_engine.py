@@ -267,6 +267,11 @@ class TestRunDiscrete:
         replayed = discrete_step(traj.wealth[200], traj.weights[200], traj.dx[200], traj.dv[200])
         np.testing.assert_array_equal(replayed, traj.wealth[201])
 
+    def test_zero_wealth_run_validates(self):
+        # an investor at 0 keeps discrete_step's wealth rule: non-negative
+        # and finite, with a positive total
+        assert self._zero_wealth_run().validate() == []
+
     def test_zero_wealth_run_summarizes_without_warnings(self):
         # the 0 share and wealth have log -inf and the retention floor
         # underflows to 0; the summary reports them without a warning
@@ -523,6 +528,19 @@ class TestRunContinuous:
         traj = run_continuous(ProfileRun(spec, handles, 1.0, RngStream(0), dt=0.01))
         growth = -math.expm1(-0.5) / 0.5
         np.testing.assert_allclose(traj.wealth[-1], [math.exp(-0.5) + growth, growth], rtol=1e-9)
+
+    def test_decayed_wealth_reaches_zero_and_the_run_goes_on(self):
+        # investor 1 holds only asset 1, which has no drift, so its wealth
+        # decays by RK4's factor 0.375 a substep (v h = 1) and underflows to
+        # exactly 0 near t = 7.6; the state stays valid to the horizon
+        kernel = KernelSpec(jump_atoms=(), drift=(0.0, 1.0), v_rate=100.0)
+        spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=kernel)
+        handles = [constant_strategy([1.0, 0.0]), constant_strategy([0.0, 1.0])]
+        traj = run_continuous(ProfileRun(spec, handles, 20.0, RngStream(0), dt=0.01))
+        assert traj.times[-1] == 20.0
+        assert traj.wealth[-1, 0] == 0.0
+        np.testing.assert_allclose(traj.wealth[-1, 1], 0.01, rtol=1e-12)
+        assert traj.validate() == []
 
     def test_gap_is_zero_when_the_clock_never_moves(self):
         # no jumps and no drift: the selection clock is 0 throughout, so the

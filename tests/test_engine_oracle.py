@@ -1,9 +1,11 @@
 """The staged engines against per-step reference loops.
 
 ``reference_run_discrete`` is the discrete engine as a plain per-step
-loop: every strategy evaluated by ``evaluate`` at each step, the step's
-payoff drawn from scalar uniforms one at a time (``reference_sample``),
-one ``discrete_step``, then the diagnostics added one step at a time.
+loop: every strategy resolved at each step by the per-handle reference
+of ``reference_policy`` (a one-row block per handle, its Monte Carlo
+uniforms drawn in investor order), the step's payoff drawn from scalar
+uniforms one at a time (``reference_sample``), one ``discrete_step``,
+then the diagnostics added one step at a time.
 Strategies read the pre-step total wealth from the exogenous recursion
 W' = (1 - delta) W + |payoff|, as the staged engine does.  Random i.i.d.
 and Markov models with profiles mixing all five strategy kinds (or, in a
@@ -12,15 +14,16 @@ out) are run through both, over horizons of 0, 1 and lengths that cross block
 boundaries (the block byte budget is shrunk so blocks are a few steps).
 
 ``reference_run_continuous`` is the continuous engine as it stood before
-its stages were split: each RK4 stage evaluates every strategy through
-``evaluate`` and the share rule at that stage's state, the diagnostic
-rates ride along as RK4 on the augmented system, and every running sum
-advances one record at a time inside the event loop.  Strategies
-read the closed-form total wealth, as the staged engine does, so the
-two differ only in the order of floating-point operations.  Random
-kernels (with and without drift, consumption rate and jumps) and
-profiles of the four kinds a kernel admits run through both, with the
-chunk byte budget shrunk so segments cross chunk boundaries.
+its stages were split: each RK4 stage resolves every strategy through
+the same per-handle reference and the share rule at that stage's state,
+the diagnostic rates ride along as RK4 on the augmented system, and
+every running sum advances one record at a time inside the event loop.
+Strategies read the closed-form total wealth, as the staged engine
+does, so the two differ only in the order of floating-point
+operations.  Random kernels (with and without drift, consumption rate
+and jumps) and profiles of the four kinds a kernel admits run through
+both, with the chunk byte budget shrunk so segments cross chunk
+boundaries.
 """
 
 import math
@@ -42,7 +45,6 @@ from marketsel import (
     constant_strategy,
     discrete_claim_vector,
     discrete_step,
-    evaluate,
     make_simplex,
     perturbed,
     run_continuous,
@@ -55,6 +57,7 @@ from marketsel import engine
 from marketsel.core import PATH_RTOL, divergence_rows
 from marketsel.payoffs import expected_claim_rates, next_jump
 from marketsel.strategies import mc_samples
+from reference_policy import reference_weights
 
 RTOL = 1e-12
 CONTINUOUS_RTOL = 1e-10
@@ -87,13 +90,11 @@ def reference_run_discrete(run: ProfileRun, rng: np.random.Generator):
     traj.wealth[0] = y
     traj.total[0] = w
     traj.rel[0] = y / w
-    lam = np.empty((m_inv, n_assets))
     for t in range(1, t_end + 1):
         claim = discrete_claim_vector(model, regime, w)
         cand = make_simplex(claim)
         cand_w = cand.weights
-        for m, handle in enumerate(run.strategies):
-            lam[m] = evaluate(handle, model, t, regime, w, rng, candidate=cand).weights
+        lam = reference_weights(run.strategies, model, t, regime, w, cand_w, rng)
         dx, dv, abs_dx, regime = reference_sample(model, regime, rng)
         y = discrete_step(y, lam, dx, dv)
         k = t - 1
@@ -257,9 +258,7 @@ def _reference_drift_rates(kernel, handles, t, y, w):
     cand = make_simplex(claim + kernel.drift)
     cand_w = cand.weights
     m_inv = y.size
-    lam = np.empty((m_inv, kernel.num_assets))
-    for m, handle in enumerate(handles):
-        lam[m] = evaluate(handle, kernel, t, None, w, None, candidate=cand).weights
+    lam = reference_weights(handles, kernel, t, None, w, cand_w)
     b = kernel.drift
     # an asset is claimed when someone holds a positive weight on it; its
     # column is scaled to a largest weight of 1 so y @ lam cannot underflow
@@ -355,9 +354,7 @@ def reference_run_continuous(run: ProfileRun, rng: np.random.Generator):
             x, v = jump
             claim = expected_claim_rates(kernel, w1)
             cand_vec = make_simplex(claim + b)
-            lam = np.array(
-                [evaluate(h, kernel, t_to, None, w1, None, candidate=cand_vec).weights for h in handles]
-            )
+            lam = reference_weights(handles, kernel, t_to, None, w1, cand_vec.weights)
             cand = cand_vec.weights
             y1 = discrete_step(y1, lam, x, v)
             zj = float(x.sum()) / w1 - v

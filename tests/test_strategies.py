@@ -24,13 +24,11 @@ from marketsel import (
     PerturbationSchedule,
     RngStream,
     constant_strategy,
+    discrete_claim_vector,
     discrete_step,
     evaluate,
     make_simplex,
     perturbed,
-    survival_continuous,
-    survival_discrete_exact,
-    survival_discrete_mc,
     survival_mc_strategy,
     survival_strategy,
     table_strategy,
@@ -38,16 +36,20 @@ from marketsel import (
 from marketsel import engine
 from marketsel.core import simplex_rows
 from marketsel.scenarios import two_point_model
-from marketsel.strategies import (
-    Policy,
-    _table_entries,
-    _table_index,
-    block_weights,
-    mc_samples,
-    regime_groups,
-)
+from marketsel.strategies import Policy, block_weights, mc_samples, regime_groups
+from reference_policy import reference_handle_block, reference_mc_claim
 
 EXACT_TOL = 1e-12
+
+
+def candidate(env, w):
+    """The survival handle's weights on ``env`` at total wealth ``w``."""
+    return evaluate(survival_strategy(), env, 1.0, None, w)
+
+
+def mc_estimate(model, w, rng, n_samples):
+    """A Monte Carlo handle's weights on ``model`` at total wealth ``w``."""
+    return evaluate(survival_mc_strategy(n_samples), model, 1.0, None, w, rng)
 
 
 class TestSurvivalDiscreteExact:
@@ -55,7 +57,7 @@ class TestSurvivalDiscreteExact:
     @pytest.mark.parametrize("w_prev", [0.1, 1.0, 100.0])
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_two_point_closed_form(self, p, w_prev, delta):
-        out = survival_discrete_exact(two_point_model(p, delta), None, w_prev)
+        out = candidate(two_point_model(p, delta), w_prev)
         np.testing.assert_allclose(out.weights, [p, 1.0 - p], atol=EXACT_TOL, rtol=0)
 
     def test_asymmetric_payoffs_hand_value(self):
@@ -63,14 +65,14 @@ class TestSurvivalDiscreteExact:
         model = DiscreteIIDModel(
             atoms=(((2.0, 0.0), 0.0), ((0.0, 1.0), 0.0)), probabilities=(0.5, 0.5)
         )
-        out = survival_discrete_exact(model, None, 1.0)
+        out = candidate(model, 1.0)
         np.testing.assert_allclose(out.weights, [4 / 7, 3 / 7], atol=EXACT_TOL, rtol=0)
 
     def test_symmetric_support_gives_uniform(self):
         model = DiscreteIIDModel(
             atoms=(((2.0, 1.0), 0.1), ((1.0, 2.0), 0.1)), probabilities=(0.5, 0.5)
         )
-        out = survival_discrete_exact(model, None, 3.0)
+        out = candidate(model, 3.0)
         np.testing.assert_allclose(out.weights, [0.5, 0.5], atol=EXACT_TOL, rtol=0)
 
     @pytest.mark.parametrize("c", [1e-3, 0.7, 1.0, 13.0, 1e4])
@@ -82,13 +84,13 @@ class TestSurvivalDiscreteExact:
             atoms=tuple((tuple(c * np.asarray(a)), d) for a, d in atoms), probabilities=probs
         )
         w = 2.7
-        out_base = survival_discrete_exact(base, None, w)
-        out_scaled = survival_discrete_exact(scaled, None, c * w)
+        out_base = candidate(base, w)
+        out_scaled = candidate(scaled, c * w)
         np.testing.assert_allclose(out_scaled.weights, out_base.weights, atol=1e-13, rtol=0)
 
     def test_rejects_nonpositive_wealth(self):
         with pytest.raises(DomainError):
-            survival_discrete_exact(two_point_model(0.5, 0.0), None, 0.0)
+            candidate(two_point_model(0.5, 0.0), 0.0)
 
 
 class TestSurvivalDiscreteMC:
@@ -97,22 +99,22 @@ class TestSurvivalDiscreteMC:
         # outcome frequencies, so its standard error is sqrt(p(1-p)/n)
         model = two_point_model(0.3, 0.0)
         rng = RngStream(seed=11).generator()
-        out = survival_discrete_mc(model, None, 1.0, rng, 100_000)
+        out = mc_estimate(model, 1.0, rng, 100_000)
         se = np.sqrt(0.3 * 0.7 / 100_000)
         assert abs(out.weights[0] - 0.3) <= 5 * se
 
     def test_single_atom_is_exact_at_n_one(self):
         model = DiscreteIIDModel(atoms=(((2.0, 1.0), 0.3),), probabilities=(1.0,))
         rng = RngStream(seed=12).generator()
-        out = survival_discrete_mc(model, None, 1.0, rng, 1)
-        exact = survival_discrete_exact(model, None, 1.0)
+        out = mc_estimate(model, 1.0, rng, 1)
+        exact = candidate(model, 1.0)
         np.testing.assert_allclose(out.weights, exact.weights, atol=EXACT_TOL, rtol=0)
 
     @pytest.mark.parametrize("n", [1, 2, 17, 1000])
     def test_estimate_is_valid_simplex(self, n):
         model = two_point_model(0.6, 0.3)
         rng = RngStream(seed=13).generator()
-        out = survival_discrete_mc(model, None, 5.0, rng, n)
+        out = mc_estimate(model, 5.0, rng, n)
         assert np.all(out.weights >= 0.0)
         assert abs(out.weights.sum() - 1.0) <= EXACT_TOL
 
@@ -123,17 +125,17 @@ class TestSurvivalContinuous:
             jump_atoms=(((1.0, 0.0), 0.0, 1.0), ((0.0, 1.0), 0.0, 2.0)),
             drift=(0.0, 0.0),
         )
-        out = survival_continuous(kernel, 1.0)
+        out = candidate(kernel, 1.0)
         np.testing.assert_allclose(out.weights, [1 / 3, 2 / 3], atol=EXACT_TOL, rtol=0)
 
     def test_pure_drift_normalization(self):
         kernel = KernelSpec(jump_atoms=(), drift=(3.0, 1.0))
-        out = survival_continuous(kernel, 1.0)
+        out = candidate(kernel, 1.0)
         np.testing.assert_allclose(out.weights, [0.75, 0.25], atol=EXACT_TOL, rtol=0)
 
     def test_empty_environment_gives_uniform(self):
         kernel = KernelSpec(jump_atoms=(), drift=(0.0, 0.0))
-        out = survival_continuous(kernel, 1.0)
+        out = candidate(kernel, 1.0)
         np.testing.assert_array_equal(out.weights, [0.5, 0.5])
 
     def test_consumption_rate_plays_no_role(self):
@@ -141,7 +143,7 @@ class TestSurvivalContinuous:
         lo = KernelSpec(jump_atoms=atoms, drift=(0.3, 0.0), v_rate=0.0, gamma_v=0.2)
         hi = KernelSpec(jump_atoms=atoms, drift=(0.3, 0.0), v_rate=5.0, gamma_v=0.2)
         np.testing.assert_array_equal(
-            survival_continuous(lo, 2.0).weights, survival_continuous(hi, 2.0).weights
+            candidate(lo, 2.0).weights, candidate(hi, 2.0).weights
         )
 
     @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
@@ -158,8 +160,8 @@ class TestSurvivalContinuous:
         )
         w = 1.7
         np.testing.assert_allclose(
-            survival_continuous(scaled, w).weights,
-            survival_continuous(base, w).weights,
+            candidate(scaled, w).weights,
+            candidate(base, w).weights,
             atol=EXACT_TOL,
             rtol=0,
         )
@@ -290,38 +292,6 @@ class TestHandlesAndTables:
             evaluate(survival_mc_strategy(10), two_point_model(0.5, 0.0), 1.0, None, 1.0)
 
 
-def reference_mc_claim(model, regime, w, uniforms):
-    """The per-handle Monte Carlo claim: (B, S) uniforms, mean over the samples."""
-    emit = model.regimes[regime] if isinstance(model, MarkovModulatedModel) else model
-    probs, payoffs, abs_payoffs, deltas = emit.support_arrays()
-    idx = np.searchsorted(np.cumsum(probs), uniforms, side="right")
-    idx = np.minimum(idx, probs.size - 1)
-    post_total = (1.0 - deltas[idx]) * w[..., None] + abs_payoffs[idx]
-    claims = payoffs[idx] / post_total[..., None]
-    return w[..., None] * claims.mean(axis=-2)
-
-
-def reference_handle_block(handle, model, t, regimes, w, candidate, uniforms):
-    """One handle's (B, N) weights over a block, resolved recursively."""
-    kind = handle.kind
-    if kind == "constant":
-        return handle.weights.weights
-    if kind == "survival_exact":
-        return candidate
-    if kind == "perturbed":
-        base = reference_handle_block(handle.base, model, t, regimes, w, candidate, uniforms)
-        eps = handle.schedule.epsilon(t)[:, None]
-        return (1.0 - eps) * base + eps * handle.target.weights
-    out = np.empty(candidate.shape)
-    for r, sel in regime_groups(regimes):
-        if kind == "table":
-            entries = _table_entries(handle.table, r)
-            out[sel] = np.array([v.weights for _, v in entries])[_table_index(entries, t[sel])]
-        else:
-            out[sel] = simplex_rows(reference_mc_claim(model, r, w[sel], uniforms[sel]))
-    return out
-
-
 def reference_block_weights(handles, model, t, regimes, w, candidate, uniforms):
     """``block_weights`` one handle at a time, each reading its own uniform columns."""
     out = np.empty((len(t), len(handles), candidate.shape[1]))
@@ -410,8 +380,8 @@ class TestBlockWeights:
         if isinstance(model, KernelSpec):
             cand = simplex_rows(gen.uniform(0.0, 1.0, (b, n)))
         else:
-            cand = np.array([survival_discrete_exact(model, 0 if isinstance(
-                model, MarkovModulatedModel) else None, x).weights for x in w])
+            regime = 0 if isinstance(model, MarkovModulatedModel) else None
+            cand = simplex_rows(discrete_claim_vector(model, regime, w))
         uniforms = gen.random((b, sum(mc_samples(h) for h in handles)))
         return t, w, cand, uniforms
 
@@ -453,7 +423,7 @@ class TestBlockWeights:
             atoms=(((2.0, 0.5, 0.0), 0.2), ((0.1, 1.5, 0.7), 0.9), ((1.0, 1.0, 1.0), 0.0)),
             probabilities=(0.25, 0.5, 0.25),
         )
-        got = survival_discrete_mc(model, None, 1.7, RngStream(5).generator(), n_samples)
+        got = mc_estimate(model, 1.7, RngStream(5).generator(), n_samples)
         u = RngStream(5).generator().random(n_samples)
         ref = make_simplex(reference_mc_claim(model, None, np.float64(1.7), u))
         assert np.array_equal(got.weights, ref.weights)
