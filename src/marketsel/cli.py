@@ -13,8 +13,11 @@ Configs are strict JSON validated against the shipped schema
 rejected so typos cannot silently change an experiment.  Output is a pure
 function of (config, seed): trajectory CSVs are written with 17
 significant digits (round-trip exact for doubles) and summaries with
-sorted keys, so identical inputs give byte-identical files, and parallel
-seed execution matches serial execution exactly.
+sorted keys, so on one machine with one numpy and BLAS build identical
+inputs give byte-identical files, and parallel seed execution matches
+serial execution exactly.  Small markets (``engine.FLOAT_CELLS``) and
+the continuous diagnostics do not depend on the BLAS kernel either;
+wide markets may differ in the last bits between machines.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 """
@@ -209,13 +212,16 @@ def _seed_errors(seeds: list, where: str) -> list:
 
 
 def _non_finite(value, path: str = "$") -> list:
-    """A violation for every NaN or infinite number in a JSON value, with its path.
+    """A violation for every number in a JSON value that is not a finite double, with its path.
 
-    Python's ``json`` reads ``NaN`` and ``Infinity``, and schema bounds
-    let NaN through.
+    Python's ``json`` reads ``NaN`` and ``Infinity``, schema bounds let
+    NaN through, and it reads an integer literal of any length, which
+    ``float`` cannot convert once it exceeds the largest double.
     """
     if isinstance(value, float) and not math.isfinite(value):
         return [f"{path}: numbers must be finite, got {value!r}"]
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return [f"{path}: numbers must be finite, got an integer too large for a double"]
     if isinstance(value, dict):
         return [e for k, v in value.items() for e in _non_finite(v, f"{path}.{k}")]
     if isinstance(value, list):
@@ -506,7 +512,7 @@ def _parse_seeds_arg(text: str) -> list:
 def _json_object(text: str) -> dict:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past int's digit limit
         raise ConfigError([f"$: not valid JSON: {exc}"]) from exc
     if not isinstance(data, dict):
         raise ConfigError(["$: configuration must be a JSON object"])

@@ -6,13 +6,20 @@ Two engines share one payoff-division rule,
 
 which splits each asset's payoff proportionally to the wealth allocated
 to it (an unclaimed asset's payoff is split equally among all investors).
-Both run it through one kernel: ``_claims`` turns a stack of weights and
+Both run it the same way: ``_claims`` turns a stack of weights and
 payoffs into per-step constants (weight columns scaled to a largest
 weight of 1, the claimed payoffs, a pad on unclaimed assets and their
-1/M share) and ``_divide`` applies y * (lam @ (pay / (y @ lam + pad)) +
+1/M share), and the kernel applies y * (lam @ (pay / (y @ lam + pad)) +
 keep) + free, with keep = 1 - delta at a payoff step and -v as the drift
-rate between continuous jumps.  That order is fast but unbounded where
-the invested wealth is tiny or 0, so a non-finite result is redone by
+rate between continuous jumps.  The kernel has two forms, and
+``_steps`` alone picks one by the market's size.  In a market of at
+most FLOAT_CELLS weights (M * N), where interpreter overhead and not
+arithmetic sets the cost, ``_divide`` runs on Python floats, with every
+sum formed left to right, so its results do not depend on the BLAS
+kernel numpy picks at run time.  A wider market runs ``_divide_array``
+on numpy arrays, whose matrix products go through BLAS.  Either order is
+fast but unbounded where the invested wealth is tiny or 0, so a
+non-finite result (or, on floats, a division by 0) is redone by
 ``_divide_bounded``, which forms each share (at most 1) first and splits
 an asset with no invested wealth 1/M.
 
@@ -43,15 +50,19 @@ four stages, and only the investor wealth is stepped in sequence:
   closeness rates on it.  Where the clock does not move the gap
   increment is 0, even for an infinite gap.  A discrete step adds the
   rates once; a continuous segment integrates them, and the ln W drift
-  rate, by composite Simpson over its grid (``_drift_rates``).
+  rate, by composite Simpson over its grid (``_drift_rates``), summed
+  point by point in grid order without BLAS.
   ``evaluate`` is this stage on a block of one decision point: one
   strategy's weights there;
-* dynamics -- a discrete block runs ``_claims`` once, then ``_divide``
+* dynamics -- a discrete block runs ``_steps`` once, then the kernel
   once per step (and the block again through ``_divide_checked`` if a
-  row is not finite), so each row is exactly ``discrete_step`` of the
-  row before.  A continuous segment runs fixed-step classical RK4 on the
-  investor wealth alone, reading the grid's weights (exact exponential
-  decay without payoff drift), then ``discrete_step`` at its jump;
+  row is not finite), and ``discrete_step`` picks the same kernel, so
+  each row is exactly ``discrete_step`` of the row before.  A continuous
+  segment runs fixed-step classical RK4 on the investor wealth alone,
+  reading the grid's weights (exact exponential decay without payoff
+  drift), on Python floats or numpy arrays as the kernel does, then
+  ``discrete_step`` at its jump with the weights of the grid's last
+  point, which is the jump time;
 * running sums -- ``_record``, shared by both engines: total and
   relative wealth, and the payoff, consumption, retention, pressure, gap
   and closeness increments added (or multiplied) in record order, plus
@@ -72,6 +83,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 from typing import Optional
 
 import numpy as np
@@ -91,6 +104,23 @@ SUPPORT_TOL = 1e-12
 # Byte budget for the temporaries of one block of discrete steps; it sets
 # the block length, so transient memory does not grow with the horizon.
 BLOCK_BYTES = 1 << 20
+
+# Markets with at most this many weights (M * N) step their wealth on
+# Python floats, wider ones on numpy arrays (``_steps``).  Set where a
+# discrete step breaks even, measured as the fastest of 25 interleaved
+# runs of 300 steps (Python 3.11.7, numpy 2.4.6, 2 vCPUs), floats against
+# arrays: 4.1 / 5.6 us at 2 x 2, 5.7 / 5.8 at 3 x 3, 6.4 / 5.7 at 5 x 2,
+# 7.0 / 6.5 at 4 x 3 and 8.0 / 6.1 at 5 x 3.  An RK4 substep breaks even
+# later, near 7 x 2: 16.5 / 29.2 us at 2 x 2, 34.2 / 39.1 at 4 x 3 and
+# 31.0 / 29.9 at 7 x 2.
+FLOAT_CELLS = 10
+
+# Steps converted to Python floats at a time.  Each holds 4 + M + N <= 15
+# lists, so a batch stays below the garbage collector's first threshold
+# (700 new container objects) and building one triggers no collection.
+# Converting a whole block at once made 25 collections per discrete-2x2
+# seed, and a full one, of about 13 ms, every five seeds.
+FLOAT_STEPS = 32
 
 # A recording-grid point this many ulps or fewer from a jump or the
 # horizon is that record, displaced by rounding, and is not emitted.
@@ -153,12 +183,52 @@ def _claims(lam: np.ndarray, pay: np.ndarray):
     return scaled, np.where(unclaimed, 0.0, pay), unclaimed.astype(float), free
 
 
-def _divide(y, step):
-    """The division rule: y keeps ``keep`` of itself plus its shares.
+def _steps(lam, pay, keep):
+    """The division kernel for K steps, and an iterator over their constants in its form.
 
-    ``step`` is (scaled, claimed, pad, keep, free): one row of ``_claims``
-    output and the kept fraction.  This order is the fast one, but
-    pay / invested has no upper bound: it overflows once the wealth
+    ``lam`` (K, M, N) and ``pay`` (K, N) or (N,) are as ``_claims`` takes
+    them, and ``keep`` is a list of K kept fractions.  This is the one
+    place that picks the kernel: a market of at most FLOAT_CELLS weights
+    gets ``_divide`` and steps (rows, columns, claimed, pad, keep, free)
+    of Python floats, a wider one ``_divide_array`` and steps (scaled,
+    claimed, pad, keep, free) of ``_claims`` rows.  In both, step[0] is
+    the scaled weights and step[-2] the kept fraction.
+    """
+    scaled, claimed, pad, free = _claims(lam, pay)
+    if lam.shape[-2] * lam.shape[-1] > FLOAT_CELLS:
+        return _divide_array, zip(scaled, claimed, pad, keep, free.tolist())
+    return _divide, _float_steps(scaled, claimed, pad, keep, free)
+
+
+def _float_steps(scaled, claimed, pad, keep, free):
+    """``_steps``' float steps, converted FLOAT_STEPS at a time."""
+    for i in range(0, len(scaled), FLOAT_STEPS):
+        part = slice(i, i + FLOAT_STEPS)
+        rows, columns = scaled[part].tolist(), scaled[part].swapaxes(-2, -1).tolist()
+        yield from zip(rows, columns, claimed[part].tolist(), pad[part].tolist(), keep[part], free[part].tolist())
+
+
+def _divide(y, step):
+    """The division rule on Python floats: y keeps ``keep`` of itself plus its shares.
+
+    ``y`` is a list and ``step`` a float step of ``_steps``.  Each invested
+    wealth and each payout is a left-to-right sum: ``reduce``, not ``sum``,
+    whose order changed in Python 3.12.  So the result depends on no BLAS
+    build.  The order is ``_divide_array``'s, fast but unbounded, and where
+    a claimed asset has no invested wealth it raises ZeroDivisionError
+    where numpy gives inf or NaN; either way the step is redone by
+    ``_divide_bounded``.
+    """
+    rows, columns, pay, pad, keep, free = step
+    q = [p / (reduce(add, map(mul, y, c)) + d) for c, p, d in zip(columns, pay, pad)]
+    return [u * (reduce(add, map(mul, r, q)) + keep) + free for u, r in zip(y, rows)]
+
+
+def _divide_array(y, step):
+    """The division rule on numpy arrays: y keeps ``keep`` of itself plus its shares.
+
+    ``step`` is an array step of ``_steps``.  This order is the fast one,
+    but pay / invested has no upper bound: it overflows once the wealth
     invested in a claimed asset falls below pay / DBL_MAX, and is 0/0
     once that wealth underflows to 0.  A non-finite result therefore
     means the step is redone by ``_divide_bounded``; a finite one is the
@@ -181,13 +251,19 @@ def _divide_bounded(y, lam, pay, keep):
     return keep * y + (lam * y[:, None] / (invested + idle) + idle / y.size) @ pay
 
 
-def _divide_checked(y, step, pay):
-    """``_divide``, or ``_divide_bounded`` on the full payoffs ``pay`` if that is not finite."""
+def _divide_checked(divide, y, step, pay):
+    """``divide``, or ``_divide_bounded`` on the full payoffs ``pay`` if that is not finite.
+
+    ``y`` is an array; ``_divide`` reads it as a list.
+    """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        y_next = _divide(y, step)
-    if np.isfinite(y_next).all():
-        return y_next
-    return _divide_bounded(y, step[0], pay, step[3])
+        try:
+            y_next = divide(y.tolist() if divide is _divide else y, step)
+            if np.isfinite(y_next).all():
+                return y_next
+        except ZeroDivisionError:
+            pass
+    return _divide_bounded(y, np.asarray(step[0]), pay, step[-2])
 
 
 def discrete_step(y_prev, weights, payoff, delta: float) -> np.ndarray:
@@ -209,8 +285,8 @@ def discrete_step(y_prev, weights, payoff, delta: float) -> np.ndarray:
         raise DomainError("delta must lie in [0, 1)")
     if np.any(a < 0.0):
         raise DomainError("payoffs must be non-negative")
-    scaled, claimed, pad, free = _claims(lam, a)
-    return _divide_checked(y, (scaled, claimed, pad, 1.0 - delta, free), a)
+    divide, (step,) = _steps(lam[None], a[None], [1.0 - delta])
+    return np.asarray(_divide_checked(divide, y, step, a), dtype=float)
 
 
 def _alloc(n_records: int, m: int, n: int, mode: str) -> Trajectory:
@@ -388,16 +464,30 @@ def _advance(wealth, k0: int, lam, dx, dv) -> None:
     ``discrete_step`` of row k0 + i with weights lam[i], payoff dx[i] and
     delta dv[i].  Its temporaries die with the call, before the next
     block's policy stage."""
-    scaled, claimed, pad, free = _claims(lam, dx)
-    keep, free = (1.0 - dv).tolist(), free.tolist()
+    keep = (1.0 - dv).tolist()
+    divide, steps = _steps(lam, dx, keep)
+    rows = slice(k0 + 1, k0 + 1 + len(keep))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for i, step in enumerate(zip(scaled, claimed, pad, keep, free), k0 + 1):
-            wealth[i] = _divide(wealth[i - 1], step)
-    if not np.isfinite(wealth[k0 + 1 : k0 + 1 + len(dx)]).all():
+        try:
+            if divide is _divide:
+                # the rows go into one flat list: a list per row would
+                # count towards the garbage collector's thresholds
+                y, out = wealth[k0].tolist(), []
+                for step in steps:
+                    y = _divide(y, step)
+                    out += y
+                wealth[rows] = np.reshape(out, (len(keep), -1))
+            else:
+                for i, step in enumerate(steps, k0 + 1):
+                    wealth[i] = _divide_array(wealth[i - 1], step)
+            finite = np.isfinite(wealth[rows]).all()
+        except ZeroDivisionError:
+            finite = False
+    if not finite:
         # an invested wealth was too small for the fast order somewhere
-        steps = zip(zip(scaled, claimed, pad, keep, free), dx)
-        for i, (step, pay) in enumerate(steps, k0 + 1):
-            wealth[i] = _divide_checked(wealth[i - 1], step, pay)
+        divide, steps = _steps(lam, dx, keep)
+        for i, (step, pay) in enumerate(zip(steps, dx), k0 + 1):
+            wealth[i] = _divide_checked(divide, wealth[i - 1], step, pay)
 
 
 def _start(n_records: int, market: MarketSpec, mode: str) -> Trajectory:
@@ -507,39 +597,83 @@ def _drift_rates(kernel, policy, t, w):
     return lam, cand, np.column_stack((rates, float(kernel.drift.sum()) / w - kernel.v_rate))
 
 
+def _substep(rate, y, left, mid, right, h: float):
+    """One classical RK4 substep of dy/dt = rate(y, point) on an array ``y``.
+
+    Returns None where the result breaks ``discrete_step``'s wealth rule:
+    non-negative and finite, with a positive total (NaN fails every
+    comparison).
+    """
+    k1 = rate(y, left)
+    k2 = rate(y + (0.5 * h) * k1, mid)
+    k3 = rate(y + (0.5 * h) * k2, mid)
+    k4 = rate(y + h * k3, right)
+    y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y if 0.0 <= y.min() and 0.0 < y.max() < math.inf else None
+
+
+def _wealth_rule(y) -> bool:
+    """``_substep``'s check on a list: non-negative and finite, with a positive total.
+
+    Python's ``min`` and ``max`` skip a NaN that is not the first entry,
+    so the sum, which is NaN wherever an entry is, checks for one.
+    """
+    total = sum(y)
+    return total == total and 0.0 <= min(y) and 0.0 < max(y) < math.inf
+
+
+def _substep_floats(y, left, mid, right, h: float):
+    """``_substep`` with ``_divide`` on a list ``y``, in the same order.
+
+    Also None where ``_divide`` divides by 0.
+    """
+    half = 0.5 * h
+    try:
+        k1 = _divide(y, left)
+        k2 = _divide([u + half * k for u, k in zip(y, k1)], mid)
+        k3 = _divide([u + half * k for u, k in zip(y, k2)], mid)
+        k4 = _divide([u + h * k for u, k in zip(y, k3)], right)
+    except ZeroDivisionError:
+        return None
+    sixth = h / 6.0
+    y = [u + sixth * (a + 2.0 * b + 2.0 * c + d) for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    return y if _wealth_rule(y) else None
+
+
 def _rk4(y, lam, b, v_rate: float, h: float, t0: float):
     """Classical RK4 for dy/dt = shares(y) @ b - v y over len(lam) // 2 substeps.
 
     Substep i starts at t0 + i h; its stages read the weights at grid
     points 2i, 2i+1, 2i+1 and 2i+2.  The rate is the division rule with
-    the drift b as payoff and -v as the kept fraction.
+    the drift b as payoff and -v as the kept fraction, on ``_steps``'
+    kernel: Python floats in a small market, numpy arrays in a wide one.
     """
-    scaled, claimed, pad, free = _claims(lam, b)
-    points = list(zip(scaled, claimed, pad, [-v_rate] * len(free), free))
+    divide, points = _steps(lam, b, [-v_rate] * len(lam))
+    floats = divide is _divide
 
     def bounded(y, step):
-        return _divide_bounded(y, step[0], b, step[3])
+        return _divide_bounded(y, np.asarray(step[0]), b, step[-2])
 
-    half = 0.5 * h
+    if floats:
+        y = y.tolist()
+    right = next(points)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for i in range(len(points) // 2):
-            left, mid, right = points[2 * i], points[2 * i + 1], points[2 * i + 2]
-            # the bounded rates redo a substep on which the fast order
-            # overflowed on a tiny invested wealth
-            for rate in (_divide, bounded):
-                k1 = rate(y, left)
-                k2 = rate(y + half * k1, mid)
-                k3 = rate(y + half * k2, mid)
-                k4 = rate(y + h * k3, right)
-                y_next = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                # discrete_step's wealth rule: non-negative and finite,
-                # with a positive total (NaN fails every comparison)
-                if 0.0 <= y_next.min() and 0.0 < y_next.max() < math.inf:
-                    break
+        for i in range(len(lam) // 2):
+            left, mid, right = right, next(points), next(points)
+            if floats:
+                y_next = _substep_floats(y, left, mid, right, h)
             else:
-                raise DomainError(f"integrator produced an invalid state near t={t0 + (i + 1) * h}")
+                y_next = _substep(divide, y, left, mid, right, h)
+            if y_next is None:
+                # the bounded rates redo a substep on which the fast order
+                # overflowed on a tiny invested wealth
+                y_next = _substep(bounded, np.asarray(y), left, mid, right, h)
+                if y_next is None:
+                    raise DomainError(f"integrator produced an invalid state near t={t0 + (i + 1) * h}")
+                if floats:
+                    y_next = y_next.tolist()
             y = y_next
-    return y
+    return np.asarray(y, dtype=float)
 
 
 def _integrate_segment(kernel, policy, t0, t1, y, w0, dt):
@@ -548,19 +682,21 @@ def _integrate_segment(kernel, policy, t0, t1, y, w0, dt):
     The interval splits into n = ceil((t1 - t0) / dt) substeps of length h.
     Total wealth is the closed form from ``w0``, so the candidate, every
     strategy and every diagnostic rate are functions of time alone: they
-    are evaluated on the grid t0 + j h / 2, j = 0..2n, in chunks of at most
-    BLOCK_BYTES, and the rates are integrated by composite Simpson over it
-    (RK4's rate weights, since the rates do not depend on y).  Without
-    payoff drift y decays by the exact exponential factor; with drift, RK4
-    steps y alone on the grid's weights.
+    are evaluated on the grid t0 + j h / 2, j = 0..2n, whose last point is
+    exactly t1 with ``_total_wealth`` at t1 - t0, in chunks of at most
+    BLOCK_BYTES.  The rates are integrated by composite Simpson over it
+    (RK4's rate weights, since the rates do not depend on y), summed point
+    by point in grid order.  Without payoff drift y decays by the exact
+    exponential factor; with drift, RK4 steps y alone on the grid's
+    weights.
 
-    Returns (y1, acc, lam0, cand0): acc stacks the integrated rates, and
-    lam0/cand0 are the weights and candidate at t0.
+    Returns (y1, acc, start, end): acc stacks the integrated rates, and
+    start and end are the (weights, candidate) at t0 and at t1.
     """
     span = t1 - t0
     if span <= 0.0:
         lam, cand, _ = _drift_rates(kernel, policy, np.array([t0]), np.array([w0]))
-        return y.copy(), np.zeros(2 * y.size + 2), lam[0], cand[0]
+        return y.copy(), np.zeros(2 * y.size + 2), (lam[0], cand[0]), (lam[0], cand[0])
     n_steps = max(1, int(math.ceil(span / dt)))
     h = span / n_steps
     has_drift = float(kernel.drift.sum()) > 0.0
@@ -569,18 +705,21 @@ def _integrate_segment(kernel, policy, t0, t1, y, w0, dt):
     for i0 in range(0, n_steps, chunk):
         i1 = min(i0 + chunk, n_steps)
         s = np.arange(2 * i0, 2 * i1 + 1) * (0.5 * h)
-        lam, cand, rates = _drift_rates(kernel, policy, t0 + s, _total_wealth(kernel, w0, s))
+        t, w = t0 + s, _total_wealth(kernel, w0, s)
+        if i1 == n_steps:
+            t[-1], w[-1] = t1, _total_wealth(kernel, w0, span)
+        lam, cand, rates = _drift_rates(kernel, policy, t, w)
         if i0 == 0:
-            lam0, cand0 = lam[0].copy(), cand[0].copy()
+            start = lam[0].copy(), cand[0].copy()
         simpson = np.full(s.size, 2.0)
         simpson[1::2] = 4.0
         simpson[[0, -1]] = 1.0
-        acc += (h / 6.0) * (simpson @ rates)
+        acc += (h / 6.0) * np.add.reduce(simpson[:, None] * rates, axis=0)
         if has_drift:
             y = _rk4(y, lam, kernel.drift, kernel.v_rate, h, t0 + i0 * h)
     if not has_drift:
         y = y * math.exp(-kernel.v_rate * span)
-    return y, acc, lam0, cand0
+    return y, acc, start, (lam[-1], cand[-1])
 
 
 def _jump_schedule(kernel, rng, horizon: float, grid):
@@ -618,7 +757,8 @@ def run_continuous(run: ProfileRun) -> Trajectory:
     horizon (``_jump_schedule``), which fixes the number of records.
     Record k then integrates the jump-free segment up to its end time
     (``_integrate_segment``) and, at a jump, applies the payoff-division
-    update with the jump's (x, v) at the pre-jump state.  Total wealth W
+    update with the jump's (x, v) at the pre-jump state, with the weights
+    of the segment's last grid point.  Total wealth W
     follows its closed form between jumps and W+ = (1 - v) W- + |x| at a
     jump; strategies read that W.  The running sums are added once, over
     all records (``_record``).
@@ -640,15 +780,14 @@ def run_continuous(run: ProfileRun) -> Trajectory:
     t, y, w = 0.0, market.initial_wealth.copy(), float(traj.total[0])
     for k, (t_to, jump) in enumerate(events):
         span = t_to - t
-        y, acc[k], lam, cand = _integrate_segment(kernel, policy, t, t_to, y, w, run.dt)
+        y, acc[k], (lam, cand), end = _integrate_segment(kernel, policy, t, t_to, y, w, run.dt)
         w = _total_wealth(kernel, w, span)
         traj.dx[k] = b * span
         traj.dv[k] = v_rate * span
         keep[k] = math.exp(-v_rate * span)
         if jump is not None:
             x, v = jump
-            lam, cand, _ = _drift_rates(kernel, policy, np.array([t_to]), np.array([w]))
-            lam, cand = lam[0], cand[0]
+            lam, cand = end
             y = discrete_step(y, lam, x, v)
             size = float(x.sum())
             traj.z_jump[k] = size / w - v

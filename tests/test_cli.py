@@ -425,6 +425,37 @@ class TestMainEntryPoint:
         assert err.count(message) == 2
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "where", ["$.horizon", "$.market.initial_wealth[1]"]
+    )
+    def test_huge_integer_literal_is_a_config_error(self, tmp_path, capsys, where):
+        # json reads a 400-digit literal as an int, which float() cannot convert
+        data = minimal_config()
+        if where == "$.horizon":
+            data["horizon"] = 10**400
+        else:
+            data["market"]["initial_wealth"] = [1.0, 10**400]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        message = f"config error: {where}: numbers must be finite, got an integer too large for a double"
+        assert err.count(message) == 2
+        assert not out_dir.exists()
+
+    def test_integer_literal_past_the_digit_limit_is_a_config_error(self, tmp_path, capsys):
+        # Python refuses to read an int of more than 4,300 digits from text
+        text = json.dumps(minimal_config(horizon=1)).replace('"horizon": 1', '"horizon": ' + "1" * 5000)
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        out_dir = tmp_path / "out"
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err.count("config error: $: not valid JSON") == 2
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("grid", ["nan", "inf"])
     def test_non_finite_grid_is_a_config_error(self, tmp_path, capsys, grid):
         path = tmp_path / "cfg.json"

@@ -552,6 +552,27 @@ class TestRunContinuous:
         np.testing.assert_array_equal(traj.pressure, 0.0)
         np.testing.assert_array_equal(traj.gap_integral, 0.0)
 
+    def test_a_jump_reuses_its_segment_end_point(self, monkeypatch):
+        # the policy runs once per grid chunk and not again at a jump: the
+        # segment's last grid point is the jump time itself
+        kernel = KernelSpec(
+            jump_atoms=(((1.0, 0.0), 0.1, 2.0),), drift=(0.4, 0.2), v_rate=0.3, gamma_v=0.1
+        )
+        spec = MarketSpec(2, 2, [1.0, 1.5], payoff_model=kernel)
+        handles = [survival_strategy(), constant_strategy([0.3, 0.7])]
+        times, drift_rates = [], engine._drift_rates
+
+        def spy(kernel, policy, t, w):
+            times.append(t.copy())
+            return drift_rates(kernel, policy, t, w)
+
+        monkeypatch.setattr(engine, "_drift_rates", spy)
+        traj = run_continuous(ProfileRun(spec, handles, 3.0, RngStream(2), record_dt=1.0))
+        assert traj.is_jump.sum() >= 2
+        assert len(times) == traj.n_records  # one grid chunk per segment
+        for k in range(traj.n_records):
+            assert times[k][-1] == traj.times[k + 1]
+
     def test_chunk_temporaries_do_not_grow_with_the_segment(self, monkeypatch):
         # one jump-free segment, no recording grid: the tracemalloc peak
         # beyond the trajectory's own arrays must not grow from 2 chunks to 8
