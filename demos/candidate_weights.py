@@ -61,7 +61,7 @@ rng = RngStream(seed=2024).generator()
 exact = candidate(model, 1.0)
 for n in (100, 10_000, 1_000_000):
     mc = evaluate(survival_mc_strategy(n), model, 0.0, None, 1.0, rng)
-    err = np.max(np.abs(mc.weights - exact.weights))
+    err = np.max(np.abs(mc - exact))
     print(f"  n={n:>9,}: estimate = ({mc[0]:.6f}, {mc[1]:.6f}), err = {err:.2e}")
 
 # ── Continuous time: kernel claims plus drift ──────────────────────────
@@ -73,10 +73,10 @@ kernel = KernelSpec(
     drift=(0.0, 0.0),
 )
 print(f"  claim rates at W=1: {expected_claim_rates(kernel, 1.0)}")
-print(f"  candidate:          {candidate(kernel, 1.0).weights}  [= (1/3, 2/3)]")
+print(f"  candidate:          {candidate(kernel, 1.0)}  [= (1/3, 2/3)]")
 
 drifty = KernelSpec(jump_atoms=(), drift=(3.0, 1.0))
-print(f"  pure drift (3,1):   {candidate(drifty, 1.0).weights}  [= (3/4, 1/4)]")
+print(f"  pure drift (3,1):   {candidate(drifty, 1.0)}  [= (3/4, 1/4)]")
 
 # ── Invariance under the operational-clock choice ──────────────────────
 print()

@@ -78,9 +78,9 @@ print("Mechanism: the exact one-step drift of ln r + gap * dH, enumerated")
 print("over the model's outcomes, is non-negative.  At even shares:")
 w = float(traj.total[0])
 cand = evaluate(survival_strategy(), model, 0.0, None, w)
-lam = np.array([cand.weights, [0.5, 0.5], cand.weights])
+lam = np.array([cand, [0.5, 0.5], cand])
 y = np.full(3, w / 3)
 for m, label in ((0, "candidate"), (1, "constant ")):
     drift = submartingale_check(model, lam, y, tracked=m)
     print(f"  tracked {label}: drift = {drift:+.6f}  (gap to candidate: "
-          f"{gibbs_gap(cand.weights, lam[m]):.6f})")
+          f"{gibbs_gap(cand, lam[m]):.6f})")

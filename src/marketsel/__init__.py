@@ -10,14 +10,7 @@ of all survival strategies, dominance over diverging competitors, and
 growth-rate optimality.
 """
 
-from .core import (
-    DomainError,
-    MarketSpec,
-    SimplexVector,
-    Trajectory,
-    make_simplex,
-    validate_market,
-)
+from .core import DomainError, MarketSpec, Trajectory, make_simplex
 from .diagnostics import (
     GrowthSeries,
     IdentityReport,

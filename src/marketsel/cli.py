@@ -17,7 +17,10 @@ sorted keys, so on one machine with one numpy and BLAS build identical
 inputs give byte-identical files, and parallel seed execution matches
 serial execution exactly.  Small markets (``engine.FLOAT_CELLS``) and
 the continuous diagnostics do not depend on the BLAS kernel either;
-wide markets may differ in the last bits between machines.
+wide markets may differ in the last bits between machines.  numpy also
+picks its ``exp`` and ``log`` loops by CPU feature (AVX-512 or not), so
+the last bits of runs that take them, continuous runs and wide Markov
+markets among them, can differ between CPUs even with one build.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 """
@@ -37,7 +40,7 @@ from typing import Optional
 import jsonschema
 import numpy as np
 
-from .core import DomainError, MarketSpec, SimplexVector, Trajectory
+from .core import DomainError, MarketSpec, Trajectory, as_simplex
 from .diagnostics import run_summary, wilson_interval
 from .engine import ProfileRun, run as run_engine
 from .payoffs import DiscreteIIDModel, KernelSpec, MarkovModulatedModel, RngStream
@@ -45,7 +48,7 @@ from .scenarios import get_scenario, list_scenarios
 from .strategies import (
     PerturbationSchedule,
     constant_strategy,
-    mc_samples,
+    handle_errors,
     perturbed,
     survival_mc_strategy,
     survival_strategy,
@@ -154,7 +157,7 @@ def _build_iid(spec: dict, errors: list, path: str):
 
 def _simplex(values, errors: list, path: str):
     try:
-        return SimplexVector(np.asarray(values, dtype=float))
+        return as_simplex(values)
     except DomainError as exc:
         errors.append(f"{path}: {exc}")
         return None
@@ -258,12 +261,9 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
             f"$.strategies: need exactly one strategy per investor "
             f"(got {len(strategies)}, expected {n_inv})"
         )
-    if isinstance(model, KernelSpec):
-        for i, handle in enumerate(strategies):
-            if handle is not None and mc_samples(handle) > 0:
-                errors.append(
-                    f"$.strategies[{i}]: survival_mc needs a finite-support discrete model"
-                )
+    for i, handle in enumerate(strategies):
+        if handle is not None and model is not None:
+            errors += [f"$.strategies[{i}]{p}: {msg}" for p, msg in handle_errors(handle, model)]
 
     seeds = _expand_seeds(data["seeds"])
     errors += _seed_errors(seeds, "$.seeds")
@@ -350,9 +350,9 @@ def trajectory_csv(traj: Trajectory) -> str:
 def run_seed(cfg: ScenarioConfig, seed: int, *, csv_path: Optional[str] = None) -> dict:
     """Execute one seed of a parsed scenario; the worker unit for parallel batches.
 
-    With ``csv_path`` the trajectory CSV is written there by the process
-    that ran the seed, so its text never crosses a process pool; without
-    it the result carries the text under ``"csv"``.
+    Returns {"seed", "summary"}.  With ``csv_path`` the trajectory CSV is
+    written there by the process that ran the seed, so its text never
+    crosses a process pool; without it no CSV is rendered.
     """
     traj = run_engine(build_run(cfg, seed))
     recording = traj.validate()
@@ -360,14 +360,10 @@ def run_seed(cfg: ScenarioConfig, seed: int, *, csv_path: Optional[str] = None) 
     summary["seed"] = seed
     if recording:
         summary["recording_violations"] = recording
-    result = {"seed": seed, "summary": summary}
-    text = trajectory_csv(traj)
-    if csv_path is None:
-        result["csv"] = text
-    else:
+    if csv_path is not None:
         with open(csv_path, "w") as fh:
-            fh.write(text)
-    return result
+            fh.write(trajectory_csv(traj))
+    return {"seed": seed, "summary": summary}
 
 
 def _csv_path(out_dir: str, name: str, seed: int) -> str:
@@ -426,9 +422,8 @@ def run_batch(
     recorded as {"seed", "error"} entries rather than aborting the batch.
     With ``out_dir`` every seed writes ``<name>_seed<seed>.csv`` there
     itself, and an OSError from that write aborts the batch; without it
-    each entry carries its CSV text under ``"csv"``.  Results are
-    keyed and ordered by seed, so the output is identical for any job
-    count.
+    no CSV is rendered.  Results are keyed and ordered by seed, so the
+    output is identical for any job count.
     """
     batch = sorted(seeds) if seeds is not None else list(cfg.seeds)
 

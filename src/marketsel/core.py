@@ -46,45 +46,27 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SimplexVector:
-    """A point of the standard simplex: non-negative weights summing to one."""
+def as_simplex(x) -> np.ndarray:
+    """A validated, read-only float copy of a point of the standard simplex.
 
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = as_vector(self.weights, "weights")
-        if w.size == 0:
-            raise DomainError("simplex vector needs at least one component")
-        if np.any(w < 0.0):
-            raise DomainError("simplex components must be non-negative")
-        if abs(w.sum() - 1.0) > SUM_ATOL:
-            raise DomainError(f"simplex components must sum to 1, got {w.sum()!r}")
-        object.__setattr__(self, "weights", _freeze(w))
-
-    def __len__(self) -> int:
-        return self.weights.size
-
-    def __getitem__(self, idx):
-        return self.weights[idx]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.weights, dtype=dtype)
-
-    @classmethod
-    def _trusted(cls, weights: np.ndarray) -> "SimplexVector":
-        # Fast path for weights that are valid by construction (already
-        # normalized from validated non-negative inputs).
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "weights", weights)
-        return obj
+    The point must be a non-empty 1-d vector of finite, non-negative
+    weights summing to 1 within ``SUM_ATOL``; otherwise DomainError.
+    """
+    w = as_vector(x, "weights")
+    if w.size == 0:
+        raise DomainError("simplex vector needs at least one component")
+    if np.any(w < 0.0):
+        raise DomainError("simplex components must be non-negative")
+    if abs(w.sum() - 1.0) > SUM_ATOL:
+        raise DomainError(f"simplex components must sum to 1, got {w.sum()!r}")
+    return _freeze(w)
 
 
-def make_simplex(raw) -> SimplexVector:
-    """Normalize a non-negative vector onto the simplex: ``simplex_rows`` of one row."""
+def make_simplex(raw) -> np.ndarray:
+    """Normalize a non-negative vector onto the simplex: ``simplex_rows`` of one row, read-only."""
     out = simplex_rows(as_vector(raw, "raw")[None, :])[0]
     out.flags.writeable = False
-    return SimplexVector._trusted(out)
+    return out
 
 
 def simplex_rows(raw: np.ndarray) -> np.ndarray:
@@ -143,28 +125,6 @@ class MarketSpec:
         object.__setattr__(
             self, "initial_wealth", _freeze(np.asarray(self.initial_wealth, dtype=float))
         )
-
-
-def validate_market(spec: MarketSpec) -> list[str]:
-    """Report invariant violations of a market spec (empty list when valid)."""
-    violations = []
-    if spec.num_investors < 2:
-        violations.append("at least 2 investors required")
-    if spec.num_assets < 2:
-        violations.append("at least 2 assets required")
-    y0 = np.asarray(spec.initial_wealth, dtype=float)
-    if y0.ndim != 1 or y0.size != spec.num_investors:
-        violations.append(
-            f"initial wealth must list one value per investor "
-            f"(got {y0.size}, expected {spec.num_investors})"
-        )
-    if not np.all(np.isfinite(y0)):
-        violations.append("initial wealth must be finite")
-    elif np.any(y0 <= 0.0):
-        violations.append("initial wealth must be strictly positive")
-    if spec.payoff_model is None:
-        violations.append("a payoff model is required")
-    return violations
 
 
 @dataclass

@@ -76,7 +76,7 @@ def submartingale_check(model, weights, y_prev, tracked: int, regime=None) -> fl
     claim = discrete_claim_vector(model, regime, w)
     cand = make_simplex(claim)
     d_pressure = float(claim.sum()) / w
-    gap = gibbs_gap(cand.weights, lam[tracked])
+    gap = gibbs_gap(cand, lam[tracked])
     expected_log_rel = 0.0
     for prob, payoff, delta in support:
         y_next = discrete_step(y, lam, payoff, delta)

@@ -89,9 +89,16 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DomainError, MarketSpec, SimplexVector, Trajectory, divergence_rows, simplex_rows
+from .core import DomainError, MarketSpec, Trajectory, divergence_rows, simplex_rows
 from .payoffs import KernelSpec, RngStream, _sample_arrays, expected_claim_rates, next_jump
-from .strategies import Policy, block_weights, discrete_claim_vector, mc_samples, regime_groups
+from .strategies import (
+    Policy,
+    block_weights,
+    discrete_claim_vector,
+    handle_errors,
+    mc_samples,
+    regime_groups,
+)
 
 # Neither engine calls this per decision any more, but perfbench's tracer
 # rebinds it by name in this module, so it stays importable here.
@@ -144,7 +151,7 @@ class ProfileRun:
     record_dt: Optional[float] = None
 
     def __post_init__(self):
-        # The game proper needs M >= 2 (validate_market reports that), but
+        # The game proper needs M >= 2 (the config schema requires it), but
         # the engine also runs degenerate single-investor markets, which
         # have closed-form dynamics and serve as integration oracles.
         market = self.market
@@ -157,6 +164,9 @@ class ProfileRun:
             raise DomainError("market needs a payoff model")
         if len(self.strategies) != self.market.num_investors:
             raise DomainError("need exactly one strategy per investor")
+        for m, handle in enumerate(self.strategies):
+            for path, msg in handle_errors(handle, market.payoff_model):
+                raise DomainError(f"strategy {m}{path}: {msg}")
         if not self.horizon >= 0:
             raise DomainError("horizon must be >= 0")
         if not self.dt > 0:
@@ -405,13 +415,14 @@ def _stage(policy, model, t, groups, w, uniforms, lam):
     return cand, rates
 
 
-def evaluate(handle, env, t: float, regime, w_minus: float, rng=None) -> SimplexVector:
+def evaluate(handle, env, t: float, regime, w_minus: float, rng=None) -> np.ndarray:
     """``handle``'s weights at one decision point: the policy stage on a block of one.
 
     ``env`` is the payoff model (discrete or Markov) or kernel the market
     runs on, ``regime`` the emitting regime (None for an i.i.d. model or a
     kernel) and ``w_minus`` the total wealth.  A Monte Carlo handle draws
-    its uniforms from ``rng``, one row of ``mc_samples(handle)``.
+    its uniforms from ``rng``, one row of ``mc_samples(handle)``.  Returns
+    a read-only (N,) array.
     """
     n_samples = mc_samples(handle)
     if n_samples and rng is None:
@@ -424,7 +435,7 @@ def evaluate(handle, env, t: float, regime, w_minus: float, rng=None) -> Simplex
     block_weights(Policy([handle]), env, t, groups, w, cand, uniforms, out)
     weights = out[0, 0]
     weights.flags.writeable = False
-    return SimplexVector._trusted(weights)
+    return weights
 
 
 def _running(acc: np.ndarray, k: int, inc: np.ndarray, op=np.add) -> None:

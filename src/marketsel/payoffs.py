@@ -140,9 +140,6 @@ class MarkovModulatedModel:
     def gamma_v(self) -> float:
         return max(m.gamma_v for m in self.regimes)
 
-    def support_arrays(self, regime_state: int):
-        return self.regimes[regime_state].support_arrays()
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -251,6 +248,9 @@ def _sample_arrays(model, regime_state, u: np.ndarray):
 def _emitter(model, regime_state) -> DiscreteIIDModel:
     """The i.i.d. model that emits in ``regime_state`` (None for an i.i.d. model)."""
     if isinstance(model, MarkovModulatedModel):
+        n = len(model.states)
+        if regime_state not in range(n):
+            raise DomainError(f"regime must lie in range({n}), got {regime_state!r}")
         return model.regimes[regime_state]
     if isinstance(model, DiscreteIIDModel):
         return model

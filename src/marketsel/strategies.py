@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DomainError, SimplexVector, simplex_rows
-from .payoffs import DiscreteIIDModel, _atom_index, _emitter
+from .core import DomainError, as_simplex, simplex_rows
+from .payoffs import DiscreteIIDModel, KernelSpec, MarkovModulatedModel, _atom_index, _emitter
 
 
 def discrete_claim_vector(model, regime_state, w_prev) -> np.ndarray:
@@ -135,17 +135,16 @@ class StrategyHandle:
     """
 
     kind: str
-    weights: Optional[SimplexVector] = None
+    weights: Optional[np.ndarray] = None
     n_samples: int = 0
     base: Optional["StrategyHandle"] = None
     schedule: Optional[PerturbationSchedule] = None
-    target: Optional[SimplexVector] = None
+    target: Optional[np.ndarray] = None
     table: Optional[tuple] = None
 
 
 def constant_strategy(weights) -> StrategyHandle:
-    w = weights if isinstance(weights, SimplexVector) else SimplexVector(np.asarray(weights, float))
-    return StrategyHandle(kind="constant", weights=w)
+    return StrategyHandle(kind="constant", weights=as_simplex(weights))
 
 
 def survival_strategy() -> StrategyHandle:
@@ -160,8 +159,7 @@ def survival_mc_strategy(n_samples: int) -> StrategyHandle:
 
 def perturbed(base: StrategyHandle, schedule: PerturbationSchedule, target) -> StrategyHandle:
     """Blend ``base`` toward ``target`` by the schedule's fraction."""
-    t = target if isinstance(target, SimplexVector) else SimplexVector(np.asarray(target, float))
-    return StrategyHandle(kind="perturbed", base=base, schedule=schedule, target=t)
+    return StrategyHandle(kind="perturbed", base=base, schedule=schedule, target=as_simplex(target))
 
 
 def table_strategy(default, per_regime=None) -> StrategyHandle:
@@ -176,8 +174,7 @@ def table_strategy(default, per_regime=None) -> StrategyHandle:
             if t_from <= last:
                 raise DomainError("table breakpoints must be strictly increasing")
             last = t_from
-            wv = w if isinstance(w, SimplexVector) else SimplexVector(np.asarray(w, float))
-            rows.append((t_from, wv))
+            rows.append((t_from, as_simplex(w)))
         if not rows:
             raise DomainError("table needs at least one entry")
         return tuple(rows)
@@ -211,6 +208,43 @@ def mc_samples(handle: StrategyHandle) -> int:
     if handle.kind == "perturbed":
         return mc_samples(handle.base)
     return 0
+
+
+def handle_errors(handle: StrategyHandle, model) -> list:
+    """Why ``handle`` cannot run on ``model``: (path, message) pairs, paths relative to the handle.
+
+    A Monte Carlo leaf needs a finite-support model, every weight vector
+    one weight per asset, and a table's per-regime entries a regime of a
+    Markov model.  Paths follow the config layout.
+    """
+    n = model.num_assets
+    n_regimes = len(model.states) if isinstance(model, MarkovModulatedModel) else 0
+
+    def length(path, weights):
+        if weights.size == n:
+            return []
+        return [(path, f"need one weight per asset (got {weights.size}, expected {n})")]
+
+    errors = []
+    if isinstance(model, KernelSpec) and mc_samples(handle):
+        errors.append(("", "survival_mc needs a finite-support discrete model"))
+    path = ""
+    while handle.kind == "perturbed":
+        errors += length(f"{path}.target", handle.target)
+        path, handle = f"{path}.base", handle.base
+    if handle.kind == "constant":
+        errors += length(f"{path}.weights", handle.weights)
+    if handle.kind == "table":
+        default, regimes = handle.table
+        for j, (_, w) in enumerate(default):
+            errors += length(f"{path}.default[{j}][1]", w)
+        for r, entries in regimes or ():
+            if r not in range(n_regimes):
+                msg = f"no regime {r}: the payoff model has {n_regimes} regimes"
+                errors.append((f"{path}.regimes.{r}", msg))
+            for j, (_, w) in enumerate(entries):
+                errors += length(f"{path}.regimes.{r}[{j}][1]", w)
+    return errors
 
 
 def regime_groups(regimes):
@@ -255,7 +289,7 @@ class Policy:
             return [m for m, leaf in enumerate(leaves) if leaf.kind == kind]
 
         self.constant = of("constant")
-        self.constant_weights = np.array([leaves[m].weights.weights for m in self.constant])
+        self.constant_weights = np.array([leaves[m].weights for m in self.constant])
         self.exact = of("survival_exact")
         self.tables = of("table")
         self._table_defs = [leaves[m].table for m in self.tables]
@@ -271,7 +305,7 @@ class Policy:
             (
                 [m for m, _ in level],
                 [blend.schedule for _, blend in level],
-                np.array([blend.target.weights for _, blend in level]),
+                np.array([blend.target for _, blend in level]),
             )
             for level in levels
         ]
@@ -292,7 +326,7 @@ class Policy:
             entry = np.column_stack(
                 [first[h] + _table_index(e, probes) for h, e in enumerate(entries)]
             )
-            weights = np.array([w.weights for e in entries for _, w in e])
+            weights = np.array([w for e in entries for _, w in e])
             self._stacks[regime] = (breaks, entry, weights)
         return self._stacks[regime]
 

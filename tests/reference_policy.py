@@ -30,18 +30,18 @@ def reference_handle_block(handle, model, t, regimes, w, candidate, uniforms):
     """One handle's (B, N) weights over a block, resolved recursively."""
     kind = handle.kind
     if kind == "constant":
-        return np.broadcast_to(handle.weights.weights, candidate.shape)
+        return np.broadcast_to(handle.weights, candidate.shape)
     if kind == "survival_exact":
         return candidate
     if kind == "perturbed":
         base = reference_handle_block(handle.base, model, t, regimes, w, candidate, uniforms)
         eps = handle.schedule.epsilon(t)[:, None]
-        return (1.0 - eps) * base + eps * handle.target.weights
+        return (1.0 - eps) * base + eps * handle.target
     out = np.empty(candidate.shape)
     for r, sel in regime_groups(regimes):
         if kind == "table":
             entries = _table_entries(handle.table, r)
-            out[sel] = np.array([v.weights for _, v in entries])[_table_index(entries, t[sel])]
+            out[sel] = np.array([v for _, v in entries])[_table_index(entries, t[sel])]
         else:
             out[sel] = simplex_rows(reference_mc_claim(model, r, w[sel], uniforms[sel]))
     return out

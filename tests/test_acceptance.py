@@ -105,7 +105,7 @@ def test_criterion_2_one_step_submartingale():
                 rel = rng.dirichlet((1.0, 1.0))
                 total = rng.uniform(0.5, 5.0)
                 cand = evaluate(survival_strategy(), model, 1.0, None, total)
-                weights = np.array([cand.weights, rng.dirichlet((1.0, 1.0))])
+                weights = np.array([cand, rng.dirichlet((1.0, 1.0))])
                 drift = submartingale_check(model, weights, rel * total, tracked=0)
                 worst = min(worst, drift)
                 checked += 1
@@ -122,7 +122,7 @@ def test_criterion_3_closed_form_candidate():
         for w_prev in (0.1, 1.0, 100.0):
             for delta in (0.0, 0.5):
                 out = evaluate(survival_strategy(), two_point_model(p, delta), 1.0, None, w_prev)
-                err = np.max(np.abs(out.weights - [p, 1.0 - p]))
+                err = np.max(np.abs(out - [p, 1.0 - p]))
                 assert err <= CLOSED_FORM_TOL, (p, w_prev, delta, err)
     n = 100_000
     worst_sigmas = 0.0
@@ -130,7 +130,7 @@ def test_criterion_3_closed_form_candidate():
         rng = RngStream(seed=300 + i).generator()
         mc = evaluate(survival_mc_strategy(n), two_point_model(p, 0.0), 1.0, None, 1.0, rng)
         se = math.sqrt(p * (1.0 - p) / n)
-        worst_sigmas = max(worst_sigmas, abs(mc.weights[0] - p) / se)
+        worst_sigmas = max(worst_sigmas, abs(mc[0] - p) / se)
     assert worst_sigmas <= 5.0
     print(f"PASS criterion 3: closed form exact; MC within {worst_sigmas:.2f} SE at n=1e5")
 
@@ -286,7 +286,7 @@ def test_criterion_9_candidate_scale_invariance():
             drift=base_drift * c,
             gamma_v=0.2,
         )
-        out = evaluate(survival_strategy(), kernel, 0.0, None, 1.7).weights
+        out = evaluate(survival_strategy(), kernel, 0.0, None, 1.7)
         if reference is None:
             reference = out
         worst = max(worst, float(np.max(np.abs(out - reference))))

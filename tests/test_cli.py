@@ -11,6 +11,7 @@ import pytest
 
 from marketsel.cli import (
     ConfigError,
+    build_run,
     main,
     parse_config,
     parse_config_dict,
@@ -20,6 +21,7 @@ from marketsel.cli import (
     trajectory_csv,
 )
 from marketsel.engine import _alloc
+from marketsel.engine import run as run_engine
 from marketsel.scenarios import CATALOG, get_scenario, list_scenarios
 
 
@@ -43,6 +45,28 @@ def minimal_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+MARKOV_MODEL = {
+    "type": "markov",
+    "states": ["calm", "stress"],
+    "transition": [[0.9, 0.1], [0.5, 0.5]],
+    "initial_state": 0,
+    "regimes": [
+        {"atoms": [{"payoff": [1.0, 0.0], "delta": 0.0, "probability": 1.0}]},
+        {"atoms": [{"payoff": [0.0, 1.0], "delta": 0.0, "probability": 1.0}]},
+    ],
+}
+KERNEL_MODEL = {
+    "type": "kernel",
+    "jump_atoms": [{"payoff": [1.0, 0.0], "v": 0.0, "intensity": 1.0}],
+    "drift": [0.0, 0.0],
+}
+
+
+def seed_csv(cfg, seed):
+    """The trajectory CSV of one seed, rendered in this process."""
+    return trajectory_csv(run_engine(build_run(cfg, seed)))
 
 
 class TestParseConfig:
@@ -154,7 +178,7 @@ class TestParseConfig:
         assert cfg.strategies[0].kind == "perturbed"
 
     def test_table_strategy_parses(self):
-        data = minimal_config()
+        data = minimal_config(payoff_model=MARKOV_MODEL)
         data["strategies"][1] = {
             "kind": "table",
             "default": [[0, [0.5, 0.5]], [25, [0.8, 0.2]]],
@@ -174,53 +198,40 @@ class TestParseConfig:
         assert any("breakpoints" in msg for msg in err.value.errors)
 
     def test_markov_config_parses(self):
-        data = minimal_config()
-        data["payoff_model"] = {
-            "type": "markov",
-            "states": ["calm", "stress"],
-            "transition": [[0.9, 0.1], [0.5, 0.5]],
-            "initial_state": 0,
-            "regimes": [
-                {"atoms": [{"payoff": [1.0, 0.0], "delta": 0.0, "probability": 1.0}]},
-                {"atoms": [{"payoff": [0.0, 1.0], "delta": 0.0, "probability": 1.0}]},
-            ],
-        }
-        cfg = parse_config_dict(data)
+        cfg = parse_config_dict(minimal_config(payoff_model=MARKOV_MODEL))
         assert cfg.market.payoff_model.states == ("calm", "stress")
 
 
 class TestDeterminism:
     def test_same_seed_gives_byte_identical_csv(self):
         cfg = parse_config_dict(minimal_config())
-        first = run_seed(cfg, 1)["csv"]
-        second = run_seed(cfg, 1)["csv"]
-        assert first == second
+        assert seed_csv(cfg, 1) == seed_csv(cfg, 1)
 
     def test_different_seeds_differ(self):
         cfg = parse_config_dict(minimal_config())
-        assert run_seed(cfg, 1)["csv"] != run_seed(cfg, 2)["csv"]
+        assert seed_csv(cfg, 1) != seed_csv(cfg, 2)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, tmp_path):
         cfg = parse_config_dict(minimal_config(seeds=[0, 1, 2, 3]))
-        serial = run_batch(cfg, jobs=1)
-        parallel = run_batch(cfg, jobs=2)
+        (tmp_path / "serial").mkdir()
+        (tmp_path / "parallel").mkdir()
+        serial = run_batch(cfg, jobs=1, out_dir=str(tmp_path / "serial"))
+        parallel = run_batch(cfg, jobs=2, out_dir=str(tmp_path / "parallel"))
         for a, b in zip(serial["per_seed"], parallel["per_seed"]):
             assert a["seed"] == b["seed"]
-            assert a["csv"] == b["csv"]
+            name = f"mini_seed{a['seed']}.csv"
+            csv = (tmp_path / "serial" / name).read_bytes()
+            assert csv == (tmp_path / "parallel" / name).read_bytes()
             assert json.dumps(a["summary"], sort_keys=True) == json.dumps(
                 b["summary"], sort_keys=True
             )
 
     def test_csv_round_trips_doubles(self):
         cfg = parse_config_dict(minimal_config(seeds=[0]))
-        entry = run_seed(cfg, 0)
-        lines = entry["csv"].strip().splitlines()
+        lines = seed_csv(cfg, 0).strip().splitlines()
         header = lines[0].split(",")
         assert header[:2] == ["t", "Y1"]
         # every value re-parses to the exact double that produced it
-        from marketsel.cli import build_run
-        from marketsel.engine import run as run_engine
-
         traj = run_engine(build_run(cfg, 0))
         row = lines[1 + 7].split(",")
         assert float(row[0]) == traj.times[7]
@@ -228,8 +239,7 @@ class TestDeterminism:
         assert float(row[header.index("W")]) == traj.total[7]
 
     def test_trajectory_csv_layout(self):
-        entry = run_seed(parse_config_dict(minimal_config(seeds=[0])), 0)
-        lines = entry["csv"].strip().splitlines()
+        lines = seed_csv(parse_config_dict(minimal_config(seeds=[0])), 0).strip().splitlines()
         assert lines[0] == "t,Y1,Y2,r1,r2,W,H,UH1,UH2,closeness1,closeness2"
         assert len(lines) == 1 + 51  # header + initial state + 50 steps
 
@@ -278,9 +288,6 @@ class TestTrajectoryCsv:
 
     def test_matches_per_value_renderer_on_a_run(self):
         cfg = parse_config_dict(minimal_config(horizon=60))
-        from marketsel.cli import build_run
-        from marketsel.engine import run as run_engine
-
         traj = run_engine(build_run(cfg, 4))
         assert trajectory_csv(traj) == per_value_csv(traj)
 
@@ -323,9 +330,21 @@ class TestRunScenario:
             out = tmp_path / f"jobs{jobs}"
             out.mkdir()
             result = run_batch(cfg, jobs=jobs, out_dir=str(out))
-            assert all("csv" not in entry for entry in result["per_seed"])
+            assert all(set(entry) == {"seed", "summary"} for entry in result["per_seed"])
             for seed in (0, 1, 2):
-                assert (out / f"mini_seed{seed}.csv").read_text() == run_seed(cfg, seed)["csv"]
+                assert (out / f"mini_seed{seed}.csv").read_text() == seed_csv(cfg, seed)
+
+    def test_without_out_dir_no_csv_is_rendered(self, monkeypatch):
+        import marketsel.cli as cli_mod
+
+        def no_csv(traj):
+            raise AssertionError("rendered a CSV")
+
+        monkeypatch.setattr(cli_mod, "trajectory_csv", no_csv)
+        cfg = parse_config_dict(minimal_config(seeds=[0, 1]))
+        assert run_seed(cfg, 0).keys() == {"seed", "summary"}
+        result = run_batch(cfg)
+        assert [entry.keys() for entry in result["per_seed"]] == [{"seed", "summary"}] * 2
 
     def test_unwritable_csv_is_a_runtime_failure(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -504,6 +523,46 @@ class TestMainEntryPoint:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_config(seeds=[1, 1])))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "model, strategy, where",
+        [
+            (None, {"kind": "constant", "weights": [0.2, 0.3, 0.5]}, "$.strategies[1].weights"),
+            (None, {"kind": "perturbed", "base": {"kind": "survival_exact"},
+                    "schedule": {"kind": "zero"}, "target": [0.2, 0.3, 0.5]},
+             "$.strategies[1].target"),
+            (None, {"kind": "table", "default": [[0, [0.5, 0.5]], [5, [0.2, 0.3, 0.5]]]},
+             "$.strategies[1].default[1][1]"),
+            (MARKOV_MODEL, {"kind": "table", "default": [[0, [0.5, 0.5]]],
+                            "regimes": {"1": [[0, [0.5, 0.5]], [5, [0.2, 0.3, 0.5]]]}},
+             "$.strategies[1].regimes.1[1][1]"),
+            (MARKOV_MODEL, {"kind": "table", "default": [[0, [0.5, 0.5]]],
+                            "regimes": {"7": [[0, [0.4, 0.6]]]}},
+             "$.strategies[1].regimes.7"),
+            (None, {"kind": "table", "default": [[0, [0.5, 0.5]]],
+                    "regimes": {"0": [[0, [0.4, 0.6]]]}},
+             "$.strategies[1].regimes.0"),
+            (KERNEL_MODEL, {"kind": "table", "default": [[0, [0.5, 0.5]]],
+                            "regimes": {"0": [[0, [0.4, 0.6]]]}},
+             "$.strategies[1].regimes.0"),
+        ],
+        ids=["constant", "perturbed-target", "table-entry", "regime-entry", "unknown-regime",
+             "regimes-on-iid", "regimes-on-kernel"],
+    )
+    def test_strategy_that_does_not_fit_the_model_is_a_config_error(
+        self, tmp_path, capsys, model, strategy, where
+    ):
+        # a weight vector needs one weight per asset, and a table's regimes
+        # key a regime of a markov model; both commands report the path
+        data = minimal_config(horizon=2.0 if model is KERNEL_MODEL else 50)
+        data["payoff_model"] = model or data["payoff_model"]
+        data["strategies"][1] = strategy
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            assert main([*argv, "--config", str(path)]) == 1
+            assert f"config error: {where}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_run_requires_some_config(self, tmp_path):
         assert main(["run", "--out", str(tmp_path)]) == 1

@@ -1,5 +1,5 @@
-"""Core domain-type tests: simplex normalization, market validation and
-the invariants of recorded trajectories."""
+"""Core domain-type tests: simplex normalization and validation, market
+validation and the invariants of recorded trajectories."""
 
 import numpy as np
 import pytest
@@ -13,14 +13,18 @@ from marketsel import (
     MarketSpec,
     ProfileRun,
     RngStream,
-    SimplexVector,
     constant_strategy,
+    evaluate,
     make_simplex,
+    perturbed,
     run,
     survival_strategy,
-    validate_market,
+    table_strategy,
 )
-from marketsel.scenarios import two_point_model
+from marketsel.cli import ConfigError, parse_config_dict
+from marketsel.core import as_simplex
+from marketsel.scenarios import get_scenario, two_point_model
+from marketsel.strategies import PerturbationSchedule
 
 STRUCT_TOL = 1e-12
 SCALE_TOL = 1e-14
@@ -29,21 +33,21 @@ SCALE_TOL = 1e-14
 class TestMakeSimplex:
     def test_hand_normalization(self):
         out = make_simplex([0.3, 0.9])
-        np.testing.assert_allclose(out.weights, [0.25, 0.75], atol=STRUCT_TOL, rtol=0)
+        np.testing.assert_allclose(out, [0.25, 0.75], atol=STRUCT_TOL, rtol=0)
 
     def test_zero_mass_maps_to_uniform(self):
         out = make_simplex([0.0, 0.0])
-        np.testing.assert_array_equal(out.weights, [0.5, 0.5])
+        np.testing.assert_array_equal(out, [0.5, 0.5])
 
     def test_denormal_mass_treated_as_zero(self):
         out = make_simplex([1e-310, 1e-312])
-        np.testing.assert_array_equal(out.weights, [0.5, 0.5])
+        np.testing.assert_array_equal(out, [0.5, 0.5])
 
     @pytest.mark.parametrize("c", [1e-8, 1e-3, 1.0, 7.5, 1e3, 1e8])
     def test_scale_invariance(self, c):
         x = np.array([0.2, 1.4, 0.0, 3.1])
-        base = make_simplex(x).weights
-        scaled = make_simplex(c * x).weights
+        base = make_simplex(x)
+        scaled = make_simplex(c * x)
         np.testing.assert_allclose(scaled, base, atol=SCALE_TOL, rtol=0)
 
     @given(
@@ -59,16 +63,16 @@ class TestMakeSimplex:
     )
     @settings(max_examples=200)
     def test_scale_invariance_property(self, raw, c):
-        base = make_simplex(raw).weights
-        scaled = make_simplex(c * np.asarray(raw)).weights
+        base = make_simplex(raw)
+        scaled = make_simplex(c * np.asarray(raw))
         assert np.max(np.abs(scaled - base)) <= SCALE_TOL
 
     @given(raw=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=2, max_size=8))
     @settings(max_examples=200)
     def test_output_is_valid_simplex(self, raw):
         out = make_simplex(raw)
-        assert np.all(out.weights >= 0.0)
-        assert abs(out.weights.sum() - 1.0) <= STRUCT_TOL
+        assert np.all(out >= 0.0)
+        assert abs(out.sum() - 1.0) <= STRUCT_TOL
 
     def test_rejects_negative_components(self):
         with pytest.raises(DomainError):
@@ -82,41 +86,80 @@ class TestMakeSimplex:
 
 
 class TestSimplexVector:
+    """``as_simplex``: the validated, read-only weight vectors that handles hold."""
+
     def test_valid_construction(self):
-        v = SimplexVector(np.array([0.25, 0.75]))
-        assert len(v) == 2
+        v = as_simplex([0.25, 0.75])
+        assert v.shape == (2,) and v.dtype == np.float64
         assert v[1] == 0.75
 
     def test_rejects_bad_sum(self):
-        with pytest.raises(DomainError):
-            SimplexVector(np.array([0.5, 0.6]))
+        with pytest.raises(DomainError, match="sum to 1"):
+            as_simplex(np.array([0.5, 0.6]))
 
     def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            SimplexVector(np.array([-0.1, 1.1]))
+        with pytest.raises(DomainError, match="non-negative"):
+            as_simplex(np.array([-0.1, 1.1]))
+        with pytest.raises(DomainError, match="1-d"):
+            as_simplex([[0.5, 0.5]])
+        with pytest.raises(DomainError, match="at least one"):
+            as_simplex([])
+        with pytest.raises(DomainError, match="finite"):
+            as_simplex([np.nan, 1.0])
 
     def test_weights_are_read_only(self):
-        v = SimplexVector(np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            v.weights[0] = 0.9
+        raw = np.array([0.5, 0.5])
+        v = as_simplex(raw)
+        raw[0] = 0.9  # a copy: the caller's array does not reach the vector
+        assert v[0] == 0.5
+        model = two_point_model(0.6, 0.5)
+        table = table_strategy([(0.0, raw / raw.sum())], {0: [(0.0, [0.2, 0.8])]})
+        held = [
+            v,
+            make_simplex([0.3, 0.9]),
+            evaluate(survival_strategy(), model, 0.0, None, 1.0),
+            constant_strategy(v).weights,
+            perturbed(survival_strategy(), PerturbationSchedule("zero"), v).target,
+            table.table[0][0][1],
+            table.table[1][0][1][0][1],
+        ]
+        for w in held:
+            with pytest.raises(ValueError):
+                w[0] = 0.9
+
+
+def _market(**changes):
+    """The dominance-2pt config's market and strategies, with ``changes`` applied."""
+    cfg = parse_config_dict(get_scenario("dominance-2pt").config)
+    spec = {
+        "num_investors": 2, "num_assets": 2, "initial_wealth": cfg.market.initial_wealth,
+        "payoff_model": cfg.market.payoff_model, **changes,
+    }
+    return ProfileRun(MarketSpec(**spec), list(cfg.strategies), 10, RngStream(0))
 
 
 class TestValidateMarket:
+    """A market is checked where it enters: the config schema and ``ProfileRun``."""
+
     def test_valid_market_is_clean(self):
-        spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=two_point_model(0.5, 0.0))
-        assert validate_market(spec) == []
+        assert run(_market()).validate() == []
 
     def test_single_investor_flagged(self):
-        spec = MarketSpec(1, 2, [1.0], payoff_model=two_point_model(0.5, 0.0))
-        assert any("2 investors" in v for v in validate_market(spec))
+        data = get_scenario("dominance-2pt").config
+        data = {**data, "market": {**data["market"], "investors": 1, "initial_wealth": [1.0]}}
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict(data)
+        assert any(msg.startswith("$.market.investors:") for msg in err.value.errors)
 
     def test_zero_wealth_flagged(self):
-        spec = MarketSpec(2, 2, [1.0, 0.0], payoff_model=two_point_model(0.5, 0.0))
-        assert any("strictly positive" in v for v in validate_market(spec))
+        with pytest.raises(DomainError, match="strictly positive"):
+            _market(initial_wealth=[1.0, 0.0])
+        with pytest.raises(DomainError, match="one value per investor"):
+            _market(initial_wealth=[1.0])
 
     def test_missing_model_flagged(self):
-        spec = MarketSpec(2, 2, [1.0, 1.0])
-        assert any("payoff model" in v for v in validate_market(spec))
+        with pytest.raises(DomainError, match="payoff model"):
+            _market(payoff_model=None)
 
 
 def _runs():

@@ -221,7 +221,7 @@ class TestSubmartingaleCheck:
             r = rng.dirichlet((1.0, 1.0))
             w = rng.uniform(0.5, 5.0)
             cand = evaluate(survival_strategy(), model, 1.0, None, w)
-            lam = np.array([cand.weights, rng.dirichlet((1.0, 1.0))])
+            lam = np.array([cand, rng.dirichlet((1.0, 1.0))])
             drift = submartingale_check(model, lam, r * w, tracked=0)
             assert drift >= -EXACT_TOL
 
@@ -242,7 +242,7 @@ class TestSubmartingaleCheck:
         for regime in (0, 1):
             cand = evaluate(survival_strategy(), model, 1.0, regime, 2.0)
             for _ in range(50):
-                lam = np.array([cand.weights, rng.dirichlet((1.0, 1.0))])
+                lam = np.array([cand, rng.dirichlet((1.0, 1.0))])
                 drift = submartingale_check(model, lam, [1.0, 1.0], tracked=0, regime=regime)
                 assert drift >= -EXACT_TOL
 

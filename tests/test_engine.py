@@ -8,6 +8,7 @@ growth) and the jump-replay equivalence.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -690,3 +691,20 @@ class TestProfileRunValidation:
         spec = MarketSpec(2, 2, [1.0, 0.0], payoff_model=two_point_model(0.5, 0.0))
         with pytest.raises(DomainError):
             ProfileRun(spec, [constant_strategy([0.5, 0.5])] * 2, 10, RngStream(0))
+
+    @pytest.mark.parametrize(
+        "handle, where",
+        [
+            (constant_strategy([0.2, 0.3, 0.5]), "strategy 1.weights"),
+            (perturbed(survival_strategy(), PerturbationSchedule("zero"), [0.2, 0.3, 0.5]),
+             "strategy 1.target"),
+            (table_strategy([(0, [0.5, 0.5]), (5, [0.2, 0.3, 0.5])]), "strategy 1.default[1][1]"),
+            (table_strategy([(0, [0.5, 0.5])], {0: [(0, [0.5, 0.5])]}), "strategy 1.regimes.0"),
+        ],
+        ids=["constant", "perturbed-target", "table-entry", "regime-key-on-iid"],
+    )
+    def test_handle_must_fit_the_model(self, handle, where):
+        # one weight per asset, and per-regime entries only for regimes the model has
+        spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=two_point_model(0.5, 0.0))
+        with pytest.raises(DomainError, match=rf"^{re.escape(where)}: "):
+            ProfileRun(spec, [survival_strategy(), handle], 10, RngStream(0))

@@ -93,7 +93,7 @@ def reference_run_discrete(run: ProfileRun, rng: np.random.Generator):
     for t in range(1, t_end + 1):
         claim = discrete_claim_vector(model, regime, w)
         cand = make_simplex(claim)
-        cand_w = cand.weights
+        cand_w = cand
         lam = reference_weights(run.strategies, model, t, regime, w, cand_w, rng)
         dx, dv, abs_dx, regime = reference_sample(model, regime, rng)
         y = discrete_step(y, lam, dx, dv)
@@ -256,7 +256,7 @@ def _reference_drift_rates(kernel, handles, t, y, w):
     """
     claim = expected_claim_rates(kernel, w)
     cand = make_simplex(claim + kernel.drift)
-    cand_w = cand.weights
+    cand_w = cand
     m_inv = y.size
     lam = reference_weights(handles, kernel, t, None, w, cand_w)
     b = kernel.drift
@@ -354,8 +354,8 @@ def reference_run_continuous(run: ProfileRun, rng: np.random.Generator):
             x, v = jump
             claim = expected_claim_rates(kernel, w1)
             cand_vec = make_simplex(claim + b)
-            lam = reference_weights(handles, kernel, t_to, None, w1, cand_vec.weights)
-            cand = cand_vec.weights
+            lam = reference_weights(handles, kernel, t_to, None, w1, cand_vec)
+            cand = cand_vec
             y1 = discrete_step(y1, lam, x, v)
             zj = float(x.sum()) / w1 - v
             w1 = (1.0 - v) * w1 + float(x.sum())

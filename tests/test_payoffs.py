@@ -16,9 +16,13 @@ from marketsel import (
     KernelSpec,
     MarkovModulatedModel,
     RngStream,
+    discrete_claim_vector,
     enumerate_support,
+    evaluate,
     expected_claim_rates,
     next_jump,
+    submartingale_check,
+    survival_strategy,
 )
 from marketsel.payoffs import _sample_arrays
 
@@ -157,6 +161,26 @@ class TestEnumerateSupport:
         )
         probs = [p for p, _, _ in enumerate_support(model, 1)]
         assert probs == [0.9, pytest.approx(0.1)]
+
+    @pytest.mark.parametrize("regime", [None, -1, 2])
+    def test_markov_regime_must_exist(self, regime):
+        # every caller resolves the emitting regime through one lookup, and
+        # -1 must not index from the end (it would give regime 1)
+        model = MarkovModulatedModel(
+            states=("calm", "stress"),
+            transition=np.array([[0.5, 0.5], [0.5, 0.5]]),
+            regimes=(_two_asset_iid(0.3), _two_asset_iid(0.9)),
+        )
+        lam, y = np.full((2, 2), 0.5), np.ones(2)
+        calls = [
+            lambda: enumerate_support(model, regime),
+            lambda: discrete_claim_vector(model, regime, 1.0),
+            lambda: evaluate(survival_strategy(), model, 1.0, regime, 1.0),
+            lambda: submartingale_check(model, lam, y, tracked=0, regime=regime),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match=r"regime must lie in range\(2\)"):
+                call()
 
     def test_probabilities_sum_to_one(self):
         model = DiscreteIIDModel(

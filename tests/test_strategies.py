@@ -58,7 +58,7 @@ class TestSurvivalDiscreteExact:
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_two_point_closed_form(self, p, w_prev, delta):
         out = candidate(two_point_model(p, delta), w_prev)
-        np.testing.assert_allclose(out.weights, [p, 1.0 - p], atol=EXACT_TOL, rtol=0)
+        np.testing.assert_allclose(out, [p, 1.0 - p], atol=EXACT_TOL, rtol=0)
 
     def test_asymmetric_payoffs_hand_value(self):
         # atoms ((2,0) wp 1/2, (0,1) wp 1/2) at W=1: claims (1/3, 1/4) -> (4/7, 3/7)
@@ -66,14 +66,14 @@ class TestSurvivalDiscreteExact:
             atoms=(((2.0, 0.0), 0.0), ((0.0, 1.0), 0.0)), probabilities=(0.5, 0.5)
         )
         out = candidate(model, 1.0)
-        np.testing.assert_allclose(out.weights, [4 / 7, 3 / 7], atol=EXACT_TOL, rtol=0)
+        np.testing.assert_allclose(out, [4 / 7, 3 / 7], atol=EXACT_TOL, rtol=0)
 
     def test_symmetric_support_gives_uniform(self):
         model = DiscreteIIDModel(
             atoms=(((2.0, 1.0), 0.1), ((1.0, 2.0), 0.1)), probabilities=(0.5, 0.5)
         )
         out = candidate(model, 3.0)
-        np.testing.assert_allclose(out.weights, [0.5, 0.5], atol=EXACT_TOL, rtol=0)
+        np.testing.assert_allclose(out, [0.5, 0.5], atol=EXACT_TOL, rtol=0)
 
     @pytest.mark.parametrize("c", [1e-3, 0.7, 1.0, 13.0, 1e4])
     def test_joint_payoff_wealth_scaling_invariance(self, c):
@@ -86,7 +86,7 @@ class TestSurvivalDiscreteExact:
         w = 2.7
         out_base = candidate(base, w)
         out_scaled = candidate(scaled, c * w)
-        np.testing.assert_allclose(out_scaled.weights, out_base.weights, atol=1e-13, rtol=0)
+        np.testing.assert_allclose(out_scaled, out_base, atol=1e-13, rtol=0)
 
     def test_rejects_nonpositive_wealth(self):
         with pytest.raises(DomainError):
@@ -101,22 +101,22 @@ class TestSurvivalDiscreteMC:
         rng = RngStream(seed=11).generator()
         out = mc_estimate(model, 1.0, rng, 100_000)
         se = np.sqrt(0.3 * 0.7 / 100_000)
-        assert abs(out.weights[0] - 0.3) <= 5 * se
+        assert abs(out[0] - 0.3) <= 5 * se
 
     def test_single_atom_is_exact_at_n_one(self):
         model = DiscreteIIDModel(atoms=(((2.0, 1.0), 0.3),), probabilities=(1.0,))
         rng = RngStream(seed=12).generator()
         out = mc_estimate(model, 1.0, rng, 1)
         exact = candidate(model, 1.0)
-        np.testing.assert_allclose(out.weights, exact.weights, atol=EXACT_TOL, rtol=0)
+        np.testing.assert_allclose(out, exact, atol=EXACT_TOL, rtol=0)
 
     @pytest.mark.parametrize("n", [1, 2, 17, 1000])
     def test_estimate_is_valid_simplex(self, n):
         model = two_point_model(0.6, 0.3)
         rng = RngStream(seed=13).generator()
         out = mc_estimate(model, 5.0, rng, n)
-        assert np.all(out.weights >= 0.0)
-        assert abs(out.weights.sum() - 1.0) <= EXACT_TOL
+        assert np.all(out >= 0.0)
+        assert abs(out.sum() - 1.0) <= EXACT_TOL
 
 
 class TestSurvivalContinuous:
@@ -126,24 +126,24 @@ class TestSurvivalContinuous:
             drift=(0.0, 0.0),
         )
         out = candidate(kernel, 1.0)
-        np.testing.assert_allclose(out.weights, [1 / 3, 2 / 3], atol=EXACT_TOL, rtol=0)
+        np.testing.assert_allclose(out, [1 / 3, 2 / 3], atol=EXACT_TOL, rtol=0)
 
     def test_pure_drift_normalization(self):
         kernel = KernelSpec(jump_atoms=(), drift=(3.0, 1.0))
         out = candidate(kernel, 1.0)
-        np.testing.assert_allclose(out.weights, [0.75, 0.25], atol=EXACT_TOL, rtol=0)
+        np.testing.assert_allclose(out, [0.75, 0.25], atol=EXACT_TOL, rtol=0)
 
     def test_empty_environment_gives_uniform(self):
         kernel = KernelSpec(jump_atoms=(), drift=(0.0, 0.0))
         out = candidate(kernel, 1.0)
-        np.testing.assert_array_equal(out.weights, [0.5, 0.5])
+        np.testing.assert_array_equal(out, [0.5, 0.5])
 
     def test_consumption_rate_plays_no_role(self):
         atoms = (((1.0, 0.5), 0.1, 2.0),)
         lo = KernelSpec(jump_atoms=atoms, drift=(0.3, 0.0), v_rate=0.0, gamma_v=0.2)
         hi = KernelSpec(jump_atoms=atoms, drift=(0.3, 0.0), v_rate=5.0, gamma_v=0.2)
         np.testing.assert_array_equal(
-            candidate(lo, 2.0).weights, candidate(hi, 2.0).weights
+            candidate(lo, 2.0), candidate(hi, 2.0)
         )
 
     @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
@@ -160,8 +160,8 @@ class TestSurvivalContinuous:
         )
         w = 1.7
         np.testing.assert_allclose(
-            candidate(scaled, w).weights,
-            candidate(base, w).weights,
+            candidate(scaled, w),
+            candidate(base, w),
             atol=EXACT_TOL,
             rtol=0,
         )
@@ -173,13 +173,13 @@ class TestPerturbed:
         handle = perturbed(base, PerturbationSchedule("zero"), [0.5, 0.5])
         model = two_point_model(0.6, 0.0)
         out = evaluate(handle, model, 5.0, None, 1.0)
-        np.testing.assert_array_equal(out.weights, [0.6, 0.4])
+        np.testing.assert_array_equal(out, [0.6, 0.4])
 
     def test_full_schedule_is_target(self):
         base = constant_strategy([0.6, 0.4])
         handle = perturbed(base, PerturbationSchedule("constant", 1.0), [0.5, 0.5])
         out = evaluate(handle, two_point_model(0.6, 0.0), 5.0, None, 1.0)
-        np.testing.assert_array_equal(out.weights, [0.5, 0.5])
+        np.testing.assert_array_equal(out, [0.5, 0.5])
 
     def test_inverse_t_distance_is_square_summable(self):
         # ||base - blend||^2 = eps_t^2 * ||base - target||^2 = 0.02 / t^2
@@ -188,7 +188,7 @@ class TestPerturbed:
         model = two_point_model(0.6, 0.0)
         for t in (1, 2, 5, 40):
             out = evaluate(handle, model, float(t), None, 1.0)
-            dist_sq = float(((out.weights - np.array([0.6, 0.4])) ** 2).sum())
+            dist_sq = float(((out - np.array([0.6, 0.4])) ** 2).sum())
             assert dist_sq == pytest.approx(0.02 / t**2, rel=1e-12)
 
     def test_inverse_t_clips_to_one_at_small_times(self):
@@ -265,21 +265,21 @@ class TestRepresentative:
 class TestHandlesAndTables:
     def test_survival_handle_uses_model(self):
         out = evaluate(survival_strategy(), two_point_model(0.7, 0.2), 1.0, None, 4.0)
-        np.testing.assert_allclose(out.weights, [0.7, 0.3], atol=EXACT_TOL, rtol=0)
+        np.testing.assert_allclose(out, [0.7, 0.3], atol=EXACT_TOL, rtol=0)
 
     def test_table_breakpoints(self):
         handle = table_strategy(default=[(0.0, [0.5, 0.5]), (10.0, [0.8, 0.2])])
         model = two_point_model(0.5, 0.0)
-        np.testing.assert_array_equal(evaluate(handle, model, 3.0, None, 1.0).weights, [0.5, 0.5])
-        np.testing.assert_array_equal(evaluate(handle, model, 10.0, None, 1.0).weights, [0.8, 0.2])
+        np.testing.assert_array_equal(evaluate(handle, model, 3.0, None, 1.0), [0.5, 0.5])
+        np.testing.assert_array_equal(evaluate(handle, model, 10.0, None, 1.0), [0.8, 0.2])
 
     def test_table_regime_override(self):
         handle = table_strategy(
             default=[(0.0, [0.5, 0.5])], per_regime={1: [(0.0, [0.9, 0.1])]}
         )
         model = two_point_model(0.5, 0.0)
-        np.testing.assert_array_equal(evaluate(handle, model, 1.0, 0, 1.0).weights, [0.5, 0.5])
-        np.testing.assert_array_equal(evaluate(handle, model, 1.0, 1, 1.0).weights, [0.9, 0.1])
+        np.testing.assert_array_equal(evaluate(handle, model, 1.0, 0, 1.0), [0.5, 0.5])
+        np.testing.assert_array_equal(evaluate(handle, model, 1.0, 1, 1.0), [0.9, 0.1])
 
     def test_non_increasing_breakpoints_rejected(self):
         with pytest.raises(DomainError):
@@ -426,7 +426,7 @@ class TestBlockWeights:
         got = mc_estimate(model, 1.7, RngStream(5).generator(), n_samples)
         u = RngStream(5).generator().random(n_samples)
         ref = make_simplex(reference_mc_claim(model, None, np.float64(1.7), u))
-        assert np.array_equal(got.weights, ref.weights)
+        assert np.array_equal(got, ref)
 
     def test_mc_leaf_on_a_kernel_is_rejected(self):
         kernel = KernelSpec(jump_atoms=(), drift=(1.0, 1.0))
