@@ -120,7 +120,7 @@ def _build_model(spec: dict, errors: list, path: str):
                 return None
             return MarkovModulatedModel(
                 states=tuple(spec["states"]),
-                transition=np.asarray(spec["transition"], dtype=float),
+                transition=spec["transition"],
                 regimes=tuple(regimes),
                 initial_state=spec.get("initial_state", 0),
             )
@@ -187,7 +187,12 @@ def _build_strategy(spec: dict, errors: list, path: str):
             default = [(t, w) for t, w in spec["default"]]
             per_regime = None
             if "regimes" in spec:
-                per_regime = {int(k): [(t, w) for t, w in v] for k, v in spec["regimes"].items()}
+                per_regime = {}
+                for key, entries in spec["regimes"].items():
+                    if int(key) in per_regime:
+                        errors.append(f"{path}.regimes.{key}: another key names regime {int(key)}")
+                        return None
+                    per_regime[int(key)] = [(t, w) for t, w in entries]
             return table_strategy(default, per_regime)
     except DomainError as exc:
         errors.append(f"{path}: {exc}")

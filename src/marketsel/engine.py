@@ -54,15 +54,16 @@ four stages, and only the investor wealth is stepped in sequence:
   point by point in grid order without BLAS.
   ``evaluate`` is this stage on a block of one decision point: one
   strategy's weights there;
-* dynamics -- a discrete block runs ``_steps`` once, then the kernel
-  once per step (and the block again through ``_divide_checked`` if a
-  row is not finite), and ``discrete_step`` picks the same kernel, so
-  each row is exactly ``discrete_step`` of the row before.  A continuous
+* dynamics -- a discrete block runs ``_advance``: ``_steps`` once, then
+  the kernel once per step; if a row is not finite, the block again,
+  each step in the bounded order where the fast one is not finite.
+  ``discrete_step`` is ``_advance`` on one step, so each row is
+  ``discrete_step`` of the row before by construction.  A continuous
   segment runs fixed-step classical RK4 on the investor wealth alone,
   reading the grid's weights (exact exponential decay without payoff
-  drift), on Python floats or numpy arrays as the kernel does, then
-  ``discrete_step`` at its jump with the weights of the grid's last
-  point, which is the jump time;
+  drift), one ``_substep`` on a list of Python floats whichever kernel
+  gives its rates, then ``discrete_step`` at its jump with the weights of
+  the grid's last point, which is the jump time;
 * running sums -- ``_record``, shared by both engines: total and
   relative wealth, and the payoff, consumption, retention, pressure, gap
   and closeness increments added (or multiplied) in record order, plus
@@ -261,21 +262,6 @@ def _divide_bounded(y, lam, pay, keep):
     return keep * y + (lam * y[:, None] / (invested + idle) + idle / y.size) @ pay
 
 
-def _divide_checked(divide, y, step, pay):
-    """``divide``, or ``_divide_bounded`` on the full payoffs ``pay`` if that is not finite.
-
-    ``y`` is an array; ``_divide`` reads it as a list.
-    """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        try:
-            y_next = divide(y.tolist() if divide is _divide else y, step)
-            if np.isfinite(y_next).all():
-                return y_next
-        except ZeroDivisionError:
-            pass
-    return _divide_bounded(y, np.asarray(step[0]), pay, step[-2])
-
-
 def discrete_step(y_prev, weights, payoff, delta: float) -> np.ndarray:
     """Apply one payoff-division step to the wealth vector.
 
@@ -291,12 +277,15 @@ def discrete_step(y_prev, weights, payoff, delta: float) -> np.ndarray:
         raise DomainError("non-finite inputs")
     if np.any(y < 0.0) or not y.sum() > 0.0:
         raise DomainError("wealth must be non-negative with a positive total")
+    if lam.shape != y.shape + a.shape:
+        raise DomainError("weights need one row per wealth entry and one column per payoff")
     if not 0.0 <= delta < 1.0:
         raise DomainError("delta must lie in [0, 1)")
     if np.any(a < 0.0):
         raise DomainError("payoffs must be non-negative")
-    divide, (step,) = _steps(lam[None], a[None], [1.0 - delta])
-    return np.asarray(_divide_checked(divide, y, step, a), dtype=float)
+    wealth = np.array([y, y])
+    _advance(wealth, 0, lam[None], a[None], np.array([delta], dtype=float))
+    return wealth[1]
 
 
 def _alloc(n_records: int, m: int, n: int, mode: str) -> Trajectory:
@@ -422,18 +411,20 @@ def evaluate(handle, env, t: float, regime, w_minus: float, rng=None) -> np.ndar
     runs on, ``regime`` the emitting regime (None for an i.i.d. model or a
     kernel) and ``w_minus`` the total wealth.  A Monte Carlo handle draws
     its uniforms from ``rng``, one row of ``mc_samples(handle)``.  Returns
-    a read-only (N,) array.
+    a read-only (N,) array.  A handle that cannot run on ``env``
+    (``handle_errors``) raises ``DomainError``, as ``ProfileRun`` does.
     """
+    for path, msg in handle_errors(handle, env):
+        raise DomainError(f"strategy{path}: {msg}")
     n_samples = mc_samples(handle)
     if n_samples and rng is None:
         raise DomainError("survival_mc evaluation needs a random generator")
     t, w = np.array([t], dtype=float), np.array([w_minus], dtype=float)
     groups = regime_groups(None if regime is None else np.array([regime]))
-    cand = simplex_rows(_claim(env, groups, w))
     uniforms = rng.random((1, n_samples)) if n_samples else np.empty((1, 0))
-    out = np.empty((1, 1, cand.shape[1]))
-    block_weights(Policy([handle]), env, t, groups, w, cand, uniforms, out)
-    weights = out[0, 0]
+    lam = np.empty((1, 1, env.num_assets))
+    _stage(Policy([handle]), env, t, groups, w, uniforms, lam)
+    weights = lam[0, 0]
     weights.flags.writeable = False
     return weights
 
@@ -495,10 +486,17 @@ def _advance(wealth, k0: int, lam, dx, dv) -> None:
         except ZeroDivisionError:
             finite = False
     if not finite:
-        # an invested wealth was too small for the fast order somewhere
+        # an invested wealth was too small for the fast order somewhere: redo the
+        # block step by step, each step in the bounded order where the fast one is not finite
         divide, steps = _steps(lam, dx, keep)
         for i, (step, pay) in enumerate(zip(steps, dx), k0 + 1):
-            wealth[i] = _divide_checked(divide, wealth[i - 1], step, pay)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                try:
+                    wealth[i] = divide(wealth[i - 1].tolist(), step)
+                except ZeroDivisionError:
+                    wealth[i] = math.nan
+            if not np.isfinite(wealth[i]).all():
+                wealth[i] = _divide_bounded(wealth[i - 1], np.asarray(step[0]), pay, step[-2])
 
 
 def _start(n_records: int, market: MarketSpec, mode: str) -> Trajectory:
@@ -608,23 +606,8 @@ def _drift_rates(kernel, policy, t, w):
     return lam, cand, np.column_stack((rates, float(kernel.drift.sum()) / w - kernel.v_rate))
 
 
-def _substep(rate, y, left, mid, right, h: float):
-    """One classical RK4 substep of dy/dt = rate(y, point) on an array ``y``.
-
-    Returns None where the result breaks ``discrete_step``'s wealth rule:
-    non-negative and finite, with a positive total (NaN fails every
-    comparison).
-    """
-    k1 = rate(y, left)
-    k2 = rate(y + (0.5 * h) * k1, mid)
-    k3 = rate(y + (0.5 * h) * k2, mid)
-    k4 = rate(y + h * k3, right)
-    y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y if 0.0 <= y.min() and 0.0 < y.max() < math.inf else None
-
-
 def _wealth_rule(y) -> bool:
-    """``_substep``'s check on a list: non-negative and finite, with a positive total.
+    """``discrete_step``'s wealth rule on a list: non-negative and finite, with a positive total.
 
     Python's ``min`` and ``max`` skip a NaN that is not the first entry,
     so the sum, which is NaN wherever an entry is, checks for one.
@@ -633,17 +616,18 @@ def _wealth_rule(y) -> bool:
     return total == total and 0.0 <= min(y) and 0.0 < max(y) < math.inf
 
 
-def _substep_floats(y, left, mid, right, h: float):
-    """``_substep`` with ``_divide`` on a list ``y``, in the same order.
+def _substep(divide, y, left, mid, right, h: float):
+    """One classical RK4 substep of dy/dt = divide(y, point) on a list ``y``.
 
-    Also None where ``_divide`` divides by 0.
+    ``divide`` takes and returns lists.  Returns None where it divides by
+    0 or the result breaks ``_wealth_rule``.
     """
     half = 0.5 * h
     try:
-        k1 = _divide(y, left)
-        k2 = _divide([u + half * k for u, k in zip(y, k1)], mid)
-        k3 = _divide([u + half * k for u, k in zip(y, k2)], mid)
-        k4 = _divide([u + h * k for u, k in zip(y, k3)], right)
+        k1 = divide(y, left)
+        k2 = divide([u + half * k for u, k in zip(y, k1)], mid)
+        k3 = divide([u + half * k for u, k in zip(y, k2)], mid)
+        k4 = divide([u + h * k for u, k in zip(y, k3)], right)
     except ZeroDivisionError:
         return None
     sixth = h / 6.0
@@ -657,32 +641,30 @@ def _rk4(y, lam, b, v_rate: float, h: float, t0: float):
     Substep i starts at t0 + i h; its stages read the weights at grid
     points 2i, 2i+1, 2i+1 and 2i+2.  The rate is the division rule with
     the drift b as payoff and -v as the kept fraction, on ``_steps``'
-    kernel: Python floats in a small market, numpy arrays in a wide one.
+    kernel; the array kernel's rates come back as lists, so every market
+    runs the one ``_substep``.
     """
-    divide, points = _steps(lam, b, [-v_rate] * len(lam))
-    floats = divide is _divide
+    kernel, points = _steps(lam, b, [-v_rate] * len(lam))
+
+    def listed(y, step):
+        return _divide_array(np.array(y), step).tolist()
 
     def bounded(y, step):
-        return _divide_bounded(y, np.asarray(step[0]), b, step[-2])
+        return _divide_bounded(np.array(y), np.asarray(step[0]), b, step[-2]).tolist()
 
-    if floats:
-        y = y.tolist()
+    divide = listed if kernel is _divide_array else kernel
+    y = y.tolist()
     right = next(points)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for i in range(len(lam) // 2):
             left, mid, right = right, next(points), next(points)
-            if floats:
-                y_next = _substep_floats(y, left, mid, right, h)
-            else:
-                y_next = _substep(divide, y, left, mid, right, h)
+            y_next = _substep(divide, y, left, mid, right, h)
             if y_next is None:
                 # the bounded rates redo a substep on which the fast order
                 # overflowed on a tiny invested wealth
-                y_next = _substep(bounded, np.asarray(y), left, mid, right, h)
+                y_next = _substep(bounded, y, left, mid, right, h)
                 if y_next is None:
                     raise DomainError(f"integrator produced an invalid state near t={t0 + (i + 1) * h}")
-                if floats:
-                    y_next = y_next.tolist()
             y = y_next
     return np.asarray(y, dtype=float)
 

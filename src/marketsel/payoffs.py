@@ -67,9 +67,9 @@ class DiscreteIIDModel:
         atoms = tuple((as_vector(a, "payoff"), float(d)) for a, d in self.atoms)
         if not atoms:
             raise DomainError("model needs at least one atom")
-        payoffs, deltas = _atom_matrix(atoms, "atoms")
         if len({p.size for p, _ in atoms}) != 1:
             raise DomainError("all payoff vectors must have the same length")
+        payoffs, deltas = _atom_matrix(atoms, "atoms")
         probs = as_vector(self.probabilities, "probabilities")
         if probs.size != payoffs.shape[0]:
             raise DomainError("need one probability per atom")
@@ -114,7 +114,10 @@ class MarkovModulatedModel:
         regimes = tuple(self.regimes)
         if len(states) != len(regimes) or not states:
             raise DomainError("need one emission model per regime label")
-        trans = np.asarray(self.transition, dtype=float)
+        try:
+            trans = np.asarray(self.transition, dtype=float)
+        except ValueError:  # ragged rows, or entries that are not numbers
+            trans = np.empty(0)
         if trans.shape != (len(states), len(states)):
             raise DomainError("transition matrix shape must match the number of regimes")
         if np.any(trans < 0.0) or np.any(np.abs(trans.sum(axis=1) - 1.0) > SUM_ATOL):
@@ -202,10 +205,6 @@ class KernelSpec:
     @property
     def num_assets(self) -> int:
         return self.drift.size
-
-    @property
-    def total_intensity(self) -> float:
-        return self._total_intensity
 
 
 def _atom_index(model: DiscreteIIDModel, u: np.ndarray) -> np.ndarray:

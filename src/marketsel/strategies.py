@@ -91,10 +91,11 @@ class PerturbationSchedule:
     """Time profile of the blend fraction toward a target strategy.
 
     Kinds: "zero" (no perturbation), "constant" (fraction = coefficient),
-    "inverse_t" (fraction = coefficient / t, clipped into [0, 1]).  The
-    inverse_t profile has square-summable fractions, which keeps the
-    perturbed strategy within the survival sufficient condition; a
-    constant fraction does not.
+    "inverse_t" (fraction = coefficient / t, clipped into [0, 1]; 0 at
+    every t, t = 0 included, when the coefficient is 0).  The inverse_t
+    profile has square-summable fractions, which keeps the perturbed
+    strategy within the survival sufficient condition; a constant
+    fraction does not.
     """
 
     kind: str
@@ -113,12 +114,12 @@ class PerturbationSchedule:
     def epsilon(self, t):
         """Blend fraction at time ``t``: a float, or an array for an array of times."""
         c = self.coefficient
-        if self.kind == "inverse_t":
+        if self.kind == "inverse_t" and c > 0.0:
             clipped = np.asarray(t) <= c
             # where t > c, t > 0 too, so the division is safe
             eps = np.where(clipped, 1.0, c / np.where(clipped, 1.0, t))
         else:
-            eps = np.full(np.shape(t), 0.0 if self.kind == "zero" else c)
+            eps = np.full(np.shape(t), c if self.kind == "constant" else 0.0)
         return eps if np.ndim(t) else float(eps)
 
 

@@ -545,9 +545,12 @@ class TestMainEntryPoint:
             (KERNEL_MODEL, {"kind": "table", "default": [[0, [0.5, 0.5]]],
                             "regimes": {"0": [[0, [0.4, 0.6]]]}},
              "$.strategies[1].regimes.0"),
+            (MARKOV_MODEL, {"kind": "table", "default": [[0, [0.5, 0.5]]],
+                            "regimes": {"1": [[0, [0.4, 0.6]]], "01": [[0, [0.7, 0.3]]]}},
+             "$.strategies[1].regimes.01"),
         ],
         ids=["constant", "perturbed-target", "table-entry", "regime-entry", "unknown-regime",
-             "regimes-on-iid", "regimes-on-kernel"],
+             "regimes-on-iid", "regimes-on-kernel", "regime-named-twice"],
     )
     def test_strategy_that_does_not_fit_the_model_is_a_config_error(
         self, tmp_path, capsys, model, strategy, where
@@ -562,6 +565,32 @@ class TestMainEntryPoint:
         for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
             assert main([*argv, "--config", str(path)]) == 1
             assert f"config error: {where}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "model, where",
+        [
+            ({"type": "iid", "atoms": [
+                {"payoff": [1.0, 0.0], "delta": 0.5, "probability": 0.5},
+                {"payoff": [0.0, 1.0, 0.0], "delta": 0.5, "probability": 0.5}]},
+             "$.payoff_model: all payoff vectors must have the same length"),
+            ({**MARKOV_MODEL, "transition": [[0.5, 0.5], [1.0]]},
+             "$.payoff_model: transition matrix shape"),
+            ({**MARKOV_MODEL, "regimes": [MARKOV_MODEL["regimes"][0], {"atoms": [
+                {"payoff": [0.0, 1.0], "delta": 0.0, "probability": 0.5},
+                {"payoff": [1.0, 0.0, 0.0], "delta": 0.0, "probability": 0.5}]}]},
+             "$.payoff_model.regimes[1]: all payoff vectors must have the same length"),
+        ],
+        ids=["iid-atoms", "markov-transition", "markov-regime-atoms"],
+    )
+    def test_ragged_payoff_model_is_a_config_error(self, tmp_path, capsys, model, where):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config(payoff_model=model)))
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            assert main([*argv, "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert f"config error: {where}" in err
+            assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_run_requires_some_config(self, tmp_path):

@@ -109,6 +109,20 @@ class TestDiscreteStep:
         with pytest.raises(DomainError):
             discrete_step([1.0, 1.0], [[0.5, 0.5]] * 2, [-1.0, 0.0], 0.0)
 
+    @pytest.mark.parametrize(
+        "y, weights, payoff",
+        [
+            ([1.0, 1.0, 1.0], [[0.5, 0.5]] * 2, [1.0, 0.0]),
+            ([1.0, 1.0], [[0.5, 0.5]] * 2, [1.0, 0.0, 0.0]),
+            ([1.0, 1.0], [[0.5, 0.5, 0.0]] * 2, [1.0, 0.0]),
+        ],
+        ids=["wealth", "payoff", "weights"],
+    )
+    def test_rejects_weights_of_the_wrong_shape(self, y, weights, payoff):
+        # three wealth entries on two weight rows once came back as two
+        with pytest.raises(DomainError, match="one row per wealth entry"):
+            discrete_step(y, weights, payoff, 0.1)
+
     def test_total_wealth_identity(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -221,13 +235,9 @@ class TestRunDiscrete:
         np.testing.assert_array_equal(traj.gap_integral[1:, 0], np.inf)
         np.testing.assert_array_equal(traj.gap_integral[:, 1], 0.0)
 
-    @pytest.mark.parametrize("dry_steps", [155, 200])
-    def test_sole_holder_wealth_underflow_stays_finite(self, dry_steps):
-        # investor 2 alone holds asset 2, which pays nothing for dry_steps
-        # steps while it keeps 1% a step: 155 steps leave it 1e-310
-        # (subnormal), 200 leave it exactly 0.  Then asset 2 pays 1: the
-        # subnormal holder takes it all, and with no wealth invested it
-        # splits 1/M.  Nothing may turn into inf or NaN on the way.
+    @staticmethod
+    def _sole_holder_run(dry_steps):
+        """Investor 2 alone holds asset 2, which pays nothing for ``dry_steps`` steps, then 3 wet ones."""
         dry = DiscreteIIDModel(atoms=(((1.0, 0.0), 0.99),), probabilities=(1.0,))
         wet = DiscreteIIDModel(atoms=(((1.0, 1.0), 0.99),), probabilities=(1.0,))
         transition = np.eye(dry_steps + 1, k=1)
@@ -239,7 +249,16 @@ class TestRunDiscrete:
         )
         spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=model)
         handles = [constant_strategy([1.0, 0.0]), constant_strategy([0.0, 1.0])]
-        traj = run_discrete(ProfileRun(spec, handles, dry_steps + 3, RngStream(0)))
+        return run_discrete(ProfileRun(spec, handles, dry_steps + 3, RngStream(0)))
+
+    @pytest.mark.parametrize("dry_steps", [155, 200])
+    def test_sole_holder_wealth_underflow_stays_finite(self, dry_steps):
+        # investor 2 keeps 1% a step while its asset pays nothing: 155
+        # steps leave it 1e-310 (subnormal), 200 leave it exactly 0.  Then
+        # asset 2 pays 1: the subnormal holder takes it all, and with no
+        # wealth invested it splits 1/M.  Nothing may turn into inf or NaN
+        # on the way.
+        traj = self._sole_holder_run(dry_steps)
         assert np.all(np.isfinite(traj.wealth))
         y2 = traj.wealth[dry_steps, 1]
         assert (y2 > 0.0) == (dry_steps == 155)
@@ -247,19 +266,23 @@ class TestRunDiscrete:
         np.testing.assert_allclose(revived, 1.0 if y2 > 0.0 else 0.5, rtol=1e-15)
         np.testing.assert_allclose(traj.wealth.sum(axis=1), traj.total, rtol=PATH_RTOL)
 
-    @staticmethod
-    def _zero_wealth_run():
+    @pytest.mark.parametrize("dry_steps", [155, 200])
+    @pytest.mark.parametrize("cells", [10**9, 0], ids=["floats", "arrays"])
+    def test_sole_holder_redo_replays_through_discrete_step(self, dry_steps, cells):
+        # on either kernel the fast order fails on the tiny or zero holder,
+        # the block is redone in the bounded order, and every row is still
+        # discrete_step of the row before, bit for bit
+        with mock.patch.object(engine, "FLOAT_CELLS", cells):
+            with mock.patch.object(engine, "_divide_bounded", wraps=engine._divide_bounded) as bounded:
+                traj = self._sole_holder_run(dry_steps)
+            assert bounded.call_count > 0
+            for k in range(traj.n_records):
+                replay = discrete_step(traj.wealth[k], traj.weights[k], traj.dx[k], traj.dv[k])
+                assert np.array_equal(replay, traj.wealth[k + 1]), k
+
+    def _zero_wealth_run(self):
         """200 dry steps leave investor 2 exactly 0 (the case above), then 3 wet ones."""
-        dry = DiscreteIIDModel(atoms=(((1.0, 0.0), 0.99),), probabilities=(1.0,))
-        wet = DiscreteIIDModel(atoms=(((1.0, 1.0), 0.99),), probabilities=(1.0,))
-        transition = np.eye(201, k=1)
-        transition[-1, -1] = 1.0
-        model = MarkovModulatedModel(
-            states=tuple(range(201)), transition=transition, regimes=(dry,) * 200 + (wet,)
-        )
-        spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=model)
-        handles = [constant_strategy([1.0, 0.0]), constant_strategy([0.0, 1.0])]
-        return run_discrete(ProfileRun(spec, handles, 203, RngStream(0)))
+        return self._sole_holder_run(200)
 
     def test_zero_wealth_row_replays_through_discrete_step(self):
         # the row after the 0 is still discrete_step of that row, bit for bit

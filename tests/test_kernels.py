@@ -3,9 +3,10 @@
 ``engine._steps`` gives a market of at most ``FLOAT_CELLS`` weights the
 float kernel ``_divide`` and a wider one the array kernel
 ``_divide_array``.  Both are checked here against the division rule in
-exact rational arithmetic, the float RK4 against the array RK4, whole
-runs on one kernel against the other, and the artifacts of small markets
-against the BLAS kernel numpy happens to pick at run time.
+exact rational arithmetic, the one RK4 substep on one kernel's rates
+against the same substep on the other's, whole runs on one kernel
+against the other, and the artifacts of small markets against the BLAS
+kernel numpy happens to pick at run time.
 """
 
 import hashlib
@@ -153,6 +154,7 @@ RK4_RTOL = 1e-13
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (3, 2), (4, 3), (3, 4)])
 def test_float_rk4_matches_the_array_rk4(m, n):
+    # one _substep on either kernel's rates: only the rates' order differs
     rng = np.random.default_rng([m, n])
     for _ in range(20):
         lam = _grid(rng, m, n, 50)

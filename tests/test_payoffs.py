@@ -76,6 +76,17 @@ class TestModelValidation:
                 regimes=(m, m),
             )
 
+    def test_ragged_payoff_vectors_rejected(self):
+        # the lengths are checked before the payoffs are stacked
+        with pytest.raises(DomainError, match="same length"):
+            DiscreteIIDModel(atoms=(((1.0, 0.0), 0.0), ((0.0, 1.0, 0.0), 0.0)), probabilities=(0.5, 0.5))
+
+    @pytest.mark.parametrize("transition", [[[0.5, 0.5], [1.0]], [[0.5, 0.5]], [1.0, 0.0]])
+    def test_markov_transition_shape_checked_first(self, transition):
+        m = _two_asset_iid()
+        with pytest.raises(DomainError, match="shape"):
+            MarkovModulatedModel(states=("a", "b"), transition=transition, regimes=(m, m))
+
     def test_kernel_zero_jump_rejected(self):
         with pytest.raises(DomainError):
             KernelSpec(jump_atoms=(((0.0, 0.0), 0.0, 1.0),), drift=(0.0, 0.0))

@@ -8,6 +8,7 @@ normalization and the survival candidate equals the outcome distribution
 (p, 1 - p) regardless of W and delta.
 """
 
+import re
 import warnings
 from unittest import mock
 
@@ -20,8 +21,10 @@ from marketsel import (
     DiscreteIIDModel,
     DomainError,
     KernelSpec,
+    MarketSpec,
     MarkovModulatedModel,
     PerturbationSchedule,
+    ProfileRun,
     RngStream,
     constant_strategy,
     discrete_claim_vector,
@@ -29,11 +32,13 @@ from marketsel import (
     evaluate,
     make_simplex,
     perturbed,
+    run_continuous,
     survival_mc_strategy,
     survival_strategy,
     table_strategy,
 )
 from marketsel import engine
+from marketsel.cli import trajectory_csv
 from marketsel.core import simplex_rows
 from marketsel.scenarios import two_point_model
 from marketsel.strategies import Policy, block_weights, mc_samples, regime_groups
@@ -196,6 +201,18 @@ class TestPerturbed:
         assert sched.epsilon(1.0) == 1.0
         assert sched.epsilon(4.0) == 0.5
 
+    def test_inverse_t_at_coefficient_zero_never_blends(self):
+        # the continuous engine decides at t = 0, where t <= c held at c = 0
+        assert PerturbationSchedule("inverse_t", 0.0).epsilon(0.0) == 0.0
+        kernel = KernelSpec(jump_atoms=(((1.0, 0.0), 0.1, 1.0),), drift=(0.4, 0.2), v_rate=0.3, gamma_v=0.1)
+        spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=kernel)
+
+        def csv(schedule):
+            handles = [survival_strategy(), perturbed(survival_strategy(), schedule, [0.9, 0.1])]
+            return trajectory_csv(run_continuous(ProfileRun(spec, handles, 2.0, RngStream(0))))
+
+        assert csv(PerturbationSchedule("inverse_t", 0.0)) == csv(PerturbationSchedule("zero"))
+
     @pytest.mark.parametrize(
         "kind, c", [("inverse_t", 0.0), ("inverse_t", 2.0), ("constant", 0.3), ("zero", 0.0)]
     )
@@ -277,9 +294,25 @@ class TestHandlesAndTables:
         handle = table_strategy(
             default=[(0.0, [0.5, 0.5])], per_regime={1: [(0.0, [0.9, 0.1])]}
         )
-        model = two_point_model(0.5, 0.0)
+        model = MarkovModulatedModel(
+            states=("calm", "stress"),
+            transition=[[0.9, 0.1], [0.2, 0.8]],
+            regimes=(two_point_model(0.5, 0.0),) * 2,
+        )
         np.testing.assert_array_equal(evaluate(handle, model, 1.0, 0, 1.0), [0.5, 0.5])
         np.testing.assert_array_equal(evaluate(handle, model, 1.0, 1, 1.0), [0.9, 0.1])
+
+    @pytest.mark.parametrize(
+        "handle, where",
+        [
+            (constant_strategy([0.2, 0.3, 0.5]), "strategy.weights"),
+            (table_strategy([(0.0, [0.5, 0.5])], {1: [(0.0, [0.9, 0.1])]}), "strategy.regimes.1"),
+        ],
+        ids=["wrong-length", "regimes-on-iid"],
+    )
+    def test_handle_that_does_not_fit_the_model_is_rejected(self, handle, where):
+        with pytest.raises(DomainError, match=rf"^{re.escape(where)}: "):
+            evaluate(handle, two_point_model(0.5, 0.5), 1.0, None, 1.0)
 
     def test_non_increasing_breakpoints_rejected(self):
         with pytest.raises(DomainError):
