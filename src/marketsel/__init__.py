@@ -18,7 +18,6 @@ from .diagnostics import (
     SurvivalConditionsReport,
     SurvivalVerdict,
     check_survival_conditions,
-    closeness_integral,
     gibbs_gap,
     growth_comparison,
     growth_rate,

@@ -36,9 +36,8 @@ four stages, and only the investor wealth is stepped in sequence:
   they give.  The continuous engine draws every jump up to the horizon
   first (``_jump_schedule``), each from the time of the one before, and
   merges them with the recording grid into the list of record end times,
-  so the ``Trajectory`` is allocated before any wealth is stepped; W
-  between jumps is the closed form on each segment's substep grid
-  t0 + j h / 2;
+  so the ``Trajectory`` is allocated before any wealth is stepped, then
+  each segment's substep grid and W on it, in blocks (``_grid_blocks``);
 * policy and its diagnostic rates -- ``_stage``, shared by both engines:
   the survival claim from ``_claim``, the one rule that chooses it (the
   discrete claim per emitting regime, or the kernel's claim rates plus
@@ -50,8 +49,8 @@ four stages, and only the investor wealth is stepped in sequence:
   closeness rates on it.  Where the clock does not move the gap
   increment is 0, even for an infinite gap.  A discrete step adds the
   rates once; a continuous segment integrates them, and the ln W drift
-  rate, by composite Simpson over its grid (``_drift_rates``), summed
-  point by point in grid order without BLAS.
+  rate, by composite Simpson over its grid (``_drift_rates``, once per
+  block), summed point by point in grid order without BLAS.
   ``evaluate`` is this stage on a block of one decision point: one
   strategy's weights there;
 * dynamics -- a discrete block runs ``_advance``: ``_steps`` once, then
@@ -60,17 +59,17 @@ four stages, and only the investor wealth is stepped in sequence:
   ``discrete_step`` is ``_advance`` on one step, so each row is
   ``discrete_step`` of the row before by construction.  A continuous
   segment runs fixed-step classical RK4 on the investor wealth alone,
-  reading the grid's weights (exact exponential decay without payoff
-  drift), one ``_substep`` on a list of Python floats whichever kernel
-  gives its rates, then ``discrete_step`` at its jump with the weights of
-  the grid's last point, which is the jump time;
+  piece by piece on its block's weights (exact decay without payoff
+  drift), one ``_substep`` on Python floats whichever kernel gives its
+  rates, then ``discrete_step`` at its jump with the weights at the jump
+  time, the grid's last point;
 * running sums -- ``_record``, shared by both engines: total and
   relative wealth, and the payoff, consumption, retention, pressure, gap
   and closeness increments added (or multiplied) in record order, plus
   the support violations, over a block of steps or over all continuous
   records at once.
 
-The discrete block length and the continuous grid chunk come from a
+The discrete block length and the continuous grid block come from a
 fixed byte budget for their temporaries, so transient memory does not
 grow with the horizon.  Fixed steps keep continuous runs
 bit-reproducible; the integrator does not consume randomness, so
@@ -583,24 +582,18 @@ def _total_wealth(kernel: KernelSpec, w0, s):
 
 
 def _chunk_substeps(m_inv: int, n_assets: int, n_atoms: int) -> int:
-    """Substeps per chunk of a jump-free segment: as many as fit in BLOCK_BYTES.
-
-    Each substep adds two grid points.  The per-point estimate covers the
-    weights and the divergence temporaries, four (M, N) arrays, and the
-    per-atom claim terms.
-    """
+    """Substeps per piece of a segment, so a grid block holds at most 2 chunk
+    + 1 points: as many as fit in BLOCK_BYTES.  The per-point estimate
+    covers the weights and the divergence temporaries, four (M, N) arrays,
+    and the per-atom claim terms."""
     per_point = 8 * (4 * (m_inv + 1) * (n_assets + 1) + n_atoms * (n_assets + 1))
     return max(1, BLOCK_BYTES // (2 * per_point))
 
 
 def _drift_rates(kernel, policy, t, w):
-    """Policy and diagnostic rates at times ``t`` with total wealth ``w``.
-
-    ``t`` and ``w`` are vectors of K points.  Returns the weights lam
-    (K, M, N), the survival candidate (K, N) and the rates (K, 2M + 2):
-    ``_stage``'s selection-clock, gap and closeness rates, then the ln W
-    drift rate.
-    """
+    """Policy and diagnostic rates at K points of times ``t`` and total wealth
+    ``w``: the weights (K, M, N), the candidate (K, N) and the rates
+    (K, 2M + 2), ``_stage``'s and then the ln W drift rate."""
     lam = np.empty((t.size, policy.size, kernel.num_assets))
     cand, rates = _stage(policy, kernel, t, regime_groups(None), w, np.empty((t.size, 0)), lam)
     return lam, cand, np.column_stack((rates, float(kernel.drift.sum()) / w - kernel.v_rate))
@@ -669,52 +662,6 @@ def _rk4(y, lam, b, v_rate: float, h: float, t0: float):
     return np.asarray(y, dtype=float)
 
 
-def _integrate_segment(kernel, policy, t0, t1, y, w0, dt):
-    """Advance the investor wealth over a jump-free interval [t0, t1].
-
-    The interval splits into n = ceil((t1 - t0) / dt) substeps of length h.
-    Total wealth is the closed form from ``w0``, so the candidate, every
-    strategy and every diagnostic rate are functions of time alone: they
-    are evaluated on the grid t0 + j h / 2, j = 0..2n, whose last point is
-    exactly t1 with ``_total_wealth`` at t1 - t0, in chunks of at most
-    BLOCK_BYTES.  The rates are integrated by composite Simpson over it
-    (RK4's rate weights, since the rates do not depend on y), summed point
-    by point in grid order.  Without payoff drift y decays by the exact
-    exponential factor; with drift, RK4 steps y alone on the grid's
-    weights.
-
-    Returns (y1, acc, start, end): acc stacks the integrated rates, and
-    start and end are the (weights, candidate) at t0 and at t1.
-    """
-    span = t1 - t0
-    if span <= 0.0:
-        lam, cand, _ = _drift_rates(kernel, policy, np.array([t0]), np.array([w0]))
-        return y.copy(), np.zeros(2 * y.size + 2), (lam[0], cand[0]), (lam[0], cand[0])
-    n_steps = max(1, int(math.ceil(span / dt)))
-    h = span / n_steps
-    has_drift = float(kernel.drift.sum()) > 0.0
-    chunk = _chunk_substeps(y.size, kernel.num_assets, kernel._rhos.size)
-    acc = np.zeros(2 * y.size + 2)
-    for i0 in range(0, n_steps, chunk):
-        i1 = min(i0 + chunk, n_steps)
-        s = np.arange(2 * i0, 2 * i1 + 1) * (0.5 * h)
-        t, w = t0 + s, _total_wealth(kernel, w0, s)
-        if i1 == n_steps:
-            t[-1], w[-1] = t1, _total_wealth(kernel, w0, span)
-        lam, cand, rates = _drift_rates(kernel, policy, t, w)
-        if i0 == 0:
-            start = lam[0].copy(), cand[0].copy()
-        simpson = np.full(s.size, 2.0)
-        simpson[1::2] = 4.0
-        simpson[[0, -1]] = 1.0
-        acc += (h / 6.0) * np.add.reduce(simpson[:, None] * rates, axis=0)
-        if has_drift:
-            y = _rk4(y, lam, kernel.drift, kernel.v_rate, h, t0 + i0 * h)
-    if not has_drift:
-        y = y * math.exp(-kernel.v_rate * span)
-    return y, acc, start, (lam[-1], cand[-1])
-
-
 def _jump_schedule(kernel, rng, horizon: float, grid):
     """The continuous engine's environment: (end time, jump or None) per record.
 
@@ -743,55 +690,108 @@ def _jump_schedule(kernel, rng, horizon: float, grid):
     return events
 
 
+def _grid_blocks(kernel, events, w0, dt: float, chunk: int):
+    """Every segment's grid and W, in blocks of whole pieces.
+
+    Record k's segment, from t0 to its end time t1, has n = ceil((t1 - t0)
+    / dt) substeps of length h (none if t1 = t0) on the grid t0 + j h / 2,
+    whose last point is exactly t1.  W is the closed form from t0, and W+
+    = (1 - v) W- + |x| at a jump, W- at the grid's last point.  A segment
+    splits into pieces at every ``chunk`` substeps, each with its own
+    points.  Yields (t, w, pieces) of at most 2 chunk + 1 points; a piece
+    is (k, rows, h, first, last): its record, its rows, h (0 on an empty
+    segment) and whether it starts and whether it ends the segment.
+    """
+    grid, pieces, size, t0 = [], [], 0, 0.0
+    for k, (t1, jump) in enumerate(events):
+        span = t1 - t0
+        n = max(1, math.ceil(span / dt)) if span > 0.0 else 0
+        h = span / n if n else 0.0
+        for i0 in range(0, max(n, 1), chunk):
+            i1 = min(i0 + chunk, n)
+            s = np.arange(2 * i0, 2 * i1 + 1) * (0.5 * h)
+            tw = np.stack((t0 + s, _total_wealth(kernel, w0, s)))
+            if i1 == n:
+                tw[:, -1] = t1, _total_wealth(kernel, w0, span)
+            if size + s.size > 2 * chunk + 1:
+                yield *np.concatenate(grid, axis=1), pieces
+                grid, pieces, size = [], [], 0
+            pieces.append((k, slice(size, size + s.size), h, i0 == 0, i1 == n))
+            grid.append(tw)
+            size += s.size
+        w0, t0 = tw[1, -1], t1
+        if jump is not None:
+            w0 = (1.0 - jump[1]) * w0 + float(jump[0].sum())
+    if pieces:
+        yield *np.concatenate(grid, axis=1), pieces
+
+
 def run_continuous(run: ProfileRun) -> Trajectory:
     """Simulate the continuous-time market up to the horizon.
 
-    The environment comes first: every jump and record time up to the
-    horizon (``_jump_schedule``), which fixes the number of records.
-    Record k then integrates the jump-free segment up to its end time
-    (``_integrate_segment``) and, at a jump, applies the payoff-division
-    update with the jump's (x, v) at the pre-jump state, with the weights
-    of the segment's last grid point.  Total wealth W
-    follows its closed form between jumps and W+ = (1 - v) W- + |x| at a
-    jump; strategies read that W.  The running sums are added once, over
-    all records (``_record``).
+    Strategies read only the time and the exogenous W, so the run has
+    ``run_discrete``'s four stages: environment (``_jump_schedule``, then
+    ``_grid_blocks``), policy and its rates (``_drift_rates`` per block),
+    dynamics piece by piece (Simpson sums, RK4 or the exact decay, and at
+    a jump the division update with the weights at the jump time) and the
+    running sums (``_record``, over all records).  A record's weights are
+    those at its segment's first grid point, or at its jump.
     """
-    market = run.market
-    kernel = market.payoff_model
+    market, kernel = run.market, run.market.payoff_model
     if not isinstance(kernel, KernelSpec):
         raise DomainError("run_continuous needs a kernel payoff model")
     if kernel.num_assets != market.num_assets:
         raise DomainError("kernel and market disagree on the number of assets")
     events = _jump_schedule(kernel, run.rng.generator(), float(run.horizon), run.record_dt)
     policy = Policy(run.strategies)
-    b = kernel.drift
-    v_rate = kernel.v_rate
+    b, v_rate = kernel.drift, kernel.v_rate
+    has_drift = float(b.sum()) > 0.0
+    chunk = _chunk_substeps(market.num_investors, kernel.num_assets, kernel._rhos.size)
 
+    # environment: the records' times, payoffs and consumption
     traj = _start(len(events), market, "continuous")
-    acc = np.empty((len(events), 2 * market.num_investors + 2))
-    keep = np.empty(len(events))
-    t, y, w = 0.0, market.initial_wealth.copy(), float(traj.total[0])
-    for k, (t_to, jump) in enumerate(events):
-        span = t_to - t
-        y, acc[k], (lam, cand), end = _integrate_segment(kernel, policy, t, t_to, y, w, run.dt)
-        w = _total_wealth(kernel, w, span)
-        traj.dx[k] = b * span
-        traj.dv[k] = v_rate * span
-        keep[k] = math.exp(-v_rate * span)
-        if jump is not None:
-            x, v = jump
-            lam, cand = end
-            y = discrete_step(y, lam, x, v)
-            size = float(x.sum())
-            traj.z_jump[k] = size / w - v
-            w = (1.0 - v) * w + size
-            traj.dx[k] += x
-            traj.dv[k] += v
-            keep[k] *= 1.0 - v
-            traj.is_jump[k] = True
-        traj.times[k + 1], traj.wealth[k + 1] = t_to, y
-        traj.weights[k], traj.candidate[k] = lam, cand
-        t = t_to
+    traj.times[1:] = [t1 for t1, _ in events]
+    spans = np.diff(traj.times)
+    traj.dx[...] = spans[:, None] * b
+    traj.dv[...] = v_rate * spans
+    decay = [math.exp(s) for s in (-v_rate * spans).tolist()]
+    keep = np.array(decay)
+    jumps = traj.is_jump
+    jumps[:] = [jump is not None for _, jump in events]
+    pairs = [jump for _, jump in events if jump is not None]
+    v = np.array([jv for _, jv in pairs])
+    traj.dx[jumps] += np.reshape([jx for jx, _ in pairs], (-1, kernel.num_assets))
+    traj.dv[jumps] += v
+    keep[jumps] *= 1.0 - v
+
+    acc = np.zeros((len(events), 2 * market.num_investors + 2))
+    y = market.initial_wealth.copy()
+    for t, w, pieces in _grid_blocks(kernel, events, float(traj.total[0]), run.dt, chunk):
+        # policy and its diagnostic rates
+        lam, cand, rates = _drift_rates(kernel, policy, t, w)
+
+        # dynamics
+        for k, rows, h, first, last in pieces:
+            if first:
+                traj.weights[k], traj.candidate[k] = lam[rows.start], cand[rows.start]
+            if h:
+                simpson = np.full(rows.stop - rows.start, 2.0)
+                simpson[1::2] = 4.0
+                simpson[[0, -1]] = 1.0
+                acc[k] += (h / 6.0) * np.add.reduce(simpson[:, None] * rates[rows], axis=0)
+                if has_drift:
+                    y = _rk4(y, lam[rows], b, v_rate, h, t[rows.start])
+            if last:
+                if not has_drift:
+                    y = y * decay[k]
+                if jumps[k]:
+                    (x, v), i = events[k][1], rows.stop - 1
+                    y = discrete_step(y, lam[i], x, v)
+                    traj.weights[k], traj.candidate[k] = lam[i], cand[i]
+                    traj.z_jump[k] = float(x.sum()) / w[i] - v
+                traj.wealth[k + 1] = y
+
+    # running sums
     traj.z_cont[...] = acc[:, -1]
     if events:
         _record(traj, 0, keep, acc)

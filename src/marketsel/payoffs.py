@@ -89,10 +89,6 @@ class DiscreteIIDModel:
     def num_assets(self) -> int:
         return self._payoffs.shape[1]
 
-    @property
-    def gamma_v(self) -> float:
-        return float(self._deltas.max())
-
     def support_arrays(self):
         """(probabilities, payoffs, |payoffs|, deltas) as stacked arrays."""
         return self._probs, self._payoffs, self._abs_payoffs, self._deltas
@@ -138,10 +134,6 @@ class MarkovModulatedModel:
     @property
     def num_assets(self) -> int:
         return self.regimes[0].num_assets
-
-    @property
-    def gamma_v(self) -> float:
-        return max(m.gamma_v for m in self.regimes)
 
 
 @dataclass(frozen=True)

@@ -35,14 +35,6 @@ def two_point_model(p: float, delta: float) -> DiscreteIIDModel:
     )
 
 
-def three_atom_model(delta: float) -> DiscreteIIDModel:
-    """Three-outcome model with asymmetric payoff sizes."""
-    return DiscreteIIDModel(
-        atoms=(((2.0, 0.0), delta), ((0.0, 1.0), delta), ((1.0, 1.0), delta)),
-        probabilities=(0.3, 0.5, 0.2),
-    )
-
-
 def _two_point_payoff_config(p: float = TWO_POINT_P, delta: float = TWO_POINT_DELTA) -> dict:
     return {
         "type": "iid",

@@ -182,7 +182,12 @@ def table_strategy(default, per_regime=None) -> StrategyHandle:
 
     regimes = None
     if per_regime is not None:
-        regimes = tuple(sorted((int(k), norm(v)) for k, v in dict(per_regime).items()))
+        regimes = {}
+        for k, v in dict(per_regime).items():
+            if int(k) in regimes:
+                raise DomainError(f"table regime {int(k)} is given twice")
+            regimes[int(k)] = norm(v)
+        regimes = tuple(sorted(regimes.items()))
     return StrategyHandle(kind="table", table=(norm(default), regimes))
 
 

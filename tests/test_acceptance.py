@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from marketsel import (
+    DiscreteIIDModel,
     KernelSpec,
     MarketSpec,
     ProfileRun,
@@ -28,7 +29,7 @@ from marketsel import (
     survival_strategy,
 )
 from marketsel.cli import build_run, parse_config_dict, run_batch
-from marketsel.scenarios import get_scenario, three_atom_model, two_point_model
+from marketsel.scenarios import get_scenario, two_point_model
 
 GAP_SLACK = 1e-12
 DRIFT_SLACK = -1e-12
@@ -90,6 +91,14 @@ def test_criterion_1_gibbs_gap_lower_bound():
     assert worst >= -GAP_SLACK
     assert elapsed < 5.0
     print(f"PASS criterion 1: gibbs gap bound, worst slack {worst:.3e}, {elapsed:.2f}s")
+
+
+def three_atom_model(delta: float) -> DiscreteIIDModel:
+    """Three-outcome model with asymmetric payoff sizes."""
+    return DiscreteIIDModel(
+        atoms=(((2.0, 0.0), delta), ((0.0, 1.0), delta), ((1.0, 1.0), delta)),
+        probabilities=(0.3, 0.5, 0.2),
+    )
 
 
 def test_criterion_2_one_step_submartingale():

@@ -4,8 +4,8 @@ Two kinds of oracle appear here.  Hand values: the Gibbs gap of simple
 pairs, the pressure increment 1/(W+1) of the unit-payoff two-outcome
 model.  Dual routes: the engine accumulates the pressure, gap and
 closeness integrals step by step, and these tests recompute all three
-from the recorded weight series with the standalone diagnostic
-functions.  The submartingale check is itself an enumeration oracle; its
+from the recorded weight series with standalone functions (the closeness
+integral from ``reference_closeness``).  The submartingale check is itself an enumeration oracle; its
 own arithmetic is cross-checked against an explicit two-outcome
 expectation written out by hand.
 """
@@ -28,7 +28,6 @@ from marketsel import (
     ProfileRun,
     RngStream,
     check_survival_conditions,
-    closeness_integral,
     constant_strategy,
     discrete_claim_vector,
     discrete_step,
@@ -47,6 +46,7 @@ from marketsel import (
 )
 from marketsel.strategies import PerturbationSchedule
 from marketsel.scenarios import two_point_model
+from reference_closeness import closeness_integral
 
 EXACT_TOL = 1e-12
 ACCUM_RTOL = 1e-9

@@ -577,25 +577,107 @@ class TestRunContinuous:
         np.testing.assert_array_equal(traj.gap_integral, 0.0)
 
     def test_a_jump_reuses_its_segment_end_point(self, monkeypatch):
-        # the policy runs once per grid chunk and not again at a jump: the
-        # segment's last grid point is the jump time itself
+        # the policy runs once per block of grid points and not again at a
+        # jump: every record's end time is a grid point, and a jump reads
+        # the weights of its segment's last point, the jump time itself
         kernel = KernelSpec(
             jump_atoms=(((1.0, 0.0), 0.1, 2.0),), drift=(0.4, 0.2), v_rate=0.3, gamma_v=0.1
         )
         spec = MarketSpec(2, 2, [1.0, 1.5], payoff_model=kernel)
         handles = [survival_strategy(), constant_strategy([0.3, 0.7])]
-        times, drift_rates = [], engine._drift_rates
+        blocks, calls = [], []
+        grid_blocks, drift_rates = engine._grid_blocks, engine._drift_rates
+
+        def block_spy(*args):
+            for block in grid_blocks(*args):
+                blocks.append(block[0])
+                yield block
 
         def spy(kernel, policy, t, w):
-            times.append(t.copy())
-            return drift_rates(kernel, policy, t, w)
+            out = drift_rates(kernel, policy, t, w)
+            calls.append((t.copy(), out[0].copy()))
+            return out
 
+        monkeypatch.setattr(engine, "_grid_blocks", block_spy)
         monkeypatch.setattr(engine, "_drift_rates", spy)
         traj = run_continuous(ProfileRun(spec, handles, 3.0, RngStream(2), record_dt=1.0))
         assert traj.is_jump.sum() >= 2
-        assert len(times) == traj.n_records  # one grid chunk per segment
+        assert len(calls) == len(blocks)  # one policy stage per block
+        assert all(np.array_equal(t, block) for (t, _), block in zip(calls, blocks))
+        t = np.concatenate([t for t, _ in calls])
+        lam = np.concatenate([lam for _, lam in calls])
         for k in range(traj.n_records):
-            assert times[k][-1] == traj.times[k + 1]
+            # the first grid point at a record's end time is its segment's last
+            end = np.flatnonzero(t == traj.times[k + 1])
+            assert end.size > 0
+            if traj.is_jump[k]:
+                assert np.array_equal(traj.weights[k], lam[end[0]])
+
+    def test_block_layout_changes_only_the_integrals_rounding(self, monkeypatch):
+        # a small budget makes blocks that span several segments and
+        # segments that span several blocks; the grid points, and so the
+        # path, are those of the default budget, and only the grouping of
+        # the Simpson sums changes
+        kernel = KernelSpec(
+            jump_atoms=(((1.0, 0.0), 0.1, 1.5), ((0.0, 0.8), 0.05, 1.0)),
+            drift=(0.4, 0.2), v_rate=0.3, gamma_v=0.2,
+        )
+        spec = MarketSpec(3, 2, [1.0, 1.5, 0.5], payoff_model=kernel)
+        handles = [
+            survival_strategy(),
+            constant_strategy([0.3, 0.7]),
+            perturbed(survival_strategy(), PerturbationSchedule("inverse_t", 2.0), [0.5, 0.5]),
+        ]
+
+        def go():
+            return run_continuous(ProfileRun(spec, handles, 20.0, RngStream(5), dt=0.01))
+
+        default = go()
+        layout, grid_blocks = [], engine._grid_blocks
+
+        def spy(*args):
+            for block in grid_blocks(*args):
+                layout.append({piece[0] for piece in block[2]})
+                yield block
+
+        monkeypatch.setattr(engine, "BLOCK_BYTES", 1 << 14)
+        monkeypatch.setattr(engine, "_grid_blocks", spy)
+        small = go()
+        assert any(len(records) > 1 for records in layout)
+        assert any(len([b for b in layout if k in b]) > 1 for k in range(small.n_records))
+        for name in ("wealth", "weights", "candidate", "times", "is_jump"):
+            np.testing.assert_array_equal(getattr(small, name), getattr(default, name), err_msg=name)
+        for name in ("pressure", "gap_integral", "closeness", "z_cont"):
+            np.testing.assert_allclose(getattr(small, name), getattr(default, name), rtol=1e-13, atol=0,
+                                       err_msg=name)
+
+    def test_two_jumps_at_one_time_make_an_empty_segment(self, monkeypatch):
+        # the second jump's segment has no length: no substep and zero
+        # increments, then a division step with the weights at (t, W+)
+        kernel = KernelSpec(
+            jump_atoms=(((1.0, 0.0), 0.1, 1.0), ((0.0, 1.0), 0.05, 1.0)),
+            drift=(0.4, 0.2), v_rate=0.3, gamma_v=0.2,
+        )
+        up, down = (np.array([1.0, 0.0]), 0.1), (np.array([0.0, 1.0]), 0.05)
+        jumps = iter([(0.3, up), (0.3, down), (0.7, up)])
+        monkeypatch.setattr(engine, "next_jump", lambda kernel, rng, t: next(jumps, None))
+        spec = MarketSpec(2, 2, [1.0, 1.5], payoff_model=kernel)
+        handles = [survival_strategy(), constant_strategy([0.3, 0.7])]
+        traj = run_continuous(ProfileRun(spec, handles, 1.0, RngStream(0), record_dt=0.25))
+        np.testing.assert_array_equal(traj.times, [0.0, 0.25, 0.3, 0.3, 0.5, 0.7, 0.75, 1.0])
+        assert traj.is_jump.tolist() == [False, True, True, False, True, False, False]
+        w_minus = engine._total_wealth(kernel, engine._total_wealth(kernel, 2.5, 0.25), 0.3 - 0.25)
+        w_plus = 0.9 * w_minus + 1.0
+        assert traj.z_jump[1] == 1.0 / w_minus - 0.1
+        assert traj.z_jump[2] == 1.0 / w_plus - 0.05
+        for m, handle in enumerate(handles):
+            assert np.array_equal(traj.weights[2, m], engine.evaluate(handle, kernel, 0.3, None, w_plus))
+        assert np.array_equal(traj.wealth[3], discrete_step(traj.wealth[2], traj.weights[2], *down))
+        for name in ("pressure", "gap_integral", "closeness"):
+            assert np.array_equal(getattr(traj, name)[3], getattr(traj, name)[2]), name
+        assert traj.z_cont[2] == 0.0
+        np.testing.assert_array_equal(traj.dx[2], [0.0, 1.0])
+        assert traj.dv[2] == 0.05 and traj.retention[3] == traj.retention[2] * 0.95
 
     def test_chunk_temporaries_do_not_grow_with_the_segment(self, monkeypatch):
         # one jump-free segment, no recording grid: the tracemalloc peak

@@ -318,6 +318,13 @@ class TestHandlesAndTables:
         with pytest.raises(DomainError):
             table_strategy(default=[(5.0, [0.5, 0.5]), (5.0, [0.6, 0.4])])
 
+    @pytest.mark.parametrize("t_from", [0.0, 1.0], ids=["same-breakpoints", "other-breakpoints"])
+    def test_two_keys_naming_one_regime_are_rejected(self, t_from):
+        # 1 and "01" both name regime 1, and only one table per regime can
+        # ever be looked up, whatever the two tables' breakpoints
+        with pytest.raises(DomainError, match="regime 1 is given twice"):
+            table_strategy([(0.0, [0.5, 0.5])], {1: [(0.0, [0.9, 0.1])], "01": [(t_from, [0.2, 0.8])]})
+
     def test_mc_handle_requires_rng(self):
         from marketsel import survival_mc_strategy
 
