@@ -534,23 +534,15 @@ def _load_config_arg(args) -> dict:
 
 
 def _cmd_run(args) -> int:
-    try:
-        data = _load_config_arg(args)
-        if args.grid is not None:
-            data = {**data, "record": {**data.get("record", {}), "grid": args.grid}}
-        cfg = parse_config_dict(data)
-        seeds = _parse_seeds_arg(args.seeds) if args.seeds else None
-        if args.jobs < 1:
-            raise ConfigError([f"--jobs: must be at least 1, got {args.jobs}"])
-        out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV, DEFAULT_OUTPUT_DIR)
-        code, paths = run_scenario(cfg, out_dir, jobs=args.jobs, seeds=seeds)
-    except ConfigError as exc:
-        for msg in exc.errors:
-            print(f"config error: {msg}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 2
+    data = _load_config_arg(args)
+    if args.grid is not None:
+        data = {**data, "record": {**data.get("record", {}), "grid": args.grid}}
+    cfg = parse_config_dict(data)
+    seeds = None if args.seeds is None else _parse_seeds_arg(args.seeds)
+    if args.jobs < 1:
+        raise ConfigError([f"--jobs: must be at least 1, got {args.jobs}"])
+    out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV, DEFAULT_OUTPUT_DIR)
+    code, paths = run_scenario(cfg, out_dir, jobs=args.jobs, seeds=seeds)
     print(f"{cfg.name}: wrote {len(paths)} files to {out_dir}")
     if code:
         print("runtime failure: every seed failed; the summary lists the errors", file=sys.stderr)
@@ -566,16 +558,8 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        with open(args.config) as fh:
-            parse_config(fh.read())
-    except ConfigError as exc:
-        for msg in exc.errors:
-            print(f"config error: {msg}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return 2
+    with open(args.config) as fh:
+        parse_config(fh.read())
     print(f"{args.config}: valid")
     return 0
 
@@ -607,7 +591,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        for msg in exc.errors:
+            print(f"config error: {msg}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

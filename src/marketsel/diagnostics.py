@@ -106,10 +106,10 @@ def _tail(n: int, fraction: float) -> slice:
 class SurvivalVerdict:
     """Finite-horizon survival proxy for one investor.
 
-    ``survives`` means the recorded minimum share stayed at or above the
-    configured floor AND the log share shows no downward trend over the
-    last decile of the run.  This is a proxy: the defining property is an
-    infimum over all time, which no finite run can observe.
+    ``survives`` means the recorded minimum share stayed positive and at
+    or above the configured floor AND the log share shows no downward
+    trend over the last decile of the run.  This is a proxy: the defining
+    property is an infimum over all time, which no finite run can observe.
     """
 
     investor: int
@@ -138,7 +138,7 @@ def survival_verdict(
         terminal_rel=float(rel[-1]),
         tail_slope=slope,
         trend_tol=float(trend_tol),
-        survives=bool(min_rel >= floor and slope >= -trend_tol),
+        survives=bool(min_rel >= floor and min_rel > 0.0 and slope >= -trend_tol),
     )
 
 

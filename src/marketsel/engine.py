@@ -95,6 +95,7 @@ from .strategies import (
     Policy,
     block_weights,
     discrete_claim_vector,
+    fold_words,
     handle_errors,
     mc_samples,
     regime_groups,
@@ -312,31 +313,28 @@ def _alloc(n_records: int, m: int, n: int, mode: str) -> Trajectory:
     )
 
 
-def _block_budget(m_inv: int, n_assets: int, mc_sizes):
-    """(words, fold bytes): ``_block_steps``'s per-step estimate, and the
-    fold term's share of BLOCK_BYTES, which bounds each gathered chunk of
-    Monte Carlo samples."""
+def _step_words(m_inv: int, n_assets: int, mc_sizes) -> int:
+    """``_block_steps``'s per-step estimate of the block temporaries, in 8-byte words."""
     u = sum(mc_sizes)
-    fold = 2 * max(mc_sizes, default=0) * (n_assets + 1)
-    words = u + max(2 * u + fold, 4 * (m_inv + 1) * (n_assets + 1))
-    return words, BLOCK_BYTES * fold // words
+    fold = fold_words(max(mc_sizes, default=0), n_assets)
+    return u + max(2 * u + fold, 4 * (m_inv + 1) * (n_assets + 1))
 
 
 def _block_steps(m_inv: int, n_assets: int, mc_sizes) -> int:
     """Steps per block of ``run_discrete``: as many as fit in BLOCK_BYTES.
 
-    The per-step estimate, in 8-byte words, covers the largest block
+    The per-step estimate (``_step_words``) covers the largest block
     temporaries alive at once: every handle's uniforms (U in all), which
     live through the block, plus the larger of two stage terms.  The
     policy stage's Monte Carlo kernel holds a regime group's copy of the
     uniforms and their atom indices (2U) and the fold's sample chunk,
-    which ``mc_claim`` keeps within the fold term: two (S, N + 1) arrays
-    for the largest sample count S.  The policy stage's table lookups and
-    perturbed blends, the scaled weights of the division rule and the
-    divergence and closeness increments each take at most four
-    (M + 1, N + 1) arrays.
+    which ``mc_claim`` keeps within ``fold_words`` of the largest sample
+    count per step, however many steps its regime group has.  The policy
+    stage's table lookups and perturbed blends, the scaled weights of the
+    division rule and the divergence and closeness increments each take
+    at most four (M + 1, N + 1) arrays.
     """
-    return max(1, BLOCK_BYTES // (8 * _block_budget(m_inv, n_assets, mc_sizes)[0]))
+    return max(1, BLOCK_BYTES // (8 * _step_words(m_inv, n_assets, mc_sizes)))
 
 
 def _environment(model, rng, regime, w: float, steps: int, n_uniforms: int):
@@ -533,7 +531,7 @@ def run_discrete(run: ProfileRun) -> Trajectory:
     mc_sizes = [mc_samples(h) for h in run.strategies]
     n_uniforms = sum(mc_sizes)
     block = _block_steps(m_inv, n_assets, mc_sizes)
-    policy = Policy(run.strategies, _block_budget(m_inv, n_assets, mc_sizes)[1])
+    policy = Policy(run.strategies)
 
     traj = _start(t_end, market, "discrete")
     traj.is_jump[:] = True

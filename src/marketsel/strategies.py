@@ -44,7 +44,13 @@ def discrete_claim_vector(model, regime_state, w_prev) -> np.ndarray:
     return w[..., None] * ((probs / post_total)[..., None] * payoffs).sum(axis=-2)
 
 
-def mc_claim(emit: DiscreteIIDModel, w, idx, cols, fold_bytes=None) -> list:
+def fold_words(n_samples: int, n_assets: int) -> int:
+    """Words per decision point that ``mc_claim``'s fold over ``n_samples``
+    samples holds at most: 2 S (N + 1)."""
+    return 2 * n_samples * (n_assets + 1)
+
+
+def mc_claim(emit: DiscreteIIDModel, w, idx, cols) -> list:
     """Monte Carlo estimates of ``discrete_claim_vector`` from drawn atoms.
 
     ``w`` holds B wealth levels and ``idx`` (B, U) the atoms drawn from
@@ -55,9 +61,10 @@ def mc_claim(emit: DiscreteIIDModel, w, idx, cols, fold_bytes=None) -> list:
 
     The per-atom claims payoff / ((1 - delta) W + |payoff|) are formed
     once per wealth level and gathered sample-major, then folded over the
-    samples in order, as a mean over the sample axis adds them.  Each
-    gathered chunk of samples, with its index, takes at most
-    ``fold_bytes`` (None: the samples in one chunk).
+    samples in order, as a mean over the sample axis adds them.  A chunk
+    of c samples holds (c + 3) H (N + 1) words per level -- its claims and
+    atom indices, and the carried, old and new sums -- so c is sized to
+    keep that within ``fold_words(S, N)``, whatever B is.
     """
     n_atoms, n = emit._deltas.size, emit.num_assets
     post_total = (1.0 - emit._deltas) * w[:, None] + emit._abs_payoffs
@@ -66,22 +73,14 @@ def mc_claim(emit: DiscreteIIDModel, w, idx, cols, fold_bytes=None) -> list:
     claims = []
     for c in cols:
         s, h = c.shape
-        chunk = s
-        if fold_bytes is not None:
-            # each sample of a chunk takes (B, H, N) claims and a (B, H)
-            # index; buf's carried sum and the old and new sums 3 (B, H, N)
-            chunk = max(1, fold_bytes // (8 * w.size * h * (n + 1)) - 3)
-        buf = np.empty((min(chunk, s) + (chunk < s), w.size, h, n))
-        acc = None
+        chunk = max(1, fold_words(s, n) // (h * (n + 1)) - 3)
         for s0 in range(0, s, chunk):
             rows = idx[:, c[s0 : s0 + chunk]]
             rows += first_atom
-            lo = 0 if acc is None else 1
-            hi = lo + rows.shape[1]
-            np.take(per_atom, rows.transpose(1, 0, 2), axis=0, out=buf[lo:hi], mode="clip")
-            if acc is not None:
-                buf[0] = acc
-            acc = np.add.reduce(buf[:hi], axis=0)
+            part = np.take(per_atom, rows.transpose(1, 0, 2), axis=0, mode="clip")
+            if s0:
+                part[0] += acc  # the carried sum comes first, as in one in-order sum
+            acc = np.add.reduce(part, axis=0)
         claims.append(w[:, None, None] * (acc / s))
     return claims
 
@@ -270,13 +269,10 @@ class Policy:
     table -- inside zero or more perturbed blends.  Leaves are grouped by
     kind (Monte Carlo leaves also by sample count), and the blends by
     their distance from the leaf, so each group is one array operation.
-    ``fold_bytes`` bounds each gathered chunk of Monte Carlo samples (see
-    ``mc_claim``).
     """
 
-    def __init__(self, handles, fold_bytes=None):
+    def __init__(self, handles):
         self.size = len(handles)
-        self.fold_bytes = fold_bytes
         leaves, levels = [], []
         for m, handle in enumerate(handles):
             chain = []
@@ -365,7 +361,7 @@ def block_weights(policy: Policy, model, t, groups, w, candidate, uniforms, out)
         for r, sel in groups:
             emit = _emitter(model, r)
             idx = _atom_index(emit, uniforms[sel])
-            claims = mc_claim(emit, w[sel], idx, cols, policy.fold_bytes)
+            claims = mc_claim(emit, w[sel], idx, cols)
             for v, claim in zip(vals, claims):
                 v[sel] = simplex_rows(claim.reshape(-1, n)).reshape(claim.shape)
         for (ms, _), v in zip(policy.mc, vals):

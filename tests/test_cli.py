@@ -3,8 +3,11 @@ reproducible CSV/JSON artifacts, parallel-equals-serial execution, the
 built-in catalog and the command-line entry points."""
 
 import copy
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +349,23 @@ class TestRunScenario:
         result = run_batch(cfg)
         assert [entry.keys() for entry in result["per_seed"]] == [{"seed", "summary"}] * 2
 
+    def test_a_share_of_zero_does_not_survive_at_floor_zero(self):
+        # investor 2 holds only the asset that never pays, so its wealth
+        # reaches exactly 0 and the log share's tail slope reads +inf
+        atoms = [{"payoff": [1.0, 0.0], "delta": 0.5, "probability": 1.0}]
+        data = minimal_config(
+            payoff_model={"type": "iid", "atoms": atoms},
+            strategies=[{"kind": "survival_exact"}, {"kind": "constant", "weights": [0.0, 1.0]}],
+            horizon=1200,
+            seeds=[0],
+            diagnostics={"survival_floor": 0.0},
+        )
+        result = run_batch(parse_config_dict(data))
+        zero = result["per_seed"][0]["summary"]["investors"][1]
+        assert zero["min_rel"] == 0.0 and zero["tail_slope"] == math.inf
+        assert not zero["survives"]
+        assert result["aggregate"]["investors"][1]["survives_count"] == 0
+
     def test_unwritable_csv_is_a_runtime_failure(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(minimal_config(seeds=[0, 1])))
@@ -392,6 +412,16 @@ class TestCatalog:
             investors = entry["summary"]["investors"]
             assert len(investors) == info.config["market"]["investors"]
 
+    def test_benchmark_workload_configs_pass_validation(self, monkeypatch):
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+        spec.loader.exec_module(workloads)
+        for seed in range(5):
+            for name in workloads.NAMES:
+                parse_config_dict(copy.deepcopy(workloads.make(name, seed, CATALOG).config))
+
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
             get_scenario("nope")
@@ -424,6 +454,17 @@ class TestMainEntryPoint:
         err = capsys.readouterr().err
         assert err.count("config error: $.seeds: seeds must lie in [0, 2**64)") == 2
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b"])
+    def test_name_that_is_not_a_file_name_is_a_config_error(self, tmp_path, capsys, name):
+        # the name is part of every artifact path, so it may not leave --out
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config(name=name)))
+        out_dir = tmp_path / "out"
+        assert main(["validate", "--config", str(path)]) == 1
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err.count("config error: $.name: ") == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_infinite_horizon_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -607,7 +648,9 @@ class TestMainEntryPoint:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "config error: $: not valid JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seeds", ["abc", "1:x", "3,,b", "5:0", "-1,2", "4,4"])
+    @pytest.mark.parametrize(
+        "seeds", ["abc", "1:x", "3,,b", "5:0", "-1,2", "4,4", ",", pytest.param("", id="empty")]
+    )
     def test_run_bad_seeds_is_a_config_error(self, tmp_path, capsys, seeds):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(minimal_config()))

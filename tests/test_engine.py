@@ -396,7 +396,7 @@ class TestRunDiscrete:
         spec = MarketSpec(m, n, np.ones(m), payoff_model=model)
         sizes = [mc_samples(h) for h in handles]
         block = engine._block_steps(m, n, sizes)
-        words = engine._block_budget(m, n, sizes)[0]
+        words = engine._step_words(m, n, sizes)
         policy_term = 8 * block * (words - sum(sizes))
         policy_peaks = []
         block_weights = engine.block_weights

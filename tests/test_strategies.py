@@ -10,7 +10,6 @@ normalization and the survival candidate equals the outcome distribution
 
 import re
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +36,6 @@ from marketsel import (
     survival_strategy,
     table_strategy,
 )
-from marketsel import engine
 from marketsel.cli import trajectory_csv
 from marketsel.core import simplex_rows
 from marketsel.scenarios import two_point_model
@@ -379,7 +377,7 @@ def _draw_handle(draw, n, n_regimes, kinds, depth=0):
     if kind == "survival_exact":
         return survival_strategy()
     if kind == "survival_mc":
-        return survival_mc_strategy(draw(st.sampled_from([1, 7, 64])))
+        return survival_mc_strategy(draw(st.sampled_from([1, 2, 7, 64])))
     if kind == "perturbed":
         base = _draw_handle(draw, n, n_regimes, kinds, depth + 1)
         sched = draw(st.sampled_from([("zero", 0.0), ("constant", 0.3), ("inverse_t", 2.5)]))
@@ -406,7 +404,7 @@ def discrete_blocks(draw):
         emitting = draw(st.lists(st.integers(0, n_regimes - 1), min_size=1, max_size=max(1, n_regimes - 1)))
         regimes = np.array(draw(st.lists(st.sampled_from(emitting), min_size=b, max_size=b)))
     seed = draw(st.integers(0, 2**32 - 1))
-    return model, handles, regimes, b, n, seed, draw(st.booleans())
+    return model, handles, regimes, b, n, seed
 
 
 class TestBlockWeights:
@@ -428,17 +426,12 @@ class TestBlockWeights:
     @given(discrete_blocks())
     @settings(max_examples=150, deadline=None)
     def test_discrete_block_matches_per_handle_reference(self, case):
-        model, handles, regimes, b, n, seed, tiny_budget = case
+        # a fold of S samples over H handles runs in chunks of max(1, 2S // H - 3)
+        # samples: S = 2 on one handle, or S = 7 on four, folds one sample at a time
+        model, handles, regimes, b, n, seed = case
         t, w, cand, uniforms = self._inputs(model, handles, b, n, seed)
-        sizes = [mc_samples(h) for h in handles]
-        # a tiny BLOCK_BYTES leaves a fold budget of a few bytes: one sample per chunk
-        with mock.patch.object(engine, "BLOCK_BYTES", 8 if tiny_budget else engine.BLOCK_BYTES):
-            fold_bytes = engine._block_budget(len(handles), n, sizes)[1]
-        if tiny_budget:
-            assert fold_bytes < 32
         out = np.full((b, len(handles), n), np.nan)
-        block_weights(Policy(handles, fold_bytes), model, t, regime_groups(regimes), w, cand,
-                      uniforms, out)
+        block_weights(Policy(handles), model, t, regime_groups(regimes), w, cand, uniforms, out)
         ref = reference_block_weights(handles, model, t, regimes, w, cand, uniforms)
         assert np.array_equal(out, ref)
 
