@@ -17,6 +17,7 @@ from marketsel import (
     RngStream,
     constant_strategy,
     discrete_step,
+    evaluate,
     identity_report,
     next_jump,
     run_continuous,
@@ -56,10 +57,15 @@ print(f"  terminal wealth: {np.round(traj.wealth[-1], 6)}, shares {np.round(traj
 
 print()
 print("Each jump is exactly one discrete division step (replay check):")
-y = traj.wealth[0].copy()
+# Strategies read the time and the exogenous total wealth W, which has no
+# drift or consumption rate here: it changes only at a jump, to (1 - v) W + |x|.
+y, w = traj.wealth[0].copy(), float(traj.total[0])
 worst = 0.0
 for k in np.where(traj.is_jump)[0]:
-    y = discrete_step(y, traj.weights[k], traj.dx[k], traj.dv[k])
+    t, x, v = traj.times[k + 1], traj.dx[k], traj.dv[k]
+    weights = [evaluate(h, kernel, t, None, w) for h in handles]
+    y = discrete_step(y, weights, x, v)
+    w = (1.0 - v) * w + float(x.sum())
     worst = max(worst, float(np.max(np.abs(y - traj.wealth[k + 1]))))
 print(f"  max replay discrepancy over {int(traj.is_jump.sum())} jumps: {worst:.2e}")
 

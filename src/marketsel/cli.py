@@ -519,12 +519,21 @@ def _json_object(text: str) -> dict:
     return data
 
 
+def _read_config(path) -> dict:
+    """The JSON object in the config file at ``path``; bytes that are not UTF-8 are a config error."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"$: not UTF-8 text: {exc}"]) from exc
+    return _json_object(text)
+
+
 def _load_config_arg(args) -> dict:
     if args.config and args.scenario:
         raise ConfigError(["give either --config or --scenario, not both"])
     if args.config:
-        with open(args.config) as fh:
-            return _json_object(fh.read())
+        return _read_config(args.config)
     if args.scenario:
         try:
             return get_scenario(args.scenario).config
@@ -558,8 +567,7 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    with open(args.config) as fh:
-        parse_config(fh.read())
+    parse_config_dict(_read_config(args.config))
     print(f"{args.config}: valid")
     return 0
 

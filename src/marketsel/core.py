@@ -147,6 +147,15 @@ class Trajectory:
     candidate.  ``z_cont``/``z_jump`` hold the increments of the
     total-wealth log-exponent used for reconstruction checks, and
     ``retention`` the pure-consumption wealth floor factor.
+
+    No per-record weights are kept: the artifacts and diagnostics read
+    them only through the integrals above and three running summaries
+    of them.  ``support_violations`` counts, per investor, the records
+    whose weights leave out an asset the candidate weights;
+    ``weight_floor`` is each investor's smallest weight over all records
+    and ``candidate_floor`` the candidate's (both +inf with no records).
+    A record's weights are those of its step, or of a continuous
+    segment's first point, or of its jump.
     """
 
     mode: str
@@ -163,10 +172,10 @@ class Trajectory:
     pressure: np.ndarray
     gap_integral: np.ndarray
     closeness: np.ndarray
-    weights: np.ndarray
-    candidate: np.ndarray
     z_cont: np.ndarray
     z_jump: np.ndarray
+    weight_floor: np.ndarray
+    candidate_floor: float
     support_violations: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
     @property

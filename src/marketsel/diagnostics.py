@@ -238,11 +238,14 @@ class SufficientConditionReport:
 
 
 def sufficient_condition_check(traj: Trajectory, investor: int) -> SufficientConditionReport:
-    """Verify gap_total <= ln(xi) / ((xi - 1) * xi_hat) * closeness_total."""
-    lam = traj.weights[:, investor, :]
-    cand = traj.candidate
-    xi = float(lam.min()) if lam.size else 0.0
-    xi_hat = float(cand.min()) if cand.size else 0.0
+    """Verify gap_total <= ln(xi) / ((xi - 1) * xi_hat) * closeness_total.
+
+    xi and xi_hat are the floors of the investor's weights and of the
+    candidate over the recorded path; a path of no records has floors 0.
+    """
+    xi, xi_hat = 0.0, 0.0
+    if traj.n_records:
+        xi, xi_hat = float(traj.weight_floor[investor]), traj.candidate_floor
     gap_total = float(traj.gap_integral[-1, investor])
     closeness_total = float(traj.closeness[-1, investor])
     applicable = xi > 0.0 and xi_hat > 0.0

@@ -66,8 +66,10 @@ four stages, and only the investor wealth is stepped in sequence:
 * running sums -- ``_record``, shared by both engines: total and
   relative wealth, and the payoff, consumption, retention, pressure, gap
   and closeness increments added (or multiplied) in record order, plus
-  the support violations, over a block of steps or over all continuous
-  records at once.
+  the support violations and the floors of every strategy's weights and
+  of the candidate, over a block of steps or over all continuous records
+  at once.  The weights and the candidate reach it from the policy stage
+  and go no further: the ``Trajectory`` keeps none of them.
 
 The discrete block length and the continuous grid block come from a
 fixed byte budget for their temporaries, so transient memory does not
@@ -168,8 +170,8 @@ class ProfileRun:
         for m, handle in enumerate(self.strategies):
             for path, msg in handle_errors(handle, market.payoff_model):
                 raise DomainError(f"strategy {m}{path}: {msg}")
-        if not self.horizon >= 0:
-            raise DomainError("horizon must be >= 0")
+        if not 0 <= self.horizon < math.inf:
+            raise DomainError("horizon must be finite and >= 0")
         if not self.dt > 0:
             raise DomainError("dt must be positive")
         if self.record_dt is not None and not self.record_dt > 0:
@@ -265,10 +267,10 @@ def _divide_bounded(y, lam, pay, keep):
 def discrete_step(y_prev, weights, payoff, delta: float) -> np.ndarray:
     """Apply one payoff-division step to the wealth vector.
 
-    ``weights`` is the (M, N) matrix of investment proportions.  When no
-    one invests in an asset its payoff splits equally (the 1/M rule).
-    Wealth may be 0 for some investors (a sole holder's wealth can
-    underflow there) but must have a positive total.
+    ``weights`` is the (M, N) matrix of non-negative investment
+    proportions.  When no one invests in an asset its payoff splits
+    equally (the 1/M rule).  Wealth may be 0 for some investors (a sole
+    holder's wealth can underflow there) but must have a positive total.
     """
     y = np.asarray(y_prev, dtype=float)
     lam = np.atleast_2d(np.asarray(weights, dtype=float))
@@ -279,6 +281,8 @@ def discrete_step(y_prev, weights, payoff, delta: float) -> np.ndarray:
         raise DomainError("wealth must be non-negative with a positive total")
     if lam.shape != y.shape + a.shape:
         raise DomainError("weights need one row per wealth entry and one column per payoff")
+    if np.any(lam < 0.0):
+        raise DomainError("weights must be non-negative")
     if not 0.0 <= delta < 1.0:
         raise DomainError("delta must lie in [0, 1)")
     if np.any(a < 0.0):
@@ -305,10 +309,10 @@ def _alloc(n_records: int, m: int, n: int, mode: str) -> Trajectory:
         pressure=np.zeros(k + 1),
         gap_integral=np.zeros((k + 1, m)),
         closeness=np.zeros((k + 1, m)),
-        weights=np.zeros((k, m, n)),
-        candidate=np.zeros((k, n)),
         z_cont=np.zeros(k),
         z_jump=np.zeros(k),
+        weight_floor=np.full(m, np.inf),
+        candidate_floor=math.inf,
         support_violations=np.zeros(m, dtype=int),
     )
 
@@ -317,19 +321,20 @@ def _step_words(m_inv: int, n_assets: int, mc_sizes) -> int:
     """``_block_steps``'s per-step estimate of the block temporaries, in 8-byte words."""
     u = sum(mc_sizes)
     fold = fold_words(max(mc_sizes, default=0), n_assets)
-    return u + max(2 * u + fold, 4 * (m_inv + 1) * (n_assets + 1))
+    return u + (m_inv + 1) * n_assets + max(2 * u + fold, 4 * (m_inv + 1) * (n_assets + 1))
 
 
 def _block_steps(m_inv: int, n_assets: int, mc_sizes) -> int:
     """Steps per block of ``run_discrete``: as many as fit in BLOCK_BYTES.
 
     The per-step estimate (``_step_words``) covers the largest block
-    temporaries alive at once: every handle's uniforms (U in all), which
-    live through the block, plus the larger of two stage terms.  The
-    policy stage's Monte Carlo kernel holds a regime group's copy of the
-    uniforms and their atom indices (2U) and the fold's sample chunk,
-    which ``mc_claim`` keeps within ``fold_words`` of the largest sample
-    count per step, however many steps its regime group has.  The policy
+    temporaries alive at once: every handle's uniforms (U in all), the
+    weights (M N) and the candidate (N), which live through the block,
+    plus the larger of two stage terms.  The policy stage's Monte Carlo
+    kernel holds a regime group's copy of the uniforms and their atom
+    indices (2U) and the fold's sample chunk, which ``mc_claim`` keeps
+    within ``fold_words`` of the largest sample count per step, however
+    many steps its regime group has.  The policy
     stage's table lookups and perturbed blends, the scaled weights of the
     division rule and the divergence and closeness increments each take
     at most four (M + 1, N + 1) arrays.
@@ -434,13 +439,14 @@ def _running(acc: np.ndarray, k: int, inc: np.ndarray, op=np.add) -> None:
     op.accumulate(out, axis=0, out=out)
 
 
-def _record(traj: Trajectory, k: int, keep, rates) -> None:
-    """Complete records k + 1 .. k + K, whose wealth, payoffs, consumption,
-    weights and candidate are written.
+def _record(traj: Trajectory, k: int, keep, rates, lam, cand) -> None:
+    """Complete records k + 1 .. k + K, whose wealth, payoffs and consumption are written.
 
     ``keep`` (K,) holds each record's retention factor and ``rates``
     (K, >= 2M + 1) its pressure, gap and closeness increments, laid out
-    as ``_stage`` returns them.
+    as ``_stage`` returns them.  ``lam`` (K, M, N) and ``cand`` (K, N)
+    are each record's weights and candidate: they count the support
+    violations and lower the floors, and are not kept.
     """
     m = traj.num_investors
     k1 = k + len(keep)
@@ -454,8 +460,10 @@ def _record(traj: Trajectory, k: int, keep, rates) -> None:
     _running(traj.pressure, k, rates[:, 0])
     _running(traj.gap_integral, k, rates[:, 1 : 1 + m])
     _running(traj.closeness, k, rates[:, 1 + m : 1 + 2 * m])
-    abandoned = (traj.weights[k:k1] <= 0.0) & (traj.candidate[k:k1] > SUPPORT_TOL)[:, None, :]
+    abandoned = (lam <= 0.0) & (cand > SUPPORT_TOL)[:, None, :]
     traj.support_violations += np.any(abandoned, axis=2).sum(axis=0)
+    np.minimum(traj.weight_floor, lam.min(axis=(0, 2)), out=traj.weight_floor)
+    traj.candidate_floor = min(traj.candidate_floor, float(cand.min()))
 
 
 def _advance(wealth, k0: int, lam, dx, dv) -> None:
@@ -554,15 +562,14 @@ def run_discrete(run: ProfileRun) -> Trajectory:
         traj.z_jump[k0:k1] = abs_dx / w_pre - dv
 
         # policy and its diagnostic rates
-        lam = traj.weights[k0:k1]
+        lam = np.empty((k1 - k0, m_inv, n_assets))
         cand, rates = _stage(policy, model, t, regime_groups(regimes), w_pre, uniforms, lam)
-        traj.candidate[k0:k1] = cand
 
         # dynamics
         _advance(traj.wealth, k0, lam, dx, dv)
 
         # running sums
-        _record(traj, k0, 1.0 - dv, rates)
+        _record(traj, k0, 1.0 - dv, rates, lam, cand)
     return traj
 
 
@@ -732,8 +739,9 @@ def run_continuous(run: ProfileRun) -> Trajectory:
     ``_grid_blocks``), policy and its rates (``_drift_rates`` per block),
     dynamics piece by piece (Simpson sums, RK4 or the exact decay, and at
     a jump the division update with the weights at the jump time) and the
-    running sums (``_record``, over all records).  A record's weights are
-    those at its segment's first grid point, or at its jump.
+    running sums (``_record``, over all records).  A record's weights,
+    which ``_record`` reads and does not keep, are those at its segment's
+    first grid point, or at its jump.
     """
     market, kernel = run.market, run.market.payoff_model
     if not isinstance(kernel, KernelSpec):
@@ -763,6 +771,8 @@ def run_continuous(run: ProfileRun) -> Trajectory:
     keep[jumps] *= 1.0 - v
 
     acc = np.zeros((len(events), 2 * market.num_investors + 2))
+    record_lam = np.empty((len(events), market.num_investors, kernel.num_assets))
+    record_cand = np.empty((len(events), kernel.num_assets))
     y = market.initial_wealth.copy()
     for t, w, pieces in _grid_blocks(kernel, events, float(traj.total[0]), run.dt, chunk):
         # policy and its diagnostic rates
@@ -771,7 +781,7 @@ def run_continuous(run: ProfileRun) -> Trajectory:
         # dynamics
         for k, rows, h, first, last in pieces:
             if first:
-                traj.weights[k], traj.candidate[k] = lam[rows.start], cand[rows.start]
+                record_lam[k], record_cand[k] = lam[rows.start], cand[rows.start]
             if h:
                 simpson = np.full(rows.stop - rows.start, 2.0)
                 simpson[1::2] = 4.0
@@ -785,14 +795,14 @@ def run_continuous(run: ProfileRun) -> Trajectory:
                 if jumps[k]:
                     (x, v), i = events[k][1], rows.stop - 1
                     y = discrete_step(y, lam[i], x, v)
-                    traj.weights[k], traj.candidate[k] = lam[i], cand[i]
+                    record_lam[k], record_cand[k] = lam[i], cand[i]
                     traj.z_jump[k] = float(x.sum()) / w[i] - v
                 traj.wealth[k + 1] = y
 
     # running sums
     traj.z_cont[...] = acc[:, -1]
     if events:
-        _record(traj, 0, keep, acc)
+        _record(traj, 0, keep, acc, record_lam, record_cand)
     return traj
 
 

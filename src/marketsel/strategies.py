@@ -171,7 +171,7 @@ def table_strategy(default, per_regime=None) -> StrategyHandle:
         last = -np.inf
         for t_from, w in entries:
             t_from = float(t_from)
-            if t_from <= last:
+            if not t_from > last:  # also a NaN breakpoint, which no time reaches
                 raise DomainError("table breakpoints must be strictly increasing")
             last = t_from
             rows.append((t_from, as_simplex(w)))

@@ -30,6 +30,7 @@ from marketsel import (
 )
 from marketsel.cli import build_run, parse_config_dict, run_batch
 from marketsel.scenarios import get_scenario, two_point_model
+from recording import recorded
 
 GAP_SLACK = 1e-12
 DRIFT_SLACK = -1e-12
@@ -69,7 +70,7 @@ def growth_batch():
 def jump_equivalence_runs():
     info = get_scenario("continuous-jump-equivalence")
     cfg = parse_config_dict(info.config)
-    return [run_continuous(build_run(cfg, seed)) for seed in cfg.seeds]
+    return [recorded(run_continuous, build_run(cfg, seed)) for seed in cfg.seeds]
 
 
 def _rows(batch, investor):
@@ -223,7 +224,7 @@ def test_criterion_7_engine_identities(
             )
             worst_exp = max(worst_exp, ident["exponent_rel_err"])
             n_runs += 1
-    for traj in jump_equivalence_runs:
+    for traj, _, _ in jump_equivalence_runs:
         report = identity_report(traj)
         worst_margin = min(
             worst_margin, report.lower_bound_margin, report.upper_bound_margin
@@ -244,10 +245,10 @@ def test_criterion_8_continuous_discrete_equivalence(jump_equivalence_runs):
     wealth is linear; refining the integrator step is inert."""
     worst_replay = 0.0
     n_jumps = 0
-    for traj in jump_equivalence_runs:
+    for traj, lam, _ in jump_equivalence_runs:
         y = traj.wealth[0].copy()
         for k in np.where(traj.is_jump)[0]:
-            y = discrete_step(y, traj.weights[k], traj.dx[k], traj.dv[k])
+            y = discrete_step(y, lam[k], traj.dx[k], traj.dv[k])
             worst_replay = max(worst_replay, float(np.max(np.abs(y - traj.wealth[k + 1]))))
             n_jumps += 1
     assert worst_replay <= JUMP_REPLAY_TOL

@@ -466,6 +466,17 @@ class TestMainEntryPoint:
         assert capsys.readouterr().err.count("config error: $.name: ") == 2
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys, command):
+        # a UTF-16 byte order mark once ended in a UnicodeDecodeError traceback
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(minimal_config()).encode("utf-16-le"))
+        out_dir = tmp_path / "out"
+        extra = ["--out", str(out_dir)] if command == "run" else []
+        assert main([command, "--config", str(path), *extra]) == 1
+        assert "config error: $: not UTF-8 text: " in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_infinite_horizon_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(minimal_config(horizon=math.inf)))

@@ -46,6 +46,7 @@ from marketsel import (
 )
 from marketsel.strategies import PerturbationSchedule
 from marketsel.scenarios import two_point_model
+from recording import recorded
 from reference_closeness import closeness_integral
 
 EXACT_TOL = 1e-12
@@ -254,13 +255,11 @@ class TestClosenessIntegral:
 
     def test_constant_distance_lower_bound(self):
         # with a pressure floor h the integral grows at least dist^2 * h * T
-        traj = _dominance_run(horizon=300)
+        traj, lam, cand = recorded(_dominance_run, horizon=300)
         dh = np.diff(traj.pressure)
         floor = dh.min()
         assert floor > 0.0
-        total = closeness_integral(
-            traj.weights[:, 1, :], traj.candidate, dh
-        )
+        total = closeness_integral(lam[:, 1, :], cand, dh)
         assert total >= 0.02 * floor * traj.n_records - EXACT_TOL
 
     def test_inverse_t_perturbation_partial_sums_cauchy(self):
@@ -274,15 +273,13 @@ class TestClosenessIntegral:
 
     def test_recomputation_matches_engine(self):
         # dual route for the engine's closeness accumulator
-        traj = _dominance_run(horizon=250)
-        recomputed = closeness_integral(
-            traj.weights[:, 1, :], traj.candidate, np.diff(traj.pressure)
-        )
+        traj, lam, cand = recorded(_dominance_run, horizon=250)
+        recomputed = closeness_integral(lam[:, 1, :], cand, np.diff(traj.pressure))
         assert recomputed == pytest.approx(traj.closeness[-1, 1], rel=ACCUM_RTOL)
 
     def test_gap_integral_recomputation_matches_engine(self):
-        traj = _dominance_run(horizon=250)
-        gaps = gibbs_gap(traj.candidate, traj.weights[:, 1, :])
+        traj, lam, cand = recorded(_dominance_run, horizon=250)
+        gaps = gibbs_gap(cand, lam[:, 1, :])
         recomputed = float((gaps * np.diff(traj.pressure)).sum())
         assert recomputed == pytest.approx(traj.gap_integral[-1, 1], rel=ACCUM_RTOL)
 

@@ -36,6 +36,7 @@ from marketsel import PerturbationSchedule, engine, perturbed, survival_mc_strat
 from marketsel.diagnostics import run_summary
 from marketsel.scenarios import two_point_model
 from marketsel.strategies import mc_samples
+from recording import recorded
 
 EXACT_TOL = 1e-12
 PATH_RTOL = 1e-9
@@ -96,6 +97,11 @@ class TestDiscreteStep:
     def test_output_strictly_positive(self):
         out = discrete_step([1.0, 1e-9], [[1.0, 0.0], [1.0, 0.0]], [0.0, 5.0], 0.99)
         assert np.all(out > 0.0)
+
+    def test_rejects_negative_weights(self):
+        # a negative weight once gave investor 1 a negative wealth, -0.5
+        with pytest.raises(DomainError, match="weights must be non-negative"):
+            discrete_step([1.0, 1.0], [[-0.5, 1.5], [1.0, 0.0]], [1.0, 0.0], 0.5)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -205,9 +211,9 @@ class TestRunDiscrete:
         )
         spec = self._market(model)
         handles = [survival_strategy(), constant_strategy([0.5, 0.5])]
-        traj = run_discrete(ProfileRun(spec, handles, 20, RngStream(8)))
-        np.testing.assert_allclose(traj.candidate, np.tile([0.8, 0.2], (20, 1)), atol=EXACT_TOL)
-        np.testing.assert_allclose(traj.weights[:, 0, :], traj.candidate, atol=EXACT_TOL)
+        _, lam, cand = recorded(run_discrete, ProfileRun(spec, handles, 20, RngStream(8)))
+        np.testing.assert_allclose(cand, np.tile([0.8, 0.2], (20, 1)), atol=EXACT_TOL)
+        np.testing.assert_allclose(lam[:, 0, :], cand, atol=EXACT_TOL)
 
     def test_path_identities_hold(self):
         spec = self._market(two_point_model(0.6, 0.3))
@@ -274,10 +280,10 @@ class TestRunDiscrete:
         # discrete_step of the row before, bit for bit
         with mock.patch.object(engine, "FLOAT_CELLS", cells):
             with mock.patch.object(engine, "_divide_bounded", wraps=engine._divide_bounded) as bounded:
-                traj = self._sole_holder_run(dry_steps)
+                traj, lam, _ = recorded(self._sole_holder_run, dry_steps)
             assert bounded.call_count > 0
             for k in range(traj.n_records):
-                replay = discrete_step(traj.wealth[k], traj.weights[k], traj.dx[k], traj.dv[k])
+                replay = discrete_step(traj.wealth[k], lam[k], traj.dx[k], traj.dv[k])
                 assert np.array_equal(replay, traj.wealth[k + 1]), k
 
     def _zero_wealth_run(self):
@@ -286,9 +292,9 @@ class TestRunDiscrete:
 
     def test_zero_wealth_row_replays_through_discrete_step(self):
         # the row after the 0 is still discrete_step of that row, bit for bit
-        traj = self._zero_wealth_run()
+        traj, lam, _ = recorded(self._zero_wealth_run)
         assert traj.wealth[200, 1] == 0.0
-        replayed = discrete_step(traj.wealth[200], traj.weights[200], traj.dx[200], traj.dv[200])
+        replayed = discrete_step(traj.wealth[200], lam[200], traj.dx[200], traj.dv[200])
         np.testing.assert_array_equal(replayed, traj.wealth[201])
 
     def test_zero_wealth_run_validates(self):
@@ -315,16 +321,30 @@ class TestRunDiscrete:
 
     def test_trajectory_accessors(self):
         spec = self._market(two_point_model(0.6, 0.0))
-        traj = run_discrete(
-            ProfileRun(spec, [constant_strategy([0.5, 0.5])] * 2, 5, RngStream(6))
+        traj, lam, _ = recorded(
+            run_discrete, ProfileRun(spec, [constant_strategy([0.5, 0.5])] * 2, 5, RngStream(6))
         )
         np.testing.assert_array_equal(traj.times, np.arange(6.0))
         assert traj.total[3] == traj.wealth[3].sum()
         assert traj.is_jump.all()
         for k in range(traj.n_records):
             assert traj.dx[k].tolist() in ([1.0, 0.0], [0.0, 1.0])
-            step = discrete_step(traj.wealth[k], traj.weights[k], traj.dx[k], traj.dv[k])
+            step = discrete_step(traj.wealth[k], lam[k], traj.dx[k], traj.dv[k])
             np.testing.assert_array_equal(step, traj.wealth[k + 1])
+
+    def test_trajectory_keeps_no_per_step_weights(self):
+        # 40 investors x 10 assets over 500 steps: the weights alone would
+        # take 1.6 MB; the recorded path, 3 + 4M columns and the increments, 0.75 MB
+        m, n = 40, 10
+        gen = np.random.default_rng(3)
+        atoms = tuple((tuple(gen.uniform(0.0, 1.0, n)), 0.3) for _ in range(6))
+        spec = MarketSpec(m, n, np.ones(m), payoff_model=DiscreteIIDModel(atoms, (1 / 6,) * 6))
+        handles = [survival_strategy() if i % 2 else constant_strategy(gen.dirichlet(np.ones(n)))
+                   for i in range(m)]
+        traj = run_discrete(ProfileRun(spec, handles, 500, RngStream(0)))
+        arrays = [v for v in vars(traj).values() if isinstance(v, np.ndarray)]
+        assert all(v.size < 500 * m * n for v in arrays)
+        assert sum(v.nbytes for v in arrays) < 0.8e6
 
     def test_block_temporaries_do_not_grow_with_the_horizon(self):
         # 40 investors x 10 assets, 2-regime Markov model, all five kinds
@@ -438,11 +458,11 @@ class TestRunContinuous:
         )
         spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=kernel)
         handles = [survival_strategy(), constant_strategy([0.5, 0.5])]
-        traj = run_continuous(ProfileRun(spec, handles, 5.0, RngStream(3), record_dt=0.5))
+        traj, lam, _ = recorded(run_continuous, ProfileRun(spec, handles, 5.0, RngStream(3), record_dt=0.5))
         assert traj.is_jump.sum() > 0
         y = traj.wealth[0].copy()
         for k in np.where(traj.is_jump)[0]:
-            y = discrete_step(y, traj.weights[k], traj.dx[k], traj.dv[k])
+            y = discrete_step(y, lam[k], traj.dx[k], traj.dv[k])
             np.testing.assert_allclose(y, traj.wealth[k + 1], atol=EXACT_TOL, rtol=0)
 
     def test_single_investor_linear_total_growth(self):
@@ -600,7 +620,8 @@ class TestRunContinuous:
 
         monkeypatch.setattr(engine, "_grid_blocks", block_spy)
         monkeypatch.setattr(engine, "_drift_rates", spy)
-        traj = run_continuous(ProfileRun(spec, handles, 3.0, RngStream(2), record_dt=1.0))
+        profile = ProfileRun(spec, handles, 3.0, RngStream(2), record_dt=1.0)
+        traj, weights, _ = recorded(run_continuous, profile)
         assert traj.is_jump.sum() >= 2
         assert len(calls) == len(blocks)  # one policy stage per block
         assert all(np.array_equal(t, block) for (t, _), block in zip(calls, blocks))
@@ -611,7 +632,7 @@ class TestRunContinuous:
             end = np.flatnonzero(t == traj.times[k + 1])
             assert end.size > 0
             if traj.is_jump[k]:
-                assert np.array_equal(traj.weights[k], lam[end[0]])
+                assert np.array_equal(weights[k], lam[end[0]])
 
     def test_block_layout_changes_only_the_integrals_rounding(self, monkeypatch):
         # a small budget makes blocks that span several segments and
@@ -632,7 +653,7 @@ class TestRunContinuous:
         def go():
             return run_continuous(ProfileRun(spec, handles, 20.0, RngStream(5), dt=0.01))
 
-        default = go()
+        default, default_lam, default_cand = recorded(go)
         layout, grid_blocks = [], engine._grid_blocks
 
         def spy(*args):
@@ -642,10 +663,12 @@ class TestRunContinuous:
 
         monkeypatch.setattr(engine, "BLOCK_BYTES", 1 << 14)
         monkeypatch.setattr(engine, "_grid_blocks", spy)
-        small = go()
+        small, small_lam, small_cand = recorded(go)
         assert any(len(records) > 1 for records in layout)
         assert any(len([b for b in layout if k in b]) > 1 for k in range(small.n_records))
-        for name in ("wealth", "weights", "candidate", "times", "is_jump"):
+        np.testing.assert_array_equal(small_lam, default_lam, err_msg="weights")
+        np.testing.assert_array_equal(small_cand, default_cand, err_msg="candidate")
+        for name in ("wealth", "times", "is_jump", "weight_floor", "candidate_floor"):
             np.testing.assert_array_equal(getattr(small, name), getattr(default, name), err_msg=name)
         for name in ("pressure", "gap_integral", "closeness", "z_cont"):
             np.testing.assert_allclose(getattr(small, name), getattr(default, name), rtol=1e-13, atol=0,
@@ -663,7 +686,7 @@ class TestRunContinuous:
         monkeypatch.setattr(engine, "next_jump", lambda kernel, rng, t: next(jumps, None))
         spec = MarketSpec(2, 2, [1.0, 1.5], payoff_model=kernel)
         handles = [survival_strategy(), constant_strategy([0.3, 0.7])]
-        traj = run_continuous(ProfileRun(spec, handles, 1.0, RngStream(0), record_dt=0.25))
+        traj, lam, _ = recorded(run_continuous, ProfileRun(spec, handles, 1.0, RngStream(0), record_dt=0.25))
         np.testing.assert_array_equal(traj.times, [0.0, 0.25, 0.3, 0.3, 0.5, 0.7, 0.75, 1.0])
         assert traj.is_jump.tolist() == [False, True, True, False, True, False, False]
         w_minus = engine._total_wealth(kernel, engine._total_wealth(kernel, 2.5, 0.25), 0.3 - 0.25)
@@ -671,8 +694,8 @@ class TestRunContinuous:
         assert traj.z_jump[1] == 1.0 / w_minus - 0.1
         assert traj.z_jump[2] == 1.0 / w_plus - 0.05
         for m, handle in enumerate(handles):
-            assert np.array_equal(traj.weights[2, m], engine.evaluate(handle, kernel, 0.3, None, w_plus))
-        assert np.array_equal(traj.wealth[3], discrete_step(traj.wealth[2], traj.weights[2], *down))
+            assert np.array_equal(lam[2, m], engine.evaluate(handle, kernel, 0.3, None, w_plus))
+        assert np.array_equal(traj.wealth[3], discrete_step(traj.wealth[2], lam[2], *down))
         for name in ("pressure", "gap_integral", "closeness"):
             assert np.array_equal(getattr(traj, name)[3], getattr(traj, name)[2]), name
         assert traj.z_cont[2] == 0.0
@@ -791,6 +814,17 @@ class TestProfileRunValidation:
         spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=two_point_model(0.5, 0.0))
         with pytest.raises(DomainError):
             run_continuous(ProfileRun(spec, [constant_strategy([0.5, 0.5])] * 2, 1.0, RngStream(0)))
+
+    @pytest.mark.parametrize(
+        "model",
+        [two_point_model(0.5, 0.0), KernelSpec(jump_atoms=(), drift=(1.0, 0.5))],
+        ids=["discrete", "kernel-without-jumps"],
+    )
+    def test_infinite_horizon_rejected(self, model):
+        # a discrete run once raised OverflowError, a kernel without jumps TypeError
+        spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=model)
+        with pytest.raises(DomainError, match="horizon must be finite"):
+            ProfileRun(spec, [constant_strategy([0.5, 0.5])] * 2, math.inf, RngStream(0))
 
     def test_nonpositive_wealth_rejected(self):
         spec = MarketSpec(2, 2, [1.0, 0.0], payoff_model=two_point_model(0.5, 0.0))

@@ -57,6 +57,7 @@ from marketsel import engine
 from marketsel.core import PATH_RTOL, divergence_rows
 from marketsel.payoffs import expected_claim_rates, next_jump
 from marketsel.strategies import mc_samples
+from recording import recorded
 from reference_policy import reference_weights
 
 RTOL = 1e-12
@@ -79,12 +80,13 @@ def _on_clock(rate, clock):
 
 
 def reference_run_discrete(run: ProfileRun, rng: np.random.Generator):
-    """The per-step loop the staged engine replaces."""
+    """The per-step loop the staged engine replaces; also returns every step's weights and candidate."""
     market, model = run.market, run.market.payoff_model
     t_end = int(run.horizon)
     m_inv, n_assets = market.num_investors, market.num_assets
     regime = getattr(model, "initial_state", None)
     traj = engine._alloc(t_end, m_inv, n_assets, "discrete")
+    weights, candidate = np.zeros((t_end, m_inv, n_assets)), np.zeros((t_end, n_assets))
     y = market.initial_wealth.copy()
     w = float(y.sum())
     traj.wealth[0] = y
@@ -108,8 +110,9 @@ def reference_run_discrete(run: ProfileRun, rng: np.random.Generator):
         traj.cum_x[t] = traj.cum_x[k] + dx
         traj.cum_v[t] = traj.cum_v[k] + dv
         traj.retention[t] = traj.retention[k] * (1.0 - dv)
-        traj.weights[k] = lam
-        traj.candidate[k] = cand_w
+        weights[k], candidate[k] = lam, cand_w
+        traj.weight_floor = np.minimum(traj.weight_floor, lam.min(axis=1))
+        traj.candidate_floor = min(traj.candidate_floor, float(cand_w.min()))
         traj.z_jump[k] = abs_dx / w - dv
         d_pressure = float(claim.sum()) / w
         traj.pressure[t] = traj.pressure[k] + d_pressure
@@ -120,7 +123,7 @@ def reference_run_discrete(run: ProfileRun, rng: np.random.Generator):
             (lam <= 0.0) & (cand_w > engine.SUPPORT_TOL)[None, :], axis=1
         )
         w = (1.0 - dv) * w + abs_dx
-    return traj
+    return traj, weights, candidate
 
 
 class _Handout:
@@ -227,19 +230,24 @@ def test_staged_engine_matches_per_step_reference(case):
     spec, handles, horizon, block_bytes, seed = case
     staged_rng, ref_rng = _Handout(seed), _Handout(seed)
     with mock.patch.object(engine, "BLOCK_BYTES", block_bytes):
-        got = run_discrete(ProfileRun(spec, handles, horizon, staged_rng))
-    ref = reference_run_discrete(ProfileRun(spec, handles, horizon, ref_rng), ref_rng.gen)
+        got, *got_policy = recorded(run_discrete, ProfileRun(spec, handles, horizon, staged_rng))
+    ref, *ref_policy = reference_run_discrete(ProfileRun(spec, handles, horizon, ref_rng), ref_rng.gen)
 
-    for f in fields(got):
-        a, b = getattr(got, f.name), getattr(ref, f.name)
-        if isinstance(a, np.ndarray) and a.dtype.kind == "f":
-            np.testing.assert_allclose(a, b, rtol=RTOL, atol=0, err_msg=f.name)
+    for name, a, b in _compared(got, got_policy, ref, ref_policy):
+        if np.asarray(a).dtype.kind == "f":
+            np.testing.assert_allclose(a, b, rtol=RTOL, atol=0, err_msg=name)
         else:
-            np.testing.assert_array_equal(a, b, err_msg=f.name)
+            np.testing.assert_array_equal(a, b, err_msg=name)
     for k in range(got.n_records):
-        replay = discrete_step(got.wealth[k], got.weights[k], got.dx[k], got.dv[k])
+        replay = discrete_step(got.wealth[k], got_policy[0][k], got.dx[k], got.dv[k])
         assert np.array_equal(got.wealth[k + 1], replay), k
     assert _same_state(staged_rng.gen.bit_generator.state, ref_rng.gen.bit_generator.state)
+
+
+def _compared(got, got_policy, ref, ref_policy):
+    """(name, staged, reference) for every ``Trajectory`` field, then the weights and the candidate."""
+    pairs = [(f.name, getattr(got, f.name), getattr(ref, f.name)) for f in fields(got)]
+    return pairs + list(zip(("weights", "candidate"), got_policy, ref_policy))
 
 
 def _same_state(a, b) -> bool:
@@ -325,7 +333,7 @@ def _closed_form_w(kernel, w0, s):
 
 
 def reference_run_continuous(run: ProfileRun, rng: np.random.Generator):
-    """The per-stage event loop; also returns the closed-form W per record."""
+    """The per-stage event loop; also returns each record's weights, candidate and closed-form W."""
     market, kernel = run.market, run.market.payoff_model
     handles, b, v_rate, grid = run.strategies, kernel.drift, kernel.v_rate, run.record_dt
     m_inv = market.num_investors
@@ -395,11 +403,15 @@ def reference_run_continuous(run: ProfileRun, rng: np.random.Generator):
     traj.cum_x[:], traj.cum_v[:], traj.retention[:] = cum_x, cum_v, retention
     traj.pressure[:], traj.gap_integral[:], traj.closeness[:] = pressure, gap, close
     traj.support_violations = support
+    weights = np.zeros((len(events), m_inv, market.num_assets))
+    candidate = np.zeros((len(events), market.num_assets))
     for k, (dx, dv, is_jump, zc, zj, lam, cand) in enumerate(events):
         traj.dx[k], traj.dv[k], traj.is_jump[k] = dx, dv, is_jump
         traj.z_cont[k], traj.z_jump[k] = zc, zj
-        traj.weights[k], traj.candidate[k] = lam, cand
-    return traj, np.array(closed)
+        weights[k], candidate[k] = lam, cand
+    if events:
+        traj.weight_floor, traj.candidate_floor = weights.min(axis=(0, 2)), float(candidate.min())
+    return traj, weights, candidate, np.array(closed)
 
 
 def _kernel(draw, n, dead):
@@ -490,23 +502,25 @@ def test_staged_continuous_engine_matches_per_stage_reference(case):
 
     with mock.patch.object(engine, "BLOCK_BYTES", block_bytes), \
             mock.patch.object(engine, "discrete_step", spy):
-        got = run_continuous(ProfileRun(spec, handles, horizon, staged_rng, dt=dt, record_dt=record_dt))
-    ref, closed_w = reference_run_continuous(
+        got, *got_policy = recorded(
+            run_continuous, ProfileRun(spec, handles, horizon, staged_rng, dt=dt, record_dt=record_dt)
+        )
+    ref, *ref_policy, closed_w = reference_run_continuous(
         ProfileRun(spec, handles, horizon, ref_rng, dt=dt, record_dt=record_dt), ref_rng.gen
     )
 
-    for f in fields(got):
-        a, b = getattr(got, f.name), getattr(ref, f.name)
-        if isinstance(a, np.ndarray) and a.dtype.kind == "f":
-            np.testing.assert_allclose(a, b, rtol=CONTINUOUS_RTOL, atol=0, err_msg=f.name)
+    for name, a, b in _compared(got, got_policy, ref, ref_policy):
+        if np.asarray(a).dtype.kind == "f":
+            np.testing.assert_allclose(a, b, rtol=CONTINUOUS_RTOL, atol=0, err_msg=name)
         else:
-            np.testing.assert_array_equal(a, b, err_msg=f.name)
+            np.testing.assert_array_equal(a, b, err_msg=name)
     # every jump row is discrete_step of the pre-jump state, bit for bit
     jump_rows = np.flatnonzero(got.is_jump)
     assert len(replays) == jump_rows.size
+    weights = got_policy[0]
     for k, (y, lam, x, v, out) in zip(jump_rows, replays):
-        assert np.array_equal(lam, got.weights[k])
+        assert np.array_equal(lam, weights[k])
         assert np.array_equal(got.wealth[k + 1], out)
-        assert np.array_equal(discrete_step(y, got.weights[k], x, v), out)
+        assert np.array_equal(discrete_step(y, weights[k], x, v), out)
     np.testing.assert_allclose(got.total, closed_w, rtol=PATH_RTOL, atol=0)
     assert _same_state(staged_rng.gen.bit_generator.state, ref_rng.gen.bit_generator.state)

@@ -40,6 +40,7 @@ from marketsel import (
     run_discrete,
     survival_strategy,
 )
+from recording import recorded
 
 U = 2.0**-53  # unit roundoff of a double
 TINY = 2.0**-1074  # the smallest subnormal
@@ -195,14 +196,14 @@ def test_a_discrete_run_agrees_on_both_kernels():
     )
     spec = MarketSpec(3, 3, [1.0, 2.0, 0.5], payoff_model=model)
     handles = [survival_strategy(), constant_strategy([0.2, 0.5, 0.3]), constant_strategy([0.6, 0.0, 0.4])]
-    floats, arrays = _runs(lambda: run_discrete(ProfileRun(spec, handles, 300, RngStream(3))))
+    floats, arrays = _runs(lambda: recorded(run_discrete, ProfileRun(spec, handles, 300, RngStream(3))))
     # the kernels differ only in the order of operations: the discrete
     # oracle's tolerance (test_engine_oracle.RTOL)
-    np.testing.assert_allclose(floats.wealth, arrays.wealth, rtol=1e-12, atol=0)
-    for traj in (floats, arrays):
+    np.testing.assert_allclose(floats[0].wealth, arrays[0].wealth, rtol=1e-12, atol=0)
+    for (traj, lam, _), cells in ((floats, 10**9), (arrays, 0)):
         for k in range(0, traj.n_records, 37):
-            with mock.patch.object(engine, "FLOAT_CELLS", 10**9 if traj is floats else 0):
-                replay = engine.discrete_step(traj.wealth[k], traj.weights[k], traj.dx[k], traj.dv[k])
+            with mock.patch.object(engine, "FLOAT_CELLS", cells):
+                replay = engine.discrete_step(traj.wealth[k], lam[k], traj.dx[k], traj.dv[k])
             assert np.array_equal(traj.wealth[k + 1], replay), k
 
 

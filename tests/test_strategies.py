@@ -8,6 +8,7 @@ normalization and the survival candidate equals the outcome distribution
 (p, 1 - p) regardless of W and delta.
 """
 
+import math
 import re
 import warnings
 
@@ -315,6 +316,14 @@ class TestHandlesAndTables:
     def test_non_increasing_breakpoints_rejected(self):
         with pytest.raises(DomainError):
             table_strategy(default=[(5.0, [0.5, 0.5]), (5.0, [0.6, 0.4])])
+
+    @pytest.mark.parametrize("default", [[(0.0, [1.0, 0.0]), (math.nan, [0.0, 1.0])],
+                                         [(math.nan, [1.0, 0.0]), (1.0, [0.0, 1.0])]],
+                             ids=["second", "first"])
+    def test_nan_breakpoint_rejected(self, default):
+        # a NaN compares false both ways, so it once passed the increasing check
+        with pytest.raises(DomainError, match="strictly increasing"):
+            table_strategy(default)
 
     @pytest.mark.parametrize("t_from", [0.0, 1.0], ids=["same-breakpoints", "other-breakpoints"])
     def test_two_keys_naming_one_regime_are_rejected(self, t_from):
