@@ -129,14 +129,13 @@ def _build_model(spec: dict, errors: list, path: str):
                 if not atom["v"] < 1.0:
                     errors.append(f"{path}.jump_atoms[{i}].v: must lie in [0, 1)")
                     return None
-            gamma = spec.get("gamma_v", max((a["v"] for a in spec["jump_atoms"]), default=0.0))
             return KernelSpec(
                 jump_atoms=tuple(
                     (tuple(a["payoff"]), a["v"], a["intensity"]) for a in spec["jump_atoms"]
                 ),
                 drift=np.asarray(spec["drift"], dtype=float),
                 v_rate=spec.get("v_rate", 0.0),
-                gamma_v=gamma,
+                gamma_v=spec.get("gamma_v"),
             )
     except DomainError as exc:
         errors.append(f"{path}: {exc}")
@@ -299,11 +298,6 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
         survival_floor=diag.get("survival_floor", 0.05),
         trend_tol=diag.get("trend_tol", 1e-4),
     )
-
-
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate a JSON config document."""
-    return parse_config_dict(_json_object(text))
 
 
 def build_run(cfg: ScenarioConfig, seed: int) -> ProfileRun:

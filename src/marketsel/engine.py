@@ -65,16 +65,19 @@ four stages, and only the investor wealth is stepped in sequence:
   time, the grid's last point;
 * running sums -- ``_record``, shared by both engines: total and
   relative wealth, and the payoff, consumption, retention, pressure, gap
-  and closeness increments added (or multiplied) in record order, plus
-  the support violations and the floors of every strategy's weights and
-  of the candidate, over a block of steps or over all continuous records
-  at once.  The weights and the candidate reach it from the policy stage
-  and go no further: the ``Trajectory`` keeps none of them.
+  and closeness increments added (or multiplied) in record order, over a
+  block of steps or over all continuous records at once; and ``_tally``,
+  per block, the support violations and the floors of every strategy's
+  weights and of the candidate.  The weights and the candidate go no
+  further: neither engine nor the ``Trajectory`` keeps any of them.
 
-The discrete block length and the continuous grid block come from a
-fixed byte budget for their temporaries, so transient memory does not
-grow with the horizon.  Fixed steps keep continuous runs
-bit-reproducible; the integrator does not consume randomness, so
+Both engines size their blocks from one count of a decision point's
+temporaries (``_point_words``) and one byte budget, BLOCK_BYTES, so
+transient memory grows with neither the horizon nor the support size.
+What grows with the record count is O(records M): the ``Trajectory``'s
+arrays, and a continuous run's record end times and the (records, 2M +
+2) integrals it sums before ``_record``.  Fixed steps keep continuous
+runs bit-reproducible; the integrator does not consume randomness, so
 refining the step never changes the jump sequence.  Along with the path
 both engines record the increments of the process driving ln W, so the
 terminal total wealth can be reconstructed through the stochastic
@@ -111,8 +114,8 @@ from .core import make_simplex  # noqa: F401
 # strategy abandoned an asset the survival candidate still weights.
 SUPPORT_TOL = 1e-12
 
-# Byte budget for the temporaries of one block of discrete steps; it sets
-# the block length, so transient memory does not grow with the horizon.
+# Byte budget for the temporaries of one block, of steps or grid points
+# (``_point_words``), so transient memory does not grow with the horizon.
 BLOCK_BYTES = 1 << 20
 
 # Markets with at most this many weights (M * N) step their wealth on
@@ -163,15 +166,20 @@ class ProfileRun:
             raise DomainError("market needs at least one investor and one asset")
         if y0.size != market.num_investors or not np.all(np.isfinite(y0)) or np.any(y0 <= 0):
             raise DomainError("initial wealth must be strictly positive, one value per investor")
-        if market.payoff_model is None:
+        model = market.payoff_model
+        if model is None:
             raise DomainError("market needs a payoff model")
+        if model.num_assets != market.num_assets:
+            raise DomainError("payoff model and market disagree on the number of assets")
         if len(self.strategies) != self.market.num_investors:
             raise DomainError("need exactly one strategy per investor")
         for m, handle in enumerate(self.strategies):
-            for path, msg in handle_errors(handle, market.payoff_model):
+            for path, msg in handle_errors(handle, model):
                 raise DomainError(f"strategy {m}{path}: {msg}")
         if not 0 <= self.horizon < math.inf:
             raise DomainError("horizon must be finite and >= 0")
+        if not isinstance(model, KernelSpec) and self.horizon != int(self.horizon):
+            raise DomainError("discrete horizon must be an integer number of steps")
         if not self.dt > 0:
             raise DomainError("dt must be positive")
         if self.record_dt is not None and not self.record_dt > 0:
@@ -317,29 +325,27 @@ def _alloc(n_records: int, m: int, n: int, mode: str) -> Trajectory:
     )
 
 
-def _step_words(m_inv: int, n_assets: int, mc_sizes) -> int:
-    """``_block_steps``'s per-step estimate of the block temporaries, in 8-byte words."""
-    u = sum(mc_sizes)
-    fold = fold_words(max(mc_sizes, default=0), n_assets)
-    return u + (m_inv + 1) * n_assets + max(2 * u + fold, 4 * (m_inv + 1) * (n_assets + 1))
+def _point_words(model, m_inv: int, mc_sizes=()) -> int:
+    """Words (8 bytes) that one decision point's block temporaries take at most.
 
-
-def _block_steps(m_inv: int, n_assets: int, mc_sizes) -> int:
-    """Steps per block of ``run_discrete``: as many as fit in BLOCK_BYTES.
-
-    The per-step estimate (``_step_words``) covers the largest block
-    temporaries alive at once: every handle's uniforms (U in all), the
-    weights (M N) and the candidate (N), which live through the block,
-    plus the larger of two stage terms.  The policy stage's Monte Carlo
-    kernel holds a regime group's copy of the uniforms and their atom
-    indices (2U) and the fold's sample chunk, which ``mc_claim`` keeps
-    within ``fold_words`` of the largest sample count per step, however
-    many steps its regime group has.  The policy
-    stage's table lookups and perturbed blends, the scaled weights of the
-    division rule and the divergence and closeness increments each take
-    at most four (M + 1, N + 1) arrays.
+    Both engines put as many points in a block as fit in BLOCK_BYTES.  The
+    environment rows with every handle's uniforms (U in all: U + N + 8),
+    the weights and the candidate ((M + 1) N) live through a block, under
+    the larger of two stage terms.  One is the claim's per-atom terms over
+    A atoms (the largest regime's support, or a kernel's jump atoms): two
+    (A,) arrays, an (A, N) product and as much again for numpy's buffers
+    for its broadcast operands, at most 2 x 8192 words; with them the
+    Monte Carlo kernel's copy of the uniforms and their atom indices (2U)
+    and its fold (``fold_words`` of the largest sample count).  The other
+    is the table lookups and perturbed blends, the division rule's scaled
+    weights and the divergence and closeness increments: four (M + 1, N +
+    1) arrays.
     """
-    return max(1, BLOCK_BYTES // (8 * _step_words(m_inv, n_assets, mc_sizes)))
+    n, regimes = model.num_assets, getattr(model, "regimes", (model,))
+    atoms = model._rhos.size if isinstance(model, KernelSpec) else max(e._deltas.size for e in regimes)
+    u = sum(mc_sizes)
+    per_atom = atoms * (2 * n + 2) + (2 * u + fold_words(max(mc_sizes), n) if u else 0)
+    return u + n + 8 + (m_inv + 1) * n + max(per_atom, 4 * (m_inv + 1) * (n + 1))
 
 
 def _environment(model, rng, regime, w: float, steps: int, n_uniforms: int):
@@ -439,14 +445,13 @@ def _running(acc: np.ndarray, k: int, inc: np.ndarray, op=np.add) -> None:
     op.accumulate(out, axis=0, out=out)
 
 
-def _record(traj: Trajectory, k: int, keep, rates, lam, cand) -> None:
+def _record(traj: Trajectory, k: int, keep, rates) -> None:
     """Complete records k + 1 .. k + K, whose wealth, payoffs and consumption are written.
 
     ``keep`` (K,) holds each record's retention factor and ``rates``
     (K, >= 2M + 1) its pressure, gap and closeness increments, laid out
-    as ``_stage`` returns them.  ``lam`` (K, M, N) and ``cand`` (K, N)
-    are each record's weights and candidate: they count the support
-    violations and lower the floors, and are not kept.
+    as ``_stage`` returns them.  Every running sum adds (or multiplies)
+    them in record order.
     """
     m = traj.num_investors
     k1 = k + len(keep)
@@ -460,6 +465,12 @@ def _record(traj: Trajectory, k: int, keep, rates, lam, cand) -> None:
     _running(traj.pressure, k, rates[:, 0])
     _running(traj.gap_integral, k, rates[:, 1 : 1 + m])
     _running(traj.closeness, k, rates[:, 1 + m : 1 + 2 * m])
+
+
+def _tally(traj: Trajectory, lam, cand) -> None:
+    """Add K records' weights ``lam`` (K, M, N) and candidate ``cand`` (K, N)
+    to the support violations and the floors, and keep neither.  A count
+    and two minima: the records may come in any order and grouping."""
     abandoned = (lam <= 0.0) & (cand > SUPPORT_TOL)[:, None, :]
     traj.support_violations += np.any(abandoned, axis=2).sum(axis=0)
     np.minimum(traj.weight_floor, lam.min(axis=(0, 2)), out=traj.weight_floor)
@@ -522,23 +533,19 @@ def run_discrete(run: ProfileRun) -> Trajectory:
     four stages: environment (draws and the W recursion), policy and its
     diagnostic rates (``_stage``), dynamics (the investor-wealth
     recursion, the only sequential stage) and the running sums
-    (``_record``).
+    (``_record``, then ``_tally`` of the block's weights).
     """
     market = run.market
     model = market.payoff_model
     if isinstance(model, KernelSpec):
         raise DomainError("run_discrete needs a discrete payoff model")
     t_end = int(run.horizon)
-    if t_end != run.horizon:
-        raise DomainError("discrete horizon must be an integer number of steps")
     m_inv, n_assets = market.num_investors, market.num_assets
-    if model.num_assets != n_assets:
-        raise DomainError("payoff model and market disagree on the number of assets")
     rng = run.rng.generator()
     regime = getattr(model, "initial_state", None)
     mc_sizes = [mc_samples(h) for h in run.strategies]
     n_uniforms = sum(mc_sizes)
-    block = _block_steps(m_inv, n_assets, mc_sizes)
+    block = max(1, BLOCK_BYTES // (8 * _point_words(model, m_inv, mc_sizes)))
     policy = Policy(run.strategies)
 
     traj = _start(t_end, market, "discrete")
@@ -569,7 +576,8 @@ def run_discrete(run: ProfileRun) -> Trajectory:
         _advance(traj.wealth, k0, lam, dx, dv)
 
         # running sums
-        _record(traj, k0, 1.0 - dv, rates, lam, cand)
+        _record(traj, k0, 1.0 - dv, rates)
+        _tally(traj, lam, cand)
     return traj
 
 
@@ -584,15 +592,6 @@ def _total_wealth(kernel: KernelSpec, w0, s):
     if v == 0.0:
         return w0 + b * s
     return w0 * np.exp(-v * s) - b * np.expm1(-v * s) / v
-
-
-def _chunk_substeps(m_inv: int, n_assets: int, n_atoms: int) -> int:
-    """Substeps per piece of a segment, so a grid block holds at most 2 chunk
-    + 1 points: as many as fit in BLOCK_BYTES.  The per-point estimate
-    covers the weights and the divergence temporaries, four (M, N) arrays,
-    and the per-atom claim terms."""
-    per_point = 8 * (4 * (m_inv + 1) * (n_assets + 1) + n_atoms * (n_assets + 1))
-    return max(1, BLOCK_BYTES // (2 * per_point))
 
 
 def _drift_rates(kernel, policy, t, w):
@@ -695,18 +694,19 @@ def _jump_schedule(kernel, rng, horizon: float, grid):
     return events
 
 
-def _grid_blocks(kernel, events, w0, dt: float, chunk: int):
+def _grid_blocks(kernel, events, w0, dt: float, points: int):
     """Every segment's grid and W, in blocks of whole pieces.
 
     Record k's segment, from t0 to its end time t1, has n = ceil((t1 - t0)
     / dt) substeps of length h (none if t1 = t0) on the grid t0 + j h / 2,
     whose last point is exactly t1.  W is the closed form from t0, and W+
     = (1 - v) W- + |x| at a jump, W- at the grid's last point.  A segment
-    splits into pieces at every ``chunk`` substeps, each with its own
-    points.  Yields (t, w, pieces) of at most 2 chunk + 1 points; a piece
-    is (k, rows, h, first, last): its record, its rows, h (0 on an empty
-    segment) and whether it starts and whether it ends the segment.
+    splits into pieces of c = max(1, (``points`` - 1) // 2) substeps, each
+    with its own points.  Yields (t, w, pieces) of at most 2 c + 1 points;
+    a piece is (k, rows, h, first, last): its record, its rows, h (0 on an
+    empty segment) and whether it starts and whether it ends the segment.
     """
+    chunk = max(1, (points - 1) // 2)
     grid, pieces, size, t0 = [], [], 0, 0.0
     for k, (t1, jump) in enumerate(events):
         span = t1 - t0
@@ -739,20 +739,18 @@ def run_continuous(run: ProfileRun) -> Trajectory:
     ``_grid_blocks``), policy and its rates (``_drift_rates`` per block),
     dynamics piece by piece (Simpson sums, RK4 or the exact decay, and at
     a jump the division update with the weights at the jump time) and the
-    running sums (``_record``, over all records).  A record's weights,
-    which ``_record`` reads and does not keep, are those at its segment's
-    first grid point, or at its jump.
+    running sums (``_record``, over all records).  A record's weights are
+    those at its segment's first grid point, or at its jump: each block
+    hands the rows of its records' weights to ``_tally`` and keeps none.
     """
     market, kernel = run.market, run.market.payoff_model
     if not isinstance(kernel, KernelSpec):
         raise DomainError("run_continuous needs a kernel payoff model")
-    if kernel.num_assets != market.num_assets:
-        raise DomainError("kernel and market disagree on the number of assets")
     events = _jump_schedule(kernel, run.rng.generator(), float(run.horizon), run.record_dt)
     policy = Policy(run.strategies)
     b, v_rate = kernel.drift, kernel.v_rate
     has_drift = float(b.sum()) > 0.0
-    chunk = _chunk_substeps(market.num_investors, kernel.num_assets, kernel._rhos.size)
+    points = BLOCK_BYTES // (8 * _point_words(kernel, market.num_investors))
 
     # environment: the records' times, payoffs and consumption
     traj = _start(len(events), market, "continuous")
@@ -771,17 +769,16 @@ def run_continuous(run: ProfileRun) -> Trajectory:
     keep[jumps] *= 1.0 - v
 
     acc = np.zeros((len(events), 2 * market.num_investors + 2))
-    record_lam = np.empty((len(events), market.num_investors, kernel.num_assets))
-    record_cand = np.empty((len(events), kernel.num_assets))
     y = market.initial_wealth.copy()
-    for t, w, pieces in _grid_blocks(kernel, events, float(traj.total[0]), run.dt, chunk):
+    for t, w, pieces in _grid_blocks(kernel, events, float(traj.total[0]), run.dt, points):
         # policy and its diagnostic rates
         lam, cand, rates = _drift_rates(kernel, policy, t, w)
 
         # dynamics
+        sources = []  # the rows of this block's records' weights, in record order
         for k, rows, h, first, last in pieces:
-            if first:
-                record_lam[k], record_cand[k] = lam[rows.start], cand[rows.start]
+            if first and not jumps[k]:
+                sources.append(rows.start)
             if h:
                 simpson = np.full(rows.stop - rows.start, 2.0)
                 simpson[1::2] = 4.0
@@ -795,14 +792,16 @@ def run_continuous(run: ProfileRun) -> Trajectory:
                 if jumps[k]:
                     (x, v), i = events[k][1], rows.stop - 1
                     y = discrete_step(y, lam[i], x, v)
-                    record_lam[k], record_cand[k] = lam[i], cand[i]
+                    sources.append(i)
                     traj.z_jump[k] = float(x.sum()) / w[i] - v
                 traj.wealth[k + 1] = y
+        if sources:
+            _tally(traj, lam[sources], cand[sources])
 
     # running sums
     traj.z_cont[...] = acc[:, -1]
     if events:
-        _record(traj, 0, keep, acc, record_lam, record_cand)
+        _record(traj, 0, keep, acc)
     return traj
 
 

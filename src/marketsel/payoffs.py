@@ -16,6 +16,7 @@ streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -144,17 +145,21 @@ class KernelSpec:
     arriving with intensity rho per unit time; ``drift`` is the continuous
     payoff rate per asset and ``v_rate`` the continuous consumption rate.
     The operational clock is wall time, so all rates are constant.
+    ``gamma_v`` bounds every jump's v below 1; omitted, it is the largest
+    jump v (0 without jumps).
     """
 
     jump_atoms: tuple
     drift: np.ndarray
     v_rate: float = 0.0
-    gamma_v: float = 0.0
+    gamma_v: Optional[float] = None
 
     def __post_init__(self):
-        gamma = float(self.gamma_v)
+        atoms = tuple(self.jump_atoms)
+        largest_v = max((float(v) for _, v, _ in atoms), default=0.0)
+        gamma = float(largest_v if self.gamma_v is None else self.gamma_v)
         if not 0.0 <= gamma < 1.0:
-            raise DomainError("gamma_v must lie in [0, 1)")
+            raise DomainError("gamma_v, by default the largest jump v, must lie in [0, 1)")
         drift = as_vector(self.drift, "drift")
         if np.any(drift < 0.0):
             raise DomainError("payoff drift must be non-negative")
@@ -162,7 +167,7 @@ class KernelSpec:
         if v_rate < 0.0 or not np.isfinite(v_rate):
             raise DomainError("v_rate must be finite and >= 0")
         xs, vs, rhos = [], [], []
-        for i, (x, v, rho) in enumerate(self.jump_atoms):
+        for i, (x, v, rho) in enumerate(atoms):
             vec = as_vector(x, f"jump_atoms[{i}].payoff")
             if np.any(vec < 0.0):
                 raise DomainError(f"jump_atoms[{i}]: payoffs must be non-negative")

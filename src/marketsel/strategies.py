@@ -164,15 +164,16 @@ def perturbed(base: StrategyHandle, schedule: PerturbationSchedule, target) -> S
 
 def table_strategy(default, per_regime=None) -> StrategyHandle:
     """Piecewise-constant weights: ``default`` is a list of (t_from, weights)
-    breakpoints; ``per_regime`` optionally overrides it per regime index."""
+    entries, their breakpoints t_from finite and strictly increasing;
+    ``per_regime`` optionally overrides it per regime index."""
 
     def norm(entries):
         rows = []
         last = -np.inf
         for t_from, w in entries:
             t_from = float(t_from)
-            if not t_from > last:  # also a NaN breakpoint, which no time reaches
-                raise DomainError("table breakpoints must be strictly increasing")
+            if not last < t_from < np.inf:  # also a NaN or +inf breakpoint, which no time reaches
+                raise DomainError("table breakpoints must be finite and strictly increasing")
             last = t_from
             rows.append((t_from, as_simplex(w)))
         if not rows:

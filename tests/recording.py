@@ -1,9 +1,9 @@
 """Every record's weights and candidate, read off a run as it goes.
 
 The engines keep the weights and the survival candidate only for the
-block of records they are stepping; the ``Trajectory`` holds none of
-them.  ``recorded`` spies on ``engine._record``, which receives each
-block's, and stacks them in record order.
+block they are stepping; the ``Trajectory`` holds none of them.  Each
+block hands its records' weights and candidate to ``engine._tally``, in
+record order, and ``recorded`` spies on it and stacks them.
 """
 
 from unittest import mock
@@ -16,20 +16,20 @@ from marketsel import engine
 def recorded(runner, *args, **kwargs):
     """``runner(*args, **kwargs)``'s trajectory, weights (T, M, N) and candidate (T, N).
 
-    Record k's weights and candidate are those ``_record`` received for
+    Record k's weights and candidate are those ``_tally`` received for
     it: a discrete step's, or a continuous segment's first grid point's,
     or its jump's.
     """
     lams, cands = [], []
-    record = engine._record
+    tally = engine._tally
 
-    def spy(traj, k, keep, rates, lam, cand):
-        assert k == sum(map(len, cands)), "records arrive in order"
+    def spy(traj, lam, cand):
+        assert len(lam) == len(cand) > 0
         lams.append(lam.copy())
         cands.append(cand.copy())
-        record(traj, k, keep, rates, lam, cand)
+        tally(traj, lam, cand)
 
-    with mock.patch.object(engine, "_record", spy):
+    with mock.patch.object(engine, "_tally", spy):
         traj = runner(*args, **kwargs)
     m, n = traj.num_investors, traj.num_assets
     lam = np.concatenate(lams) if lams else np.zeros((0, m, n))

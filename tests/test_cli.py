@@ -14,9 +14,9 @@ import pytest
 
 from marketsel.cli import (
     ConfigError,
+    _read_config,
     build_run,
     main,
-    parse_config,
     parse_config_dict,
     run_batch,
     run_scenario,
@@ -79,13 +79,17 @@ class TestParseConfig:
         assert cfg.market.num_investors == 2
         assert cfg.seeds == (0, 1, 2)
 
-    def test_parse_from_text(self):
-        cfg = parse_config(json.dumps(minimal_config()))
+    def test_parse_from_text(self, tmp_path):
+        path = tmp_path / "mini.json"
+        path.write_text(json.dumps(minimal_config()))
+        cfg = parse_config_dict(_read_config(path))
         assert cfg.horizon == 50
 
-    def test_invalid_json_reported(self):
+    def test_invalid_json_reported(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
         with pytest.raises(ConfigError) as err:
-            parse_config("{not json")
+            _read_config(path)
         assert "not valid JSON" in err.value.errors[0]
 
     def test_delta_of_one_rejected_with_message(self):

@@ -143,6 +143,23 @@ class TestDiscreteStep:
             assert abs(out.sum() - expected) <= 1e-12 * expected
 
 
+def _block(model, m, handles=()):
+    """Steps or grid points per block of a run on ``model`` with ``m`` investors."""
+    words = engine._point_words(model, m, [mc_samples(h) for h in handles])
+    return max(1, engine.BLOCK_BYTES // (8 * words))
+
+
+def _excess(runner, profile):
+    """``runner(profile)``'s tracemalloc peak beyond its trajectory's own arrays, and the trajectory."""
+    tracemalloc.start()
+    try:
+        traj = runner(profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(v.nbytes for v in vars(traj).values() if isinstance(v, np.ndarray)), traj
+
+
 class TestRunDiscrete:
     def _market(self, model, m=2):
         return MarketSpec(m, 2, np.ones(m), payoff_model=model)
@@ -315,9 +332,10 @@ class TestRunDiscrete:
         assert summary["identities"]["lower_bound_margin"] == 0.0
 
     def test_fractional_horizon_rejected(self):
+        # at construction, as every other run check
         spec = self._market(two_point_model(0.6, 0.0))
-        with pytest.raises(DomainError):
-            run_discrete(ProfileRun(spec, [constant_strategy([0.5, 0.5])] * 2, 10.5, RngStream(0)))
+        with pytest.raises(DomainError, match="integer number of steps"):
+            ProfileRun(spec, [constant_strategy([0.5, 0.5])] * 2, 10.5, RngStream(0))
 
     def test_trajectory_accessors(self):
         spec = self._market(two_point_model(0.6, 0.0))
@@ -372,16 +390,10 @@ class TestRunDiscrete:
         ]
         handles = [kinds[i % 5]() for i in range(m)]
         spec = MarketSpec(m, n, np.ones(m), payoff_model=model)
-        block = engine._block_steps(m, n, [mc_samples(h) for h in handles])
+        block = _block(model, m, handles)
 
         def excess(horizon):
-            tracemalloc.start()
-            try:
-                traj = run_discrete(ProfileRun(spec, handles, horizon, RngStream(1)))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            return peak - sum(v.nbytes for v in vars(traj).values() if isinstance(v, np.ndarray))
+            return _excess(run_discrete, ProfileRun(spec, handles, horizon, RngStream(1)))[0]
 
         excess(block)  # first-call allocations (lazy imports, caches) are not per block
         assert excess(8 * block) <= 1.1 * excess(2 * block)
@@ -390,8 +402,9 @@ class TestRunDiscrete:
     def test_block_temporaries_fit_the_budget(self, samples):
         # 40 investors x 10 assets, 2 regimes, all five kinds with Monte
         # Carlo leaves, alone and inside perturbed handles: the policy
-        # stage stays within the per-step estimate beyond the uniforms,
-        # and the whole run's peak beyond the trajectory within BLOCK_BYTES.
+        # stage stays within the per-step count beyond the environment's
+        # rows and uniforms (U + N + 8 words), and the whole run's peak
+        # beyond the trajectory within BLOCK_BYTES.
         gen = np.random.default_rng(1)
         m, n = 40, 10
 
@@ -415,9 +428,9 @@ class TestRunDiscrete:
         handles = [kinds[i % 5]() for i in range(m)]
         spec = MarketSpec(m, n, np.ones(m), payoff_model=model)
         sizes = [mc_samples(h) for h in handles]
-        block = engine._block_steps(m, n, sizes)
-        words = engine._step_words(m, n, sizes)
-        policy_term = 8 * block * (words - sum(sizes))
+        block = _block(model, m, handles)
+        words = engine._point_words(model, m, sizes)
+        policy_term = 8 * block * (words - (sum(sizes) + n + 8))
         policy_peaks = []
         block_weights = engine.block_weights
 
@@ -438,6 +451,16 @@ class TestRunDiscrete:
         own = sum(v.nbytes for v in vars(traj).values() if isinstance(v, np.ndarray))
         assert max(policy_peaks) <= policy_term
         assert peak - own <= engine.BLOCK_BYTES
+
+    def test_wide_support_fits_the_budget(self):
+        # 2 x 2 with 2,000 atoms: the claim's per-atom terms, not the
+        # weights, set the block length, and 40 steps peak within the budget
+        gen = np.random.default_rng(3)
+        atoms = tuple((tuple(gen.uniform(0.0, 1.0, 2)), 0.3) for _ in range(2000))
+        spec = self._market(DiscreteIIDModel(atoms, (1 / 2000,) * 2000))
+        profile = ProfileRun(spec, [survival_strategy(), constant_strategy([0.3, 0.7])], 40, RngStream(0))
+        _excess(run_discrete, profile)  # first-call allocations (lazy imports, caches)
+        assert _excess(run_discrete, profile)[0] <= engine.BLOCK_BYTES
 
 
 class TestRunContinuous:
@@ -714,20 +737,48 @@ class TestRunContinuous:
             perturbed(survival_strategy(), PerturbationSchedule("inverse_t", 2.0), [0.5, 0.5]),
         ]
         dt = 0.01
-        chunk = engine._chunk_substeps(3, 2, 0)
+        chunk = (_block(kernel, 3) - 1) // 2  # substeps per piece
 
         def excess(chunks):
-            tracemalloc.start()
-            try:
-                traj = run_continuous(ProfileRun(spec, handles, chunks * chunk * dt, RngStream(1), dt=dt))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak, traj = _excess(run_continuous, ProfileRun(spec, handles, chunks * chunk * dt, RngStream(1), dt=dt))
             assert traj.n_records == 1
-            return peak - sum(v.nbytes for v in vars(traj).values() if isinstance(v, np.ndarray))
+            return peak
 
         excess(1)  # first-call allocations (lazy imports, caches) are not per chunk
         assert excess(8) <= 1.1 * excess(2)
+
+    def test_segment_temporaries_fit_the_budget(self):
+        # one jump-free segment of 3,000 substeps over several grid blocks,
+        # 3 x 2: the peak beyond the trajectory stays within the budget
+        kernel = KernelSpec(jump_atoms=(), drift=(0.4, 0.2), v_rate=0.3)
+        spec = MarketSpec(3, 2, [1.0, 1.5, 0.5], payoff_model=kernel)
+        handles = [
+            survival_strategy(),
+            constant_strategy([0.3, 0.7]),
+            perturbed(survival_strategy(), PerturbationSchedule("inverse_t", 2.0), [0.5, 0.5]),
+        ]
+        profile = ProfileRun(spec, handles, 30.0, RngStream(1), dt=0.01)
+        _excess(run_continuous, profile)  # first-call allocations (lazy imports, caches)
+        peak, traj = _excess(run_continuous, profile)
+        assert traj.n_records == 1
+        assert peak <= engine.BLOCK_BYTES
+
+    def test_records_keep_no_weights(self):
+        # 20 x 10 recorded every 0.01: an added record costs less than its
+        # (M, N) weights beyond the trajectory's own arrays
+        gen = np.random.default_rng(4)
+        m, n = 20, 10
+        kernel = KernelSpec(jump_atoms=(((1.0,) * n, 0.1, 1.0),), drift=(0.1,) * n, v_rate=0.1, gamma_v=0.1)
+        spec = MarketSpec(m, n, np.ones(m), payoff_model=kernel)
+        handles = [survival_strategy() if i % 2 else constant_strategy(gen.dirichlet(np.ones(n)))
+                   for i in range(m)]
+
+        def excess(horizon):
+            return _excess(run_continuous, ProfileRun(spec, handles, horizon, RngStream(1), record_dt=0.01))
+
+        excess(1.0)  # first-call allocations (lazy imports, caches)
+        (few, short), (many, long) = excess(5.0), excess(20.0)
+        assert many - few < 8 * m * n * (long.n_records - short.n_records)
 
     def test_event_accessor_total_under_heavy_consumption(self):
         # a record's consumption is the rate times the segment plus the
@@ -809,6 +860,16 @@ class TestProfileRunValidation:
         spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=two_point_model(0.5, 0.0))
         with pytest.raises(DomainError):
             ProfileRun(spec, [constant_strategy([0.5, 0.5])], 10, RngStream(0))
+
+    @pytest.mark.parametrize(
+        "model",
+        [two_point_model(0.5, 0.0), KernelSpec(jump_atoms=(), drift=(1.0, 0.5))],
+        ids=["discrete", "kernel"],
+    )
+    def test_model_and_market_must_agree_on_the_assets(self, model):
+        spec = MarketSpec(2, 3, [1.0, 1.0], payoff_model=model)
+        with pytest.raises(DomainError, match="disagree on the number of assets"):
+            ProfileRun(spec, [survival_strategy()] * 2, 1, RngStream(0))
 
     def test_wrong_engine_for_model(self):
         spec = MarketSpec(2, 2, [1.0, 1.0], payoff_model=two_point_model(0.5, 0.0))

@@ -217,8 +217,7 @@ def profile_runs(draw):
     handles = [_handle(draw, n, n_regimes, dead) for _ in range(m)]
     y0 = draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m))
     block_bytes = draw(st.integers(1, 6000))
-    with mock.patch.object(engine, "BLOCK_BYTES", block_bytes):
-        block = engine._block_steps(m, n, [mc_samples(h) for h in handles])
+    block = max(1, block_bytes // (8 * engine._point_words(model, m, [mc_samples(h) for h in handles])))
     horizon = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 2 * block + 1, 3 * block]))
     spec = MarketSpec(m, n, y0, payoff_model=model)
     return spec, handles, horizon, block_bytes, draw(st.integers(0, 2**32))

@@ -99,6 +99,16 @@ class TestModelValidation:
         with pytest.raises(DomainError):
             KernelSpec(jump_atoms=(), drift=(1.0, 1.0), gamma_v=1.0)
 
+    def test_kernel_gamma_defaults_to_the_largest_jump_v(self):
+        # an omitted gamma_v once meant 0, which rejected every jump with v > 0
+        atoms = (((1.0, 0.0), 0.1, 1.0),)
+        kernel = KernelSpec(jump_atoms=atoms, drift=(0.0, 0.0))
+        explicit = KernelSpec(jump_atoms=atoms, drift=(0.0, 0.0), gamma_v=0.1)
+        assert kernel.gamma_v == 0.1
+        np.testing.assert_array_equal(expected_claim_rates(kernel, 2.0), expected_claim_rates(explicit, 2.0))
+        with pytest.raises(DomainError, match="largest jump v"):
+            KernelSpec(jump_atoms=(((1.0, 0.0), 1.0, 1.0),), drift=(0.0, 0.0))
+
 
 def _draw_block(model, regime, rng, steps):
     """``steps`` steps from the engine's block sampler, with their uniforms from ``rng``."""

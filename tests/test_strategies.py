@@ -325,6 +325,11 @@ class TestHandlesAndTables:
         with pytest.raises(DomainError, match="strictly increasing"):
             table_strategy(default)
 
+    def test_infinite_breakpoint_rejected(self):
+        # no time reaches +inf, so the entry from there could never be in force
+        with pytest.raises(DomainError, match="finite"):
+            table_strategy([(0.0, [1.0, 0.0]), (math.inf, [0.0, 1.0])])
+
     @pytest.mark.parametrize("t_from", [0.0, 1.0], ids=["same-breakpoints", "other-breakpoints"])
     def test_two_keys_naming_one_regime_are_rejected(self, t_from):
         # 1 and "01" both name regime 1, and only one table per regime can
