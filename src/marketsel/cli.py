@@ -15,9 +15,11 @@ function of (config, seed): trajectory CSVs are written with 17
 significant digits (round-trip exact for doubles) and summaries with
 sorted keys, so on one machine with one numpy and BLAS build identical
 inputs give byte-identical files, and parallel seed execution matches
-serial execution exactly.  Small markets (``engine.FLOAT_CELLS``) and
-the continuous diagnostics do not depend on the BLAS kernel either;
-wide markets may differ in the last bits between machines.  numpy also
+serial execution exactly.  Small markets (``engine.FLOAT_CELLS``)
+divide payoffs in straight-line Python float code generated for their
+shape, every sum formed left to right, and the continuous diagnostics
+sum in grid order, so neither depends on the BLAS kernel either; wide
+markets may differ in the last bits between machines.  numpy also
 picks its ``exp`` and ``log`` loops by CPU feature (AVX-512 or not), so
 the last bits of runs that take them, continuous runs and wide Markov
 markets among them, can differ between CPUs even with one build.

@@ -14,14 +14,16 @@ keep) + free, with keep = 1 - delta at a payoff step and -v as the drift
 rate between continuous jumps.  The kernel has two forms, and
 ``_steps`` alone picks one by the market's size.  In a market of at
 most FLOAT_CELLS weights (M * N), where interpreter overhead and not
-arithmetic sets the cost, ``_divide`` runs on Python floats, with every
-sum formed left to right, so its results do not depend on the BLAS
-kernel numpy picks at run time.  A wider market runs ``_divide_array``
-on numpy arrays, whose matrix products go through BLAS.  Either order is
-fast but unbounded where the invested wealth is tiny or 0, so a
-non-finite result (or, on floats, a division by 0) is redone by
-``_divide_bounded``, which forms each share (at most 1) first and splits
-an asset with no invested wealth 1/M.
+arithmetic sets the cost, the kernel is a function generated for the
+market's shape (``_float_kernel``): straight-line code on Python floats
+that unpacks the wealth and one flat step into locals and writes every
+sum out, so each is formed left to right and its results do not depend
+on the BLAS kernel numpy picks at run time.  A wider market runs
+``_divide_array`` on numpy arrays, whose matrix products go through
+BLAS.  Either order is fast but unbounded where the invested wealth is
+tiny or 0, so a non-finite result (or, on floats, a division by 0) is
+redone by ``_divide_bounded``, which forms each share (at most 1) first
+and splits an asset with no invested wealth 1/M.
 
 A strategy sees only the time, the emitting regime and the total wealth
 W, and W is exogenous: W' = (1 - delta) W + |A| at a payoff step or jump
@@ -88,8 +90,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, mul
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -119,20 +120,23 @@ SUPPORT_TOL = 1e-12
 BLOCK_BYTES = 1 << 20
 
 # Markets with at most this many weights (M * N) step their wealth on
-# Python floats, wider ones on numpy arrays (``_steps``).  Set where a
-# discrete step breaks even, measured as the fastest of 25 interleaved
-# runs of 300 steps (Python 3.11.7, numpy 2.4.6, 2 vCPUs), floats against
-# arrays: 4.1 / 5.6 us at 2 x 2, 5.7 / 5.8 at 3 x 3, 6.4 / 5.7 at 5 x 2,
-# 7.0 / 6.5 at 4 x 3 and 8.0 / 6.1 at 5 x 3.  An RK4 substep breaks even
-# later, near 7 x 2: 16.5 / 29.2 us at 2 x 2, 34.2 / 39.1 at 4 x 3 and
-# 31.0 / 29.9 at 7 x 2.
+# Python floats, wider ones on numpy arrays (``_steps``).  The limit was
+# set where a discrete step broke even on a slower float kernel, and it
+# stays: moving it would change the bytes of the markets in between, whose
+# array sums go through BLAS.  The generated kernels break even later,
+# measured as the fastest of 25 interleaved runs of 300 steps (Python
+# 3.11.7, numpy 2.4.6, 2 vCPUs), floats against arrays: a discrete step
+# near M N = 56 (1.8 / 8.9 us at 2 x 2, 3.5 / 5.2 at 10 x 3, 5.2 / 5.2 at
+# 8 x 7, 7.2 / 5.4 at 10 x 8) and an RK4 substep near 90 (6.7 / 24.1 us at
+# 3 x 2, 26.3 / 27.6 at 12 x 7, 27.4 / 26.7 at 10 x 9).
 FLOAT_CELLS = 10
 
-# Steps converted to Python floats at a time.  Each holds 4 + M + N <= 15
-# lists, so a batch stays below the garbage collector's first threshold
-# (700 new container objects) and building one triggers no collection.
-# Converting a whole block at once made 25 collections per discrete-2x2
-# seed, and a full one, of about 13 ms, every five seeds.
+# Steps converted to Python floats at a time.  A Python float takes 24
+# bytes and a list's pointer to it 8 more, against 8 bytes in the block's
+# arrays, so the steps of a whole block as floats would overrun
+# BLOCK_BYTES.  A chunk is M N + 2 N + 3 lists and its step tuples are
+# made one at a time, so stepping starts no collection of the garbage
+# collector.  Larger chunks made a step no faster.
 FLOAT_STEPS = 32
 
 # A recording-grid point this many ulps or fewer from a jump or the
@@ -205,44 +209,63 @@ def _claims(lam: np.ndarray, pay: np.ndarray):
 
 
 def _steps(lam, pay, keep):
-    """The division kernel for K steps, and an iterator over their constants in its form.
+    """The division kernel for K steps, their scaled weights and an iterator over their constants.
 
     ``lam`` (K, M, N) and ``pay`` (K, N) or (N,) are as ``_claims`` takes
     them, and ``keep`` is a list of K kept fractions.  This is the one
     place that picks the kernel: a market of at most FLOAT_CELLS weights
-    gets ``_divide`` and steps (rows, columns, claimed, pad, keep, free)
-    of Python floats, a wider one ``_divide_array`` and steps (scaled,
-    claimed, pad, keep, free) of ``_claims`` rows.  In both, step[0] is
-    the scaled weights and step[-2] the kept fraction.
+    gets ``_float_kernel(M, N)`` and flat float steps (``_float_steps``),
+    a wider one ``_divide_array`` and steps (scaled, claimed, pad, keep,
+    free) of ``_claims`` rows.  The scaled weights (K, M, N) are what
+    ``_divide_bounded`` reads when a step is redone.
     """
     scaled, claimed, pad, free = _claims(lam, pay)
-    if lam.shape[-2] * lam.shape[-1] > FLOAT_CELLS:
-        return _divide_array, zip(scaled, claimed, pad, keep, free.tolist())
-    return _divide, _float_steps(scaled, claimed, pad, keep, free)
+    m, n = lam.shape[-2:]
+    if m * n > FLOAT_CELLS:
+        return _divide_array, scaled, zip(scaled, claimed, pad, keep, free.tolist())
+    return _float_kernel(m, n), scaled, _float_steps(scaled, claimed, pad, keep, free)
 
 
 def _float_steps(scaled, claimed, pad, keep, free):
-    """``_steps``' float steps, converted FLOAT_STEPS at a time."""
-    for i in range(0, len(scaled), FLOAT_STEPS):
+    """``_steps``' float steps, one flat tuple of M N + 2 N + 2 Python floats each:
+    the scaled weights row by row, the claimed payoffs, the pads, the kept
+    fraction and the free share.  Converted FLOAT_STEPS at a time."""
+    k, m, n = scaled.shape
+    for i in range(0, k, FLOAT_STEPS):
         part = slice(i, i + FLOAT_STEPS)
-        rows, columns = scaled[part].tolist(), scaled[part].swapaxes(-2, -1).tolist()
-        yield from zip(rows, columns, claimed[part].tolist(), pad[part].tolist(), keep[part], free[part].tolist())
+        table = np.column_stack((scaled[part].reshape(-1, m * n), claimed[part], pad[part], keep[part], free[part]))
+        yield from zip(*table.T.tolist())
 
 
-def _divide(y, step):
-    """The division rule on Python floats: y keeps ``keep`` of itself plus its shares.
+@cache
+def _float_kernel(m: int, n: int):
+    """The division rule on Python floats for an M x N market, as straight-line code.
 
-    ``y`` is a list and ``step`` a float step of ``_steps``.  Each invested
-    wealth and each payout is a left-to-right sum: ``reduce``, not ``sum``,
-    whose order changed in Python 3.12.  So the result depends on no BLAS
-    build.  The order is ``_divide_array``'s, fast but unbounded, and where
-    a claimed asset has no invested wealth it raises ZeroDivisionError
-    where numpy gives inf or NaN; either way the step is redone by
-    ``_divide_bounded``.
+    The function takes ``y``, a list, and a flat step of ``_float_steps``,
+    and returns y keeps ``keep`` of itself plus its shares, as a list.  It
+    is generated once per shape, as ``dataclasses`` generates ``__init__``,
+    with every invested wealth y0 s0j + y1 s1j + ... + dj and every payout
+    si0 q0 + si1 q1 + ... + keep written out.  Python adds such a chain
+    left to right, so each sum has ``_divide_array``'s order and depends on
+    no BLAS build.  That order is fast but unbounded: where a claimed asset
+    has no invested wealth it raises ZeroDivisionError (numpy gives inf or
+    NaN), and the step is redone by ``_divide_bounded``.
     """
-    rows, columns, pay, pad, keep, free = step
-    q = [p / (reduce(add, map(mul, y, c)) + d) for c, p, d in zip(columns, pay, pad)]
-    return [u * (reduce(add, map(mul, r, q)) + keep) + free for u, r in zip(y, rows)]
+    rows, cols = range(m), range(n)
+    constants = [f"s{i}_{j}" for i in rows for j in cols] + [f"p{j}" for j in cols] + [f"d{j}" for j in cols]
+    payouts = (f"y{i} * (" + "".join(f"s{i}_{j} * q{j} + " for j in cols) + "keep) + free" for i in rows)
+    source = "\n    ".join(
+        [
+            f"def _divide_{m}x{n}(y, step):",
+            "".join(f"y{i}, " for i in rows) + "= y",
+            "".join(f"{c}, " for c in constants) + "keep, free = step",
+            *(f"q{j} = p{j} / (" + "".join(f"y{i} * s{i}_{j} + " for i in rows) + f"d{j})" for j in cols),
+            f"return [{', '.join(payouts)}]",
+        ]
+    )
+    namespace = {}
+    exec(compile(source, f"<division kernel {m}x{n}>", "exec"), namespace)
+    return namespace[f"_divide_{m}x{n}"]
 
 
 def _divide_array(y, step):
@@ -483,16 +506,16 @@ def _advance(wealth, k0: int, lam, dx, dv) -> None:
     delta dv[i].  Its temporaries die with the call, before the next
     block's policy stage."""
     keep = (1.0 - dv).tolist()
-    divide, steps = _steps(lam, dx, keep)
+    divide, _, steps = _steps(lam, dx, keep)
     rows = slice(k0 + 1, k0 + 1 + len(keep))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         try:
-            if divide is _divide:
+            if divide is not _divide_array:
                 # the rows go into one flat list: a list per row would
                 # count towards the garbage collector's thresholds
                 y, out = wealth[k0].tolist(), []
                 for step in steps:
-                    y = _divide(y, step)
+                    y = divide(y, step)
                     out += y
                 wealth[rows] = np.reshape(out, (len(keep), -1))
             else:
@@ -504,15 +527,15 @@ def _advance(wealth, k0: int, lam, dx, dv) -> None:
     if not finite:
         # an invested wealth was too small for the fast order somewhere: redo the
         # block step by step, each step in the bounded order where the fast one is not finite
-        divide, steps = _steps(lam, dx, keep)
-        for i, (step, pay) in enumerate(zip(steps, dx), k0 + 1):
+        divide, scaled, steps = _steps(lam, dx, keep)
+        for i, step in enumerate(steps, k0 + 1):
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 try:
                     wealth[i] = divide(wealth[i - 1].tolist(), step)
                 except ZeroDivisionError:
                     wealth[i] = math.nan
             if not np.isfinite(wealth[i]).all():
-                wealth[i] = _divide_bounded(wealth[i - 1], np.asarray(step[0]), pay, step[-2])
+                wealth[i] = _divide_bounded(wealth[i - 1], scaled[i - k0 - 1], dx[i - k0 - 1], keep[i - k0 - 1])
 
 
 def _start(n_records: int, market: MarketSpec, mode: str) -> Trajectory:
@@ -641,13 +664,13 @@ def _rk4(y, lam, b, v_rate: float, h: float, t0: float):
     kernel; the array kernel's rates come back as lists, so every market
     runs the one ``_substep``.
     """
-    kernel, points = _steps(lam, b, [-v_rate] * len(lam))
+    kernel, scaled, points = _steps(lam, b, [-v_rate] * len(lam))
 
     def listed(y, step):
         return _divide_array(np.array(y), step).tolist()
 
-    def bounded(y, step):
-        return _divide_bounded(np.array(y), np.asarray(step[0]), b, step[-2]).tolist()
+    def bounded(y, lam_scaled):
+        return _divide_bounded(np.array(y), lam_scaled, b, -v_rate).tolist()
 
     divide = listed if kernel is _divide_array else kernel
     y = y.tolist()
@@ -659,7 +682,7 @@ def _rk4(y, lam, b, v_rate: float, h: float, t0: float):
             if y_next is None:
                 # the bounded rates redo a substep on which the fast order
                 # overflowed on a tiny invested wealth
-                y_next = _substep(bounded, y, left, mid, right, h)
+                y_next = _substep(bounded, y, *scaled[2 * i : 2 * i + 3], h)
                 if y_next is None:
                     raise DomainError(f"integrator produced an invalid state near t={t0 + (i + 1) * h}")
             y = y_next

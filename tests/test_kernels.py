@@ -1,14 +1,17 @@
 """The two division kernels: Python floats in small markets, numpy arrays in wide ones.
 
 ``engine._steps`` gives a market of at most ``FLOAT_CELLS`` weights the
-float kernel ``_divide`` and a wider one the array kernel
-``_divide_array``.  Both are checked here against the division rule in
-exact rational arithmetic, the one RK4 substep on one kernel's rates
-against the same substep on the other's, whole runs on one kernel
-against the other, and the artifacts of small markets against the BLAS
-kernel numpy happens to pick at run time.
+float kernel generated for its shape (``_float_kernel``) and a wider one
+the array kernel ``_divide_array``.  Both are checked here against the
+division rule in exact rational arithmetic, the generated kernels against
+the ``reduce`` form they replaced bit for bit, the one RK4 substep on one
+kernel's rates against the same substep on the other's, whole runs on
+one kernel against the other, the float steps against the garbage
+collector's thresholds, and the artifacts of small markets against the
+BLAS kernel numpy happens to pick at run time.
 """
 
+import gc
 import hashlib
 import json
 import math
@@ -22,7 +25,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import marketsel
@@ -41,6 +44,7 @@ from marketsel import (
     survival_strategy,
 )
 from recording import recorded
+from reference_division import reference_divide
 
 U = 2.0**-53  # unit roundoff of a double
 TINY = 2.0**-1074  # the smallest subnormal
@@ -109,10 +113,10 @@ def test_both_kernels_lie_within_the_operation_count_bound_of_the_exact_rule(cas
     assume(all(inv == 0 or inv >= 2.0**-960 for inv in invested))
     held_idle = any(top > 0.0 and inv == 0 for top, inv in zip(scaled.max(axis=0), invested))
     for steps in (FLOATS, ARRAYS):
-        divide, (step,) = steps(lam[None], pay[None], [keep])
+        divide, _, (step,) = steps(lam[None], pay[None], [keep])
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             try:
-                got = divide(y.tolist() if divide is engine._divide else y, step)
+                got = divide(y if divide is engine._divide_array else y.tolist(), step)
             except ZeroDivisionError:
                 got = None
         if held_idle:
@@ -230,11 +234,102 @@ def test_a_continuous_run_agrees_on_both_kernels():
 
 
 def test_the_size_rule_splits_the_benchmark_markets():
-    # 2 x 2 and 3 x 2 step on floats, 40 x 10 on arrays
-    sizes = {(2, 2): engine._divide, (3, 2): engine._divide, (40, 10): engine._divide_array}
+    # 2 x 2 and 3 x 2 step on floats, each on the one kernel generated for
+    # its shape, 40 x 10 on arrays
+    sizes = {
+        (2, 2): engine._float_kernel(2, 2),
+        (3, 2): engine._float_kernel(3, 2),
+        (40, 10): engine._divide_array,
+    }
     for (m, n), kernel in sizes.items():
         lam = np.full((1, m, n), 1.0 / n)
         assert engine._steps(lam, np.ones((1, n)), [1.0])[0] is kernel
+
+
+@st.composite
+def float_division_steps(draw):
+    """One step of any market the float kernel serves (M N <= FLOAT_CELLS),
+    with zero and subnormal entries, an asset nobody holds and wealth that
+    may leave a held asset with nothing invested."""
+    m = draw(st.integers(1, engine.FLOAT_CELLS))
+    n = draw(st.integers(1, engine.FLOAT_CELLS // m))
+
+    def entries(size, normal):
+        # mostly normal values, whose sums round, and a few special ones
+        out = draw(st.lists(normal, min_size=size, max_size=size))
+        for i in draw(st.sets(st.integers(0, size - 1), max_size=size)):
+            out[i] = draw(_special | st.floats(0.0, 1e300))
+        return out
+
+    y = entries(m, st.floats(2.0**-30, 16.0))
+    lam = np.reshape(entries(m * n, st.floats(0.0, 1.0)), (m, n))
+    dead = draw(st.integers(-1, n - 1))
+    if dead >= 0:
+        lam[:, dead] = 0.0
+    pay = np.array(entries(n, st.floats(0.0, 4.0)))
+    keep = draw(st.sampled_from([0.0, 1.0, -0.3]) | st.floats(-1.0, 1.0))
+    return y, lam, pay, keep
+
+
+@given(float_division_steps())
+@example(([2.0], np.array([[0.5]]), np.array([1.5]), 0.7))  # M = N = 1
+@example(([1.0, 3.0], np.array([[0.2, 0.0], [0.6, 0.0]]), np.array([1.0, 2.0]), 0.9))  # unclaimed column
+@example(([1.0, 0.0], np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]), 0.9))  # held, nothing invested
+@settings(max_examples=600, deadline=None)
+def test_the_generated_kernel_is_the_reduce_form_bit_for_bit(case):
+    y, lam, pay, keep = case
+    divide, _, (step,) = engine._steps(lam[None], pay[None], [keep])
+    scaled, claimed, pad, free = engine._claims(lam, pay)
+    try:
+        reference = reference_divide(y, scaled.tolist(), claimed.tolist(), pad.tolist(), keep, float(free))
+    except ZeroDivisionError:
+        # a held asset with nothing invested: the engine redoes the step
+        # in the bounded order
+        with pytest.raises(ZeroDivisionError):
+            divide(y, step)
+        return
+    # float.hex tells -0.0 from 0.0 and matches NaN with NaN
+    assert [v.hex() for v in divide(y, step)] == [v.hex() for v in reference]
+
+
+def _collections(run, profile):
+    """Collections per generation while ``run(profile)`` runs, after a full collection."""
+    counts = [0, 0, 0]
+
+    def count(phase, info):
+        if phase == "start":
+            counts[info["generation"]] += 1
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        run(profile)
+    finally:
+        gc.callbacks.remove(count)
+    return counts
+
+
+def test_float_steps_trigger_no_collection():
+    # a chunk of float steps is a few lists, and its step tuples are made
+    # one at a time, so a run stays below the collector's first threshold.
+    # Lists per step for a whole 2,000-step block made 21 collections a
+    # run, and one of generation 2 every few runs.
+    iid = DiscreteIIDModel(atoms=(((1.0, 0.0), 0.3), ((0.0, 1.0), 0.2)), probabilities=(0.6, 0.4))
+    spec = MarketSpec(2, 2, [1.0, 1.5], payoff_model=iid)
+    discrete = ProfileRun(spec, [survival_strategy(), constant_strategy([0.3, 0.7])], 2000, RngStream(4))
+    kernel = KernelSpec(
+        jump_atoms=(((1.2, 0.0), 0.1, 1.0), ((0.0, 0.8), 0.05, 1.5)), drift=(0.4, 0.2), v_rate=0.3, gamma_v=0.2
+    )
+    spec = MarketSpec(3, 2, [1.0, 1.5, 0.7], payoff_model=kernel)
+    handles = [
+        survival_strategy(),
+        constant_strategy([0.3, 0.7]),
+        perturbed(survival_strategy(), PerturbationSchedule("inverse_t", 1.0), [0.6, 0.4]),
+    ]
+    continuous = ProfileRun(spec, handles, 10.0, RngStream(4), record_dt=0.5)
+    for run, profile in ((run_discrete, discrete), (run_continuous, continuous)):
+        run(profile)  # first-call allocations (lazy imports, the kernel cache)
+        assert _collections(run, profile) == [0, 0, 0], run.__name__
 
 
 def _openblas_picks_its_kernel_at_run_time() -> bool:
