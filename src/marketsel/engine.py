@@ -52,7 +52,8 @@ four stages, and only the investor wealth is stepped in sequence:
   increment is 0, even for an infinite gap.  A discrete step adds the
   rates once; a continuous segment integrates them, and the ln W drift
   rate, by composite Simpson over its grid (``_drift_rates``, once per
-  block), summed point by point in grid order without BLAS.
+  block): each substep's increment h/6 (left + 4 mid + right), summed
+  substep by substep in grid order without BLAS.
   ``evaluate`` is this stage on a block of one decision point: one
   strategy's weights there;
 * dynamics -- a discrete block runs ``_advance``: ``_steps`` once, then
@@ -803,10 +804,10 @@ def run_continuous(run: ProfileRun) -> Trajectory:
             if first and not jumps[k]:
                 sources.append(rows.start)
             if h:
-                simpson = np.full(rows.stop - rows.start, 2.0)
-                simpson[1::2] = 4.0
-                simpson[[0, -1]] = 1.0
-                acc[k] += (h / 6.0) * np.add.reduce(simpson[:, None] * rates[rows], axis=0)
+                # each substep's increment is scaled before the sum: scaled
+                # after, a sum of subnormal rates keeps bits one substep rounds away
+                r = rates[rows]
+                acc[k] += np.add.reduce((h / 6.0) * (r[:-1:2] + 4.0 * r[1::2] + r[2::2]), axis=0)
                 if has_drift:
                     y = _rk4(y, lam[rows], b, v_rate, h, t[rows.start])
             if last:

@@ -31,7 +31,7 @@ from dataclasses import fields
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from marketsel import (
@@ -487,7 +487,19 @@ def continuous_runs(draw):
     )
 
 
+def _subnormal_gap_case():
+    """A drift of 5e-324 on asset 0 gives every point a subnormal gap rate
+    whose per-substep increments round to 0 in the reference."""
+    kernel = KernelSpec(jump_atoms=(), drift=np.array([5e-324, 0.3]))
+    to = PerturbationSchedule(kind="inverse_t", coefficient=1.0)
+    handles = [survival_strategy()] + [
+        perturbed(survival_strategy(), to, target) for target in ([0.5, 0.5], [0.5, 0.5], [2.04623062e-263, 1.0])
+    ]
+    return MarketSpec(4, 2, [1.0] * 4, payoff_model=kernel), handles, 2.5, 0.01, None, 3200, 0
+
+
 @given(continuous_runs())
+@example(_subnormal_gap_case())
 @settings(max_examples=150, deadline=None)
 def test_staged_continuous_engine_matches_per_stage_reference(case):
     spec, handles, horizon, dt, record_dt, block_bytes, seed = case
