@@ -17,7 +17,8 @@ sorted keys, so on one machine with one numpy and BLAS build identical
 inputs give byte-identical files, and parallel seed execution matches
 serial execution exactly.  Small markets (``engine.FLOAT_CELLS``)
 divide payoffs in straight-line Python float code generated for their
-shape, every sum formed left to right, and the continuous diagnostics
+shape, every sum formed left to right (between continuous jumps, in one
+generated RK4 loop with the same sums), and the continuous diagnostics
 sum in grid order, so neither depends on the BLAS kernel either; wide
 markets may differ in the last bits between machines.  numpy also
 picks its ``exp`` and ``log`` loops by CPU feature (AVX-512 or not), so

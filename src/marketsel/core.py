@@ -99,14 +99,24 @@ def divergence_rows(alpha: np.ndarray, rows: np.ndarray) -> np.ndarray:
     be a stack (B, N) with ``rows`` (B, K, N), one alpha per stack entry;
     the result then has shape (B, K).  No input validation; callers own
     that.
+
+    On simplices the divergence is never negative, but the sum loses a
+    row's -ln r term where r rounds to 1 (a weight next to a tiny one),
+    and what is left can be.  Such a row is summed again as the terms
+    a (ln a - ln r) - a + r, each at least 0 on its own (and held there
+    against rounding), whose sum is the divergence when alpha and the
+    row both sum to 1.
     """
     rows = np.atleast_2d(rows)
     a = np.asarray(alpha)[..., None, :]
     pos = a > 0.0
     ok = rows > 0.0
-    terms = a * (np.log(np.where(pos, a, 1.0)) - np.log(np.where(ok, rows, 1.0)))
-    out = np.where(pos, terms, 0.0).sum(axis=-1)
+    terms = np.where(pos, a * (np.log(np.where(pos, a, 1.0)) - np.log(np.where(ok, rows, 1.0))), 0.0)
+    out = terms.sum(axis=-1)
     out[np.any(pos & ~ok, axis=-1)] = np.inf
+    lost = out < 0.0
+    if lost.any():
+        out[lost] = np.maximum(terms - a + rows, 0.0).sum(axis=-1)[lost]
     return out
 
 

@@ -18,7 +18,9 @@ arithmetic sets the cost, the kernel is a function generated for the
 market's shape (``_float_kernel``): straight-line code on Python floats
 that unpacks the wealth and one flat step into locals and writes every
 sum out, so each is formed left to right and its results do not depend
-on the BLAS kernel numpy picks at run time.  A wider market runs
+on the BLAS kernel numpy picks at run time.  ``_division`` alone writes
+those sums, for this kernel and for the RK4 loop generated on it.  A
+wider market runs
 ``_divide_array`` on numpy arrays, whose matrix products go through
 BLAS.  Either order is fast but unbounded where the invested wealth is
 tiny or 0, so a non-finite result (or, on floats, a division by 0) is
@@ -63,9 +65,14 @@ four stages, and only the investor wealth is stepped in sequence:
   ``discrete_step`` of the row before by construction.  A continuous
   segment runs fixed-step classical RK4 on the investor wealth alone,
   piece by piece on its block's weights (exact decay without payoff
-  drift), one ``_substep`` on Python floats whichever kernel gives its
-  rates, then ``discrete_step`` at its jump with the weights at the jump
-  time, the grid's last point;
+  drift), then ``discrete_step`` at its jump with the weights at the
+  jump time, the grid's last point.  A small market runs all of a
+  piece's substeps in one loop generated for its shape
+  (``_rk4_kernel``), the four stages written out on float locals, each
+  grid point's step unpacked once; a wide one runs ``_substep`` after
+  ``_substep`` on the array kernel's rates.  Both give ``_substep``'s
+  bits, and a substep that divides by 0 or breaks the wealth rule is
+  redone on the bounded rates;
 * running sums -- ``_record``, shared by both engines: total and
   relative wealth, and the payoff, consumption, retention, pressure, gap
   and closeness increments added (or multiplied) in record order, over a
@@ -91,7 +98,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -124,12 +131,13 @@ BLOCK_BYTES = 1 << 20
 # Python floats, wider ones on numpy arrays (``_steps``).  The limit was
 # set where a discrete step broke even on a slower float kernel, and it
 # stays: moving it would change the bytes of the markets in between, whose
-# array sums go through BLAS.  The generated kernels break even later,
+# array sums go through BLAS.  The generated code breaks even later,
 # measured as the fastest of 25 interleaved runs of 300 steps (Python
 # 3.11.7, numpy 2.4.6, 2 vCPUs), floats against arrays: a discrete step
 # near M N = 56 (1.8 / 8.9 us at 2 x 2, 3.5 / 5.2 at 10 x 3, 5.2 / 5.2 at
-# 8 x 7, 7.2 / 5.4 at 10 x 8) and an RK4 substep near 90 (6.7 / 24.1 us at
-# 3 x 2, 26.3 / 27.6 at 12 x 7, 27.4 / 26.7 at 10 x 9).
+# 8 x 7, 7.2 / 5.4 at 10 x 8) and an RK4 substep of the generated loop
+# near 115 (2.6 / 19.3 us at 3 x 2, 19.0 / 22.1 at 10 x 9, 22.7 / 24.1
+# at 11 x 10, 24.9 / 23.8 at 12 x 10).
 FLOAT_CELLS = 10
 
 # Steps converted to Python floats at a time.  A Python float takes 24
@@ -238,6 +246,43 @@ def _float_steps(scaled, claimed, pad, keep, free):
         yield from zip(*table.T.tolist())
 
 
+def _unpack(m: int, n: int, step: str) -> str:
+    """Source that unpacks the flat float step named ``step`` into the division rule's locals."""
+    rows, cols = range(m), range(n)
+    constants = [f"s{i}_{j}" for i in rows for j in cols] + [f"p{j}" for j in cols] + [f"d{j}" for j in cols]
+    return "".join(f"{c}, " for c in constants) + f"keep, free = {step}"
+
+
+def _division(m: int, n: int, y: str):
+    """Source of the division rule on the wealth locals y0, y1, ... named by the prefix ``y``.
+
+    Returns the lines that set every quotient q_j = p_j / (y0 s0_j + y1
+    s1_j + ... + d_j) and the expressions of every payout y_i (s_i0 q0 +
+    s_i1 q1 + ... + keep) + free.  Python adds such a chain left to right:
+    this is the one place that writes the order of the generated sums,
+    which is ``_divide_array``'s and depends on no BLAS build.
+    """
+    rows, cols = range(m), range(n)
+    quotients = [f"q{j} = p{j} / (" + "".join(f"{y}{i} * s{i}_{j} + " for i in rows) + f"d{j})" for j in cols]
+    payouts = [f"{y}{i} * (" + "".join(f"s{i}_{j} * q{j} + " for j in cols) + "keep) + free" for i in rows]
+    return quotients, payouts
+
+
+def _wealth_check(names) -> str:
+    """Source of ``_wealth_rule`` on the float locals ``names``: each in [0, inf), one positive.
+
+    A NaN fails its first comparison, so no sum is needed to find one.
+    """
+    return " and ".join(f"0.0 <= {v} < inf" for v in names) + " and (" + " or ".join(f"0.0 < {v}" for v in names) + ")"
+
+
+def _generated(name: str, lines):
+    """The function ``name`` that ``lines`` define, the first line its ``def``, the rest its body."""
+    namespace = {"inf": math.inf}
+    exec(compile("\n    ".join(lines), f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
 @cache
 def _float_kernel(m: int, n: int):
     """The division rule on Python floats for an M x N market, as straight-line code.
@@ -245,28 +290,76 @@ def _float_kernel(m: int, n: int):
     The function takes ``y``, a list, and a flat step of ``_float_steps``,
     and returns y keeps ``keep`` of itself plus its shares, as a list.  It
     is generated once per shape, as ``dataclasses`` generates ``__init__``,
-    with every invested wealth y0 s0j + y1 s1j + ... + dj and every payout
-    si0 q0 + si1 q1 + ... + keep written out.  Python adds such a chain
-    left to right, so each sum has ``_divide_array``'s order and depends on
-    no BLAS build.  That order is fast but unbounded: where a claimed asset
-    has no invested wealth it raises ZeroDivisionError (numpy gives inf or
-    NaN), and the step is redone by ``_divide_bounded``.
+    with every sum written out by ``_division``.  That order is fast but
+    unbounded: where a claimed asset has no invested wealth it raises
+    ZeroDivisionError (numpy gives inf or NaN), and the step is redone by
+    ``_divide_bounded``.
     """
-    rows, cols = range(m), range(n)
-    constants = [f"s{i}_{j}" for i in rows for j in cols] + [f"p{j}" for j in cols] + [f"d{j}" for j in cols]
-    payouts = (f"y{i} * (" + "".join(f"s{i}_{j} * q{j} + " for j in cols) + "keep) + free" for i in rows)
-    source = "\n    ".join(
+    quotients, payouts = _division(m, n, "y")
+    return _generated(
+        f"_divide_{m}x{n}",
         [
             f"def _divide_{m}x{n}(y, step):",
-            "".join(f"y{i}, " for i in rows) + "= y",
-            "".join(f"{c}, " for c in constants) + "keep, free = step",
-            *(f"q{j} = p{j} / (" + "".join(f"y{i} * s{i}_{j} + " for i in rows) + f"d{j})" for j in cols),
+            "".join(f"y{i}, " for i in range(m)) + "= y",
+            _unpack(m, n, "step"),
+            *quotients,
             f"return [{', '.join(payouts)}]",
-        ]
+        ],
     )
-    namespace = {}
-    exec(compile(source, f"<division kernel {m}x{n}>", "exec"), namespace)
-    return namespace[f"_divide_{m}x{n}"]
+
+
+@cache
+def _rk4_kernel(m: int, n: int):
+    """``_substep`` on ``_float_kernel(m, n)``'s rates, substep after substep, as straight-line code.
+
+    The function ``_rk4_MxN(y, right, points, i, h)`` starts substep i
+    from the wealth list ``y`` at the float step ``right`` and takes two
+    more steps per substep from the iterator ``points``: its mid point and
+    its right end.  It keeps the wealth in locals and unpacks each step
+    once, so a substep's three points take three unpackings where the four
+    kernel calls took four, and it writes out the four stages, the updates
+    y + h/2 k and y + h k, y + h/6 (k1 + 2 k2 + 2 k3 + k4) and
+    ``_wealth_check`` in ``_substep``'s order: every result is the same to
+    the bit.  It returns (i, y, right) at the first substep i that divides
+    by 0 or breaks the wealth rule, y and right still those at its start
+    and its right end, or (substeps done, y, last step) when ``points``
+    runs out.
+    """
+    rows = range(m)
+    y, new = ", ".join(f"y{i}" for i in rows), [f"n{i}" for i in rows]
+
+    def stage(k, wealth):  # the rates k<k>_i at the wealth locals ``wealth``
+        quotients, payouts = _division(m, n, wealth)
+        return quotients + [f"k{k}_{i} = {p}" for i, p in enumerate(payouts)]
+
+    def towards(scale, k):  # z = y + scale k<k>
+        return [f"z{i} = y{i} + {scale} * k{k}_{i}" for i in rows]
+
+    stages = [
+        _unpack(m, n, "right"), *stage(1, "y"),
+        _unpack(m, n, "mid"), *towards("half", 1), *stage(2, "z"),
+        *towards("half", 2), *stage(3, "z"),
+        _unpack(m, n, "step"), *towards("h", 3), *stage(4, "z"),
+    ]
+    lines = [
+        f"def _rk4_{m}x{n}(y, right, points, i, h):",
+        "half = 0.5 * h",
+        "sixth = h / 6.0",
+        f"{y}, = y",
+        "for mid, step in zip(points, points):",
+        "    try:",
+        *(f"        {line}" for line in stages),
+        "    except ZeroDivisionError:",
+        f"        return i, [{y}], step",
+        *(f"    n{i} = y{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in rows),
+        f"    if not ({_wealth_check(new)}):",
+        f"        return i, [{y}], step",
+        f"    {y}, = {', '.join(new)},",
+        "    right = step",
+        "    i += 1",
+        f"return i, [{y}], right",
+    ]
+    return _generated(f"_rk4_{m}x{n}", lines)
 
 
 def _divide_array(y, step):
@@ -656,14 +749,28 @@ def _substep(divide, y, left, mid, right, h: float):
     return y if _wealth_rule(y) else None
 
 
+def _substeps(divide, y, right, points, i: int, h: float):
+    """``_rk4_kernel``'s loop on any ``divide``: one ``_substep`` per substep, same arguments and result."""
+    for mid, step in zip(points, points):
+        y_next = _substep(divide, y, right, mid, step, h)
+        if y_next is None:
+            return i, y, step
+        y, right, i = y_next, step, i + 1
+    return i, y, right
+
+
 def _rk4(y, lam, b, v_rate: float, h: float, t0: float):
     """Classical RK4 for dy/dt = shares(y) @ b - v y over len(lam) // 2 substeps.
 
     Substep i starts at t0 + i h; its stages read the weights at grid
     points 2i, 2i+1, 2i+1 and 2i+2.  The rate is the division rule with
     the drift b as payoff and -v as the kept fraction, on ``_steps``'
-    kernel; the array kernel's rates come back as lists, so every market
-    runs the one ``_substep``.
+    kernel.  A small market runs the substeps in the loop generated for
+    its shape (``_rk4_kernel``), a wide one in ``_substeps`` on the array
+    kernel, its rates as lists; both are ``_substep`` substep by substep.
+    Where a substep divides by 0 or breaks the wealth rule, the loop
+    stops there, the substep is redone on the bounded rates, and the loop
+    resumes after it.
     """
     kernel, scaled, points = _steps(lam, b, [-v_rate] * len(lam))
 
@@ -673,20 +780,17 @@ def _rk4(y, lam, b, v_rate: float, h: float, t0: float):
     def bounded(y, lam_scaled):
         return _divide_bounded(np.array(y), lam_scaled, b, -v_rate).tolist()
 
-    divide = listed if kernel is _divide_array else kernel
-    y = y.tolist()
-    right = next(points)
+    loop = partial(_substeps, listed) if kernel is _divide_array else _rk4_kernel(*lam.shape[-2:])
+    n = len(lam) // 2
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for i in range(len(lam) // 2):
-            left, mid, right = right, next(points), next(points)
-            y_next = _substep(divide, y, left, mid, right, h)
-            if y_next is None:
-                # the bounded rates redo a substep on which the fast order
-                # overflowed on a tiny invested wealth
-                y_next = _substep(bounded, y, *scaled[2 * i : 2 * i + 3], h)
-                if y_next is None:
-                    raise DomainError(f"integrator produced an invalid state near t={t0 + (i + 1) * h}")
-            y = y_next
+        i, y, right = loop(y.tolist(), next(points), points, 0, h)
+        while i < n:
+            # the bounded rates redo a substep on which the fast order
+            # overflowed on a tiny invested wealth
+            y = _substep(bounded, y, *scaled[2 * i : 2 * i + 3], h)
+            if y is None:
+                raise DomainError(f"integrator produced an invalid state near t={t0 + (i + 1) * h}")
+            i, y, right = loop(y, right, points, i + 1, h)
     return np.asarray(y, dtype=float)
 
 

@@ -44,6 +44,7 @@ from marketsel import (
     survival_verdict,
     wilson_interval,
 )
+from marketsel.core import divergence_rows
 from marketsel.strategies import PerturbationSchedule
 from marketsel.scenarios import two_point_model
 from recording import recorded
@@ -77,6 +78,16 @@ class TestGibbsGap:
 
     def test_matched_zeros_are_fine(self):
         assert gibbs_gap([1.0, 0.0], [1.0, 0.0]) == 0.0
+
+    def test_a_weight_rounded_to_one_keeps_the_gap_positive(self):
+        # beta is [r, 1 - r] with 1 - r rounded to 1.0, which drops the
+        # -ln beta_2 term (about r); the plain sum is then a ln(a / r), about
+        # -2.05e-321.  The gap is r - a + a ln(a / r) + O(r^2), which is r
+        # within a relative 1e-57, so rel 1e-15 allows a few roundings
+        a, r = 1.5e-323, 2.05e-263
+        assert gibbs_gap([a, 1.0], [r, 1.0]) == pytest.approx(r, rel=1e-15, abs=0.0)
+        rows = divergence_rows(np.array([a, 1.0]), np.array([[r, 1.0], [0.5, 0.5]]))
+        np.testing.assert_allclose(rows, [r, math.log(2.0)], rtol=1e-15, atol=0.0)
 
     def test_rejects_non_simplex(self):
         with pytest.raises(DomainError):

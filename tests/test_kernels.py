@@ -4,8 +4,9 @@
 float kernel generated for its shape (``_float_kernel``) and a wider one
 the array kernel ``_divide_array``.  Both are checked here against the
 division rule in exact rational arithmetic, the generated kernels against
-the ``reduce`` form they replaced bit for bit, the one RK4 substep on one
-kernel's rates against the same substep on the other's, whole runs on
+the ``reduce`` form they replaced bit for bit, the RK4 loop generated for
+a small market's shape against one ``_substep`` per substep bit for bit,
+RK4 on one kernel's rates against RK4 on the other's, whole runs on
 one kernel against the other, the float steps against the garbage
 collector's thresholds, and the artifacts of small markets against the
 BLAS kernel numpy happens to pick at run time.
@@ -31,6 +32,7 @@ from hypothesis import strategies as st
 import marketsel
 from marketsel import (
     DiscreteIIDModel,
+    DomainError,
     KernelSpec,
     MarketSpec,
     PerturbationSchedule,
@@ -183,6 +185,99 @@ def test_float_rk4_redoes_a_tiny_holder_with_the_bounded_order(m, n):
     assert redo_floats > 0 and redo_arrays > 0
     assert np.all(np.isfinite(floats)) and floats[-1] > 0.01
     np.testing.assert_allclose(floats, arrays, rtol=RK4_RTOL, atol=0)
+
+
+def _per_substep(y, lam, b, v, h):
+    """``_rk4`` as it was before the generated loop: one ``_substep`` per
+    substep on ``_float_kernel(M, N)``, and on the bounded rates where that
+    substep divides by 0 or breaks the wealth rule."""
+    divide, scaled, points = engine._steps(lam, b, [-v] * len(lam))
+    assert divide is engine._float_kernel(*lam.shape[1:])
+    points = list(points)
+
+    def bounded(y, lam_scaled):
+        return engine._divide_bounded(np.array(y), lam_scaled, b, -v).tolist()
+
+    y = y.tolist()
+    for i in range(len(lam) // 2):
+        y_next = engine._substep(divide, y, *points[2 * i : 2 * i + 3], h)
+        if y_next is None:
+            y_next = engine._substep(bounded, y, *scaled[2 * i : 2 * i + 3], h)
+            if y_next is None:
+                raise DomainError("invalid state")
+        y = y_next
+    return y
+
+
+def _fused_and_per_substep(y, lam, b, v, h):
+    """(float.hex of the result or "DomainError", bounded-rate calls) of ``_rk4`` and of ``_per_substep``."""
+    out = []
+    for rk4 in (lambda: engine._rk4(y, lam, b, v, h, 0.0), lambda: _per_substep(y, lam, b, v, h)):
+        with mock.patch.object(engine, "_divide_bounded", wraps=engine._divide_bounded) as spy, \
+                np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            try:
+                result = [u.hex() for u in np.asarray(rk4(), dtype=float).tolist()]
+            except DomainError:
+                result = "DomainError"
+        out.append((result, spy.call_count))
+    return out
+
+
+@st.composite
+def rk4_pieces(draw):
+    """A piece of 1 to 4 substeps in any market the float kernel serves, with
+    zero, subnormal and huge entries in the wealth, the weights and the drift."""
+    m = draw(st.integers(1, engine.FLOAT_CELLS))
+    n = draw(st.integers(1, engine.FLOAT_CELLS // m))
+    points = 2 * draw(st.integers(1, 4)) + 1
+
+    def entries(size, normal):
+        out = draw(st.lists(normal, min_size=size, max_size=size))
+        for i in draw(st.sets(st.integers(0, size - 1), max_size=3)):
+            out[i] = draw(_special | st.floats(0.0, 1e300))
+        return np.array(out)
+
+    y = entries(m, st.floats(2.0**-30, 16.0))
+    lam = entries(points * m * n, st.floats(0.0, 1.0)).reshape(points, m, n)
+    b = entries(n, st.floats(0.0, 4.0))
+    v, h = draw(st.floats(0.0, 2.0)), draw(st.floats(1e-3, 1.0))
+    return y, lam, b, v, h
+
+
+@given(rk4_pieces())
+@example((np.array([1.5]), np.full((3, 1, 1), 1.0), np.array([0.4]), 0.3, 0.01))  # M = N = 1
+@example((np.array([1.0, 2.0]), np.full((5, 2, 1), 0.5), np.array([0.4]), 0.3, 0.1))  # N = 1
+@example((np.full(10, 0.5), np.full((5, 10, 1), 0.1), np.array([1.0]), 0.3, 0.1))  # M = 10
+@example((np.array([1.0, 1e-310]), np.tile([[1.0, 0.0], [0.0, 1.0]], (5, 1, 1)), np.array([0.4, 0.2]), 0.5, 0.1))
+@settings(max_examples=400, deadline=None)
+def test_the_generated_rk4_loop_is_the_per_substep_loop_bit_for_bit(piece):
+    # the result, a redo's or a DomainError included, and the bounded-rate
+    # calls: the loop must stop at the same substeps and resume after them
+    fused, per_substep = _fused_and_per_substep(*piece)
+    assert fused == per_substep
+
+
+def _middle_redo(kind):
+    """A 2 x 2 piece of four substeps whose substep 2 alone needs the
+    bounded rates: from grid point 5 on, investor 2 alone holds asset 2,
+    and its wealth is 0 there (a division by 0) or 1e-310 (an invested
+    wealth so small that the rates overflow and break the wealth rule)."""
+    lam = np.full((9, 2, 2), 0.5)
+    lam[5:] = [[1.0, 0.0], [0.0, 1.0]]
+    y = np.array([1.0, 0.0 if kind == "zero-division" else 1e-310])
+    return y, lam, np.array([0.4, 0.2]), 0.5, 0.1
+
+
+@pytest.mark.parametrize("kind", ["zero-division", "wealth-check"])
+def test_the_generated_rk4_loop_resumes_after_a_middle_redo(kind):
+    y, lam, b, v, h = _middle_redo(kind)
+    # substeps 0 and 1 leave the sole holder's wealth where the fast order fails
+    start = engine._rk4(y, lam[:5], b, v, h, 0.0)
+    assert (start[1] == 0.0) if kind == "zero-division" else (0.0 < start[1] < 1e-300)
+    (fused, redos), per_substep = _fused_and_per_substep(y, lam, b, v, h)
+    assert redos == 4  # the four stages of substep 2, and no other substep
+    assert (fused, redos) == per_substep
+    assert np.all(np.isfinite([float.fromhex(u) for u in fused]))
 
 
 def _runs(make_run):
@@ -434,3 +529,6 @@ def test_the_float_wealth_rule_is_the_array_rule(y):
     with np.errstate(invalid="ignore"):
         expected = bool(0.0 <= a.min() and 0.0 < a.max() < math.inf)
     assert engine._wealth_rule(y) == expected
+    # and the check the generated RK4 loop writes out
+    names = [f"n{i}" for i in range(len(y))]
+    assert eval(engine._wealth_check(names), {"inf": math.inf}, dict(zip(names, y))) == expected
