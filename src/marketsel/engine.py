@@ -6,26 +6,27 @@ Two engines share one payoff-division rule,
 
 which splits each asset's payoff proportionally to the wealth allocated
 to it (an unclaimed asset's payoff is split equally among all investors).
-Both run it the same way: ``_claims`` turns a stack of weights and
-payoffs into per-step constants (weight columns scaled to a largest
-weight of 1, the claimed payoffs, a pad on unclaimed assets and their
-1/M share), and the kernel applies y * (lam @ (pay / (y @ lam + pad)) +
-keep) + free, with keep = 1 - delta at a payoff step and -v as the drift
-rate between continuous jumps.  The kernel has two forms, and
-``_steps`` alone picks one by the market's size.  In a market of at
-most FLOAT_CELLS weights (M * N), where interpreter overhead and not
-arithmetic sets the cost, the kernel is a function generated for the
-market's shape (``_float_kernel``): straight-line code on Python floats
-that unpacks the wealth and one flat step into locals and writes every
-sum out, so each is formed left to right and its results do not depend
-on the BLAS kernel numpy picks at run time.  ``_division`` alone writes
-those sums, for this kernel and for the RK4 loop generated on it.  A
-wider market runs
-``_divide_array`` on numpy arrays, whose matrix products go through
-BLAS.  Either order is fast but unbounded where the invested wealth is
-tiny or 0, so a non-finite result (or, on floats, a division by 0) is
-redone by ``_divide_bounded``, which forms each share (at most 1) first
-and splits an asset with no invested wealth 1/M.
+Both run it in one bounded order.  ``_claims`` turns a stack of weights
+and payoffs into per-step constants (weight columns scaled to a largest
+weight of 1, the claimed payoffs, a pad on unclaimed assets and their 1/M
+share), and the kernel forms each product a_ij = y_i s_ij once, sums them
+into the invested wealth r_j, and applies y_i keep + sum_j (a_ij / r_j)
+p_j + free, with keep = 1 - delta at a payoff step and -v as the drift
+rate between continuous jumps.  Each share a_ij / r_j is formed before it
+meets the payoff, so it is at most 1 however small the invested wealth.
+The kernel has two forms, and ``_steps`` alone picks one by the market's
+size.  In a market of at most FLOAT_CELLS weights (M * N), where
+interpreter overhead and not arithmetic sets the cost, the kernel is a
+function generated for the market's shape (``_float_kernel``):
+straight-line code on Python floats that unpacks the wealth and one flat
+step into locals and writes every sum out, so each is formed left to
+right and its results do not depend on the BLAS kernel numpy picks at run
+time.  ``_division`` alone writes those sums, for this kernel and for the
+RK4 loop generated on it.  A claimed asset with exactly 0 invested (every
+holder's wealth underflowed to 0) makes that code divide by 0, and its
+step falls back to the array form, ``_divide_bounded``, which a wider
+market runs on every step.  Its matrix products go through BLAS, and it
+splits an asset with no invested wealth 1/M without raising.
 
 A strategy sees only the time, the emitting regime and the total wealth
 W, and W is exogenous: W' = (1 - delta) W + |A| at a payoff step or jump
@@ -59,20 +60,18 @@ four stages, and only the investor wealth is stepped in sequence:
   ``evaluate`` is this stage on a block of one decision point: one
   strategy's weights there;
 * dynamics -- a discrete block runs ``_advance``: ``_steps`` once, then
-  the kernel once per step; if a row is not finite, the block again,
-  each step in the bounded order where the fast one is not finite.
-  ``discrete_step`` is ``_advance`` on one step, so each row is
-  ``discrete_step`` of the row before by construction.  A continuous
-  segment runs fixed-step classical RK4 on the investor wealth alone,
-  piece by piece on its block's weights (exact decay without payoff
-  drift), then ``discrete_step`` at its jump with the weights at the
-  jump time, the grid's last point.  A small market runs all of a
-  piece's substeps in one loop generated for its shape
-  (``_rk4_kernel``), the four stages written out on float locals, each
-  grid point's step unpacked once; a wide one runs ``_substep`` after
-  ``_substep`` on the array kernel's rates.  Both give ``_substep``'s
-  bits, and a substep that divides by 0 or breaks the wealth rule is
-  redone on the bounded rates;
+  the kernel once per step.  ``discrete_step`` is ``_advance`` on one
+  step, so each row is ``discrete_step`` of the row before by
+  construction.  A continuous segment runs fixed-step classical RK4 on
+  the investor wealth alone, piece by piece on its block's weights
+  (exact decay without payoff drift), then ``discrete_step`` at its jump
+  with the weights at the jump time, the grid's last point.  All of a
+  piece's substeps run in one loop generated for its market's shape and
+  kernel (``_rk4_kernel``), the four stages written out on float locals.
+  Shares of at most 1 keep a discrete row within ``discrete_step``'s
+  wealth rule unless its wealth overflows; an RK4 stage can also leave
+  it where h v is large enough to turn a stage's wealth negative, and a
+  substep whose result breaks the rule raises ``DomainError``;
 * running sums -- ``_record``, shared by both engines: total and
   relative wealth, and the payoff, consumption, retention, pressure, gap
   and closeness increments added (or multiplied) in record order, over a
@@ -98,7 +97,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
+from itertools import count  # noqa: F401 - the generated RK4 loops count substeps with it
 from typing import Optional
 
 import numpy as np
@@ -137,7 +137,9 @@ BLOCK_BYTES = 1 << 20
 # near M N = 56 (1.8 / 8.9 us at 2 x 2, 3.5 / 5.2 at 10 x 3, 5.2 / 5.2 at
 # 8 x 7, 7.2 / 5.4 at 10 x 8) and an RK4 substep of the generated loop
 # near 115 (2.6 / 19.3 us at 3 x 2, 19.0 / 22.1 at 10 x 9, 22.7 / 24.1
-# at 11 x 10, 24.9 / 23.8 at 12 x 10).
+# at 11 x 10, 24.9 / 23.8 at 12 x 10).  Those figures predate the bounded
+# order, which made a 40 x 10 array step cost 1.7 times the fast one and a
+# float step at most 1.1 times, so floats now break even later still.
 FLOAT_CELLS = 10
 
 # Steps converted to Python floats at a time.  A Python float takes 24
@@ -218,21 +220,20 @@ def _claims(lam: np.ndarray, pay: np.ndarray):
 
 
 def _steps(lam, pay, keep):
-    """The division kernel for K steps, their scaled weights and an iterator over their constants.
+    """The division kernel for K steps and an iterator over their constants.
 
     ``lam`` (K, M, N) and ``pay`` (K, N) or (N,) are as ``_claims`` takes
     them, and ``keep`` is a list of K kept fractions.  This is the one
     place that picks the kernel: a market of at most FLOAT_CELLS weights
     gets ``_float_kernel(M, N)`` and flat float steps (``_float_steps``),
-    a wider one ``_divide_array`` and steps (scaled, claimed, pad, keep,
-    free) of ``_claims`` rows.  The scaled weights (K, M, N) are what
-    ``_divide_bounded`` reads when a step is redone.
+    a wider one ``_divide_bounded`` and steps (scaled weights, payoffs,
+    keep).
     """
     scaled, claimed, pad, free = _claims(lam, pay)
     m, n = lam.shape[-2:]
     if m * n > FLOAT_CELLS:
-        return _divide_array, scaled, zip(scaled, claimed, pad, keep, free.tolist())
-    return _float_kernel(m, n), scaled, _float_steps(scaled, claimed, pad, keep, free)
+        return _divide_bounded, zip(scaled, np.broadcast_to(pay, claimed.shape), keep)
+    return _float_kernel(m, n), _float_steps(scaled, claimed, pad, keep, free)
 
 
 def _float_steps(scaled, claimed, pad, keep, free):
@@ -256,20 +257,26 @@ def _unpack(m: int, n: int, step: str) -> str:
 def _division(m: int, n: int, y: str):
     """Source of the division rule on the wealth locals y0, y1, ... named by the prefix ``y``.
 
-    Returns the lines that set every quotient q_j = p_j / (y0 s0_j + y1
-    s1_j + ... + d_j) and the expressions of every payout y_i (s_i0 q0 +
-    s_i1 q1 + ... + keep) + free.  Python adds such a chain left to right:
-    this is the one place that writes the order of the generated sums,
-    which is ``_divide_array``'s and depends on no BLAS build.
+    Returns the lines that set every product a_ij = y_i s_ij and every
+    invested wealth r_j = a_0j + a_1j + ... + d_j, and the expressions of
+    every payout y_i keep + a_i0 / r0 p0 + a_i1 / r1 p1 + ... + free.
+    Each product is formed once, and each share a_ij / r_j before it
+    meets the payoff, so a share is at most 1 however small r_j is; r_j
+    is 0 only where a claimed asset has exactly 0 invested, and there the
+    payouts divide by 0.  Python adds such a chain left to right: this is
+    the one place that writes the order of the generated sums, which
+    depends on no BLAS build.
     """
     rows, cols = range(m), range(n)
-    quotients = [f"q{j} = p{j} / (" + "".join(f"{y}{i} * s{i}_{j} + " for i in rows) + f"d{j})" for j in cols]
-    payouts = [f"{y}{i} * (" + "".join(f"s{i}_{j} * q{j} + " for j in cols) + "keep) + free" for i in rows]
-    return quotients, payouts
+    products = [f"a{i}_{j} = {y}{i} * s{i}_{j}" for i in rows for j in cols]
+    invested = [f"r{j} = " + "".join(f"a{i}_{j} + " for i in rows) + f"d{j}" for j in cols]
+    payouts = [f"{y}{i} * keep + " + "".join(f"a{i}_{j} / r{j} * p{j} + " for j in cols) + "free" for i in rows]
+    return products + invested, payouts
 
 
 def _wealth_check(names) -> str:
-    """Source of ``_wealth_rule`` on the float locals ``names``: each in [0, inf), one positive.
+    """Source of ``discrete_step``'s wealth rule on the float locals ``names``:
+    each in [0, inf), one positive.
 
     A NaN fails its first comparison, so no sum is needed to find one.
     """
@@ -277,9 +284,13 @@ def _wealth_check(names) -> str:
 
 
 def _generated(name: str, lines):
-    """The function ``name`` that ``lines`` define, the first line its ``def``, the rest its body."""
-    namespace = {"inf": math.inf}
-    exec(compile("\n    ".join(lines), f"<{name}>", "exec"), namespace)
+    """The function ``name`` that ``lines`` define, the first line its ``def``, the rest its body.
+
+    Its globals are this module's, so it calls the module's functions as
+    they are bound when it runs.
+    """
+    namespace = {}
+    exec(compile("\n    ".join(lines), f"<{name}>", "exec"), globals(), namespace)
     return namespace[name]
 
 
@@ -290,103 +301,116 @@ def _float_kernel(m: int, n: int):
     The function takes ``y``, a list, and a flat step of ``_float_steps``,
     and returns y keeps ``keep`` of itself plus its shares, as a list.  It
     is generated once per shape, as ``dataclasses`` generates ``__init__``,
-    with every sum written out by ``_division``.  That order is fast but
-    unbounded: where a claimed asset has no invested wealth it raises
-    ZeroDivisionError (numpy gives inf or NaN), and the step is redone by
-    ``_divide_bounded``.
+    with every sum written out by ``_division``.  Where a claimed asset
+    has exactly 0 invested the shares divide by 0, and the step is
+    ``_divide_flat``'s.
     """
-    quotients, payouts = _division(m, n, "y")
+    lines, payouts = _division(m, n, "y")
     return _generated(
         f"_divide_{m}x{n}",
         [
             f"def _divide_{m}x{n}(y, step):",
             "".join(f"y{i}, " for i in range(m)) + "= y",
             _unpack(m, n, "step"),
-            *quotients,
-            f"return [{', '.join(payouts)}]",
+            *lines,
+            "try:",
+            f"    return [{', '.join(payouts)}]",
+            "except ZeroDivisionError:",
+            "    return _divide_flat(y, step)",
         ],
     )
 
 
 @cache
-def _rk4_kernel(m: int, n: int):
-    """``_substep`` on ``_float_kernel(m, n)``'s rates, substep after substep, as straight-line code.
+def _rk4_kernel(m: int, n: int, wide: bool):
+    """Classical RK4 on the division rule's rates, substep after substep, as straight-line code.
 
-    The function ``_rk4_MxN(y, right, points, i, h)`` starts substep i
-    from the wealth list ``y`` at the float step ``right`` and takes two
+    The function ``_rk4_MxN(y, right, points, h, t0)`` starts from the
+    wealth list ``y`` at the step ``right`` of ``_steps`` and takes two
     more steps per substep from the iterator ``points``: its mid point and
-    its right end.  It keeps the wealth in locals and unpacks each step
-    once, so a substep's three points take three unpackings where the four
-    kernel calls took four, and it writes out the four stages, the updates
-    y + h/2 k and y + h k, y + h/6 (k1 + 2 k2 + 2 k3 + k4) and
-    ``_wealth_check`` in ``_substep``'s order: every result is the same to
-    the bit.  It returns (i, y, right) at the first substep i that divides
-    by 0 or breaks the wealth rule, y and right still those at its start
-    and its right end, or (substeps done, y, last step) when ``points``
-    runs out.
+    its right end.  It keeps the wealth in float locals and writes out the
+    four stages, the updates y + h/2 k and y + h k, and y + h/6 (k1 + 2 k2
+    + 2 k3 + k4), whose every entry ``_wealth_check`` then checks.  A
+    stage's rates are the kernel's on its wealth and step, to the bit:
+    ``_division``'s sums on float locals, each step unpacked once, and
+    ``_divide_flat`` where they divide by 0, as in ``_float_kernel``; or,
+    ``wide``, ``_divide_bounded`` on an array of the wealth.  A substep
+    whose result breaks the wealth rule raises ``DomainError`` naming its
+    end time t0 + i h.  Returns the wealth after the last substep, a list.
     """
     rows = range(m)
     y, new = ", ".join(f"y{i}" for i in rows), [f"n{i}" for i in rows]
 
-    def stage(k, wealth):  # the rates k<k>_i at the wealth locals ``wealth``
-        quotients, payouts = _division(m, n, wealth)
-        return quotients + [f"k{k}_{i} = {p}" for i, p in enumerate(payouts)]
+    def unpack(point):
+        return [] if wide else [_unpack(m, n, point)]
+
+    def stage(k, wealth, point):  # the rates k<k>_i at the wealth locals ``wealth`` and the step ``point``
+        rates, args = (", ".join(f"{prefix}{i}" for i in rows) for prefix in (f"k{k}_", wealth))
+        if wide:
+            return [f"{rates}, = _divide_bounded(np.array([{args}]), {point}).tolist()"]
+        lines, payouts = _division(m, n, wealth)
+        return [
+            *lines,
+            "try:",
+            f"    {rates}, = {', '.join(payouts)},",
+            "except ZeroDivisionError:",
+            f"    {rates}, = _divide_flat([{args}], {point})",
+        ]
 
     def towards(scale, k):  # z = y + scale k<k>
         return [f"z{i} = y{i} + {scale} * k{k}_{i}" for i in rows]
 
-    stages = [
-        _unpack(m, n, "right"), *stage(1, "y"),
-        _unpack(m, n, "mid"), *towards("half", 1), *stage(2, "z"),
-        *towards("half", 2), *stage(3, "z"),
-        _unpack(m, n, "step"), *towards("h", 3), *stage(4, "z"),
+    substep = [
+        *stage(1, "y", "right"),
+        *unpack("mid"), *towards("half", 1), *stage(2, "z", "mid"),
+        *towards("half", 2), *stage(3, "z", "mid"),
+        *unpack("step"), *towards("h", 3), *stage(4, "z", "step"),
+        *(f"n{i} = y{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in rows),
+        f"if not ({_wealth_check(new)}):",
+        '    raise DomainError(f"integrator produced an invalid state near t={t0 + i * h}")',
+        f"{y}, = {', '.join(new)},",
+        "right = step",
     ]
     lines = [
-        f"def _rk4_{m}x{n}(y, right, points, i, h):",
+        f"def _rk4_{m}x{n}(y, right, points, h, t0):",
         "half = 0.5 * h",
         "sixth = h / 6.0",
+        "inf = math.inf",
         f"{y}, = y",
-        "for mid, step in zip(points, points):",
-        "    try:",
-        *(f"        {line}" for line in stages),
-        "    except ZeroDivisionError:",
-        f"        return i, [{y}], step",
-        *(f"    n{i} = y{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in rows),
-        f"    if not ({_wealth_check(new)}):",
-        f"        return i, [{y}], step",
-        f"    {y}, = {', '.join(new)},",
-        "    right = step",
-        "    i += 1",
-        f"return i, [{y}], right",
+        *unpack("right"),
+        "for i, mid, step in zip(count(1), points, points):",
+        *(f"    {line}" for line in substep),
+        f"return [{y}]",
     ]
     return _generated(f"_rk4_{m}x{n}", lines)
 
 
-def _divide_array(y, step):
+def _divide_bounded(y, step):
     """The division rule on numpy arrays: y keeps ``keep`` of itself plus its shares.
 
-    ``step`` is an array step of ``_steps``.  This order is the fast one,
-    but pay / invested has no upper bound: it overflows once the wealth
-    invested in a claimed asset falls below pay / DBL_MAX, and is 0/0
-    once that wealth underflows to 0.  A non-finite result therefore
-    means the step is redone by ``_divide_bounded``; a finite one is the
-    rule up to rounding.
+    ``step`` is (scaled weights, payoffs, keep).  Each share lam y /
+    invested is formed before it meets the payoff, so it stays at most 1
+    however small the invested wealth.  An asset with no invested wealth
+    -- no weight on it, or every holder's wealth underflowed to 0 --
+    splits its payoff 1/M, so nothing divides by 0.
     """
-    lam, pay, pad, keep, free = step
-    return y * (lam @ (pay / (y @ lam + pad)) + keep) + free
-
-
-def _divide_bounded(y, lam, pay, keep):
-    """The division rule on scaled weights ``lam`` and the full payoffs ``pay``.
-
-    Each share lam y / invested is formed before it meets the payoff, so
-    it stays at most 1 however small the invested wealth.  An asset with
-    no invested wealth -- no weight on it, or every holder's wealth
-    underflowed to 0 -- splits its payoff 1/M.
-    """
+    lam, pay, keep = step
     invested = y @ lam
     idle = invested == 0.0
-    return keep * y + (lam * y[:, None] / (invested + idle) + idle / y.size) @ pay
+    shares = lam * y[:, None]
+    shares /= invested + idle
+    shares += idle / y.size
+    return keep * y + shares @ pay
+
+
+def _divide_flat(y, step):
+    """``_divide_bounded`` on the wealth list ``y`` and a flat float step, as a list: the
+    float kernels' division where a claimed asset has exactly 0 invested."""
+    m = len(y)
+    n = (len(step) - 2) // (m + 2)
+    lam, pay = np.reshape(step[: m * n], (m, n)), np.array(step[m * n : m * n + n])
+    keep, free = step[-2:]
+    return (_divide_bounded(np.array(y), (lam, pay, keep)) + free).tolist()
 
 
 def discrete_step(y_prev, weights, payoff, delta: float) -> np.ndarray:
@@ -600,36 +624,18 @@ def _advance(wealth, k0: int, lam, dx, dv) -> None:
     delta dv[i].  Its temporaries die with the call, before the next
     block's policy stage."""
     keep = (1.0 - dv).tolist()
-    divide, _, steps = _steps(lam, dx, keep)
-    rows = slice(k0 + 1, k0 + 1 + len(keep))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        try:
-            if divide is not _divide_array:
-                # the rows go into one flat list: a list per row would
-                # count towards the garbage collector's thresholds
-                y, out = wealth[k0].tolist(), []
-                for step in steps:
-                    y = divide(y, step)
-                    out += y
-                wealth[rows] = np.reshape(out, (len(keep), -1))
-            else:
-                for i, step in enumerate(steps, k0 + 1):
-                    wealth[i] = _divide_array(wealth[i - 1], step)
-            finite = np.isfinite(wealth[rows]).all()
-        except ZeroDivisionError:
-            finite = False
-    if not finite:
-        # an invested wealth was too small for the fast order somewhere: redo the
-        # block step by step, each step in the bounded order where the fast one is not finite
-        divide, scaled, steps = _steps(lam, dx, keep)
+    divide, steps = _steps(lam, dx, keep)
+    if divide is _divide_bounded:
         for i, step in enumerate(steps, k0 + 1):
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                try:
-                    wealth[i] = divide(wealth[i - 1].tolist(), step)
-                except ZeroDivisionError:
-                    wealth[i] = math.nan
-            if not np.isfinite(wealth[i]).all():
-                wealth[i] = _divide_bounded(wealth[i - 1], scaled[i - k0 - 1], dx[i - k0 - 1], keep[i - k0 - 1])
+            wealth[i] = _divide_bounded(wealth[i - 1], step)
+        return
+    # the rows go into one flat list: a list per row would count towards
+    # the garbage collector's thresholds
+    y, out = wealth[k0].tolist(), []
+    for step in steps:
+        y = divide(y, step)
+        out += y
+    wealth[k0 + 1 : k0 + 1 + len(keep)] = np.reshape(out, (len(keep), -1))
 
 
 def _start(n_records: int, market: MarketSpec, mode: str) -> Trajectory:
@@ -702,13 +708,17 @@ def _total_wealth(kernel: KernelSpec, w0, s):
     """Total wealth a jump-free time ``s`` after it was ``w0``.
 
     Every asset's shares sum to one, so the payoff drift pays |b| in total
-    whatever the strategies, and W solves dW = (|b| - v W) dt.
+    whatever the strategies, and W solves dW = (|b| - v W) dt.  Its
+    exponentials come from libm one point at a time: numpy picks its
+    ``exp`` loop by CPU, and the AVX-512 one rounds some inputs otherwise.
     """
     v = kernel.v_rate
     b = float(kernel.drift.sum())
     if v == 0.0:
         return w0 + b * s
-    return w0 * np.exp(-v * s) - b * np.expm1(-v * s) / v
+    x, w0 = -v * np.asarray(s, dtype=float), float(w0)
+    w = [w0 * math.exp(u) - b * math.expm1(u) / v for u in x.ravel().tolist()]
+    return np.array(w).reshape(x.shape)[()]  # a scalar where s is one
 
 
 def _drift_rates(kernel, policy, t, w):
@@ -720,78 +730,22 @@ def _drift_rates(kernel, policy, t, w):
     return lam, cand, np.column_stack((rates, float(kernel.drift.sum()) / w - kernel.v_rate))
 
 
-def _wealth_rule(y) -> bool:
-    """``discrete_step``'s wealth rule on a list: non-negative and finite, with a positive total.
-
-    Python's ``min`` and ``max`` skip a NaN that is not the first entry,
-    so the sum, which is NaN wherever an entry is, checks for one.
-    """
-    total = sum(y)
-    return total == total and 0.0 <= min(y) and 0.0 < max(y) < math.inf
-
-
-def _substep(divide, y, left, mid, right, h: float):
-    """One classical RK4 substep of dy/dt = divide(y, point) on a list ``y``.
-
-    ``divide`` takes and returns lists.  Returns None where it divides by
-    0 or the result breaks ``_wealth_rule``.
-    """
-    half = 0.5 * h
-    try:
-        k1 = divide(y, left)
-        k2 = divide([u + half * k for u, k in zip(y, k1)], mid)
-        k3 = divide([u + half * k for u, k in zip(y, k2)], mid)
-        k4 = divide([u + h * k for u, k in zip(y, k3)], right)
-    except ZeroDivisionError:
-        return None
-    sixth = h / 6.0
-    y = [u + sixth * (a + 2.0 * b + 2.0 * c + d) for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
-    return y if _wealth_rule(y) else None
-
-
-def _substeps(divide, y, right, points, i: int, h: float):
-    """``_rk4_kernel``'s loop on any ``divide``: one ``_substep`` per substep, same arguments and result."""
-    for mid, step in zip(points, points):
-        y_next = _substep(divide, y, right, mid, step, h)
-        if y_next is None:
-            return i, y, step
-        y, right, i = y_next, step, i + 1
-    return i, y, right
-
-
 def _rk4(y, lam, b, v_rate: float, h: float, t0: float):
     """Classical RK4 for dy/dt = shares(y) @ b - v y over len(lam) // 2 substeps.
 
     Substep i starts at t0 + i h; its stages read the weights at grid
     points 2i, 2i+1, 2i+1 and 2i+2.  The rate is the division rule with
     the drift b as payoff and -v as the kept fraction, on ``_steps``'
-    kernel.  A small market runs the substeps in the loop generated for
-    its shape (``_rk4_kernel``), a wide one in ``_substeps`` on the array
-    kernel, its rates as lists; both are ``_substep`` substep by substep.
-    Where a substep divides by 0 or breaks the wealth rule, the loop
-    stops there, the substep is redone on the bounded rates, and the loop
-    resumes after it.
+    kernel, and the substeps run in the loop generated for the market's
+    shape and that kernel (``_rk4_kernel``).  A substep whose result
+    breaks the wealth rule raises ``DomainError``.
     """
-    kernel, scaled, points = _steps(lam, b, [-v_rate] * len(lam))
-
-    def listed(y, step):
-        return _divide_array(np.array(y), step).tolist()
-
-    def bounded(y, lam_scaled):
-        return _divide_bounded(np.array(y), lam_scaled, b, -v_rate).tolist()
-
-    loop = partial(_substeps, listed) if kernel is _divide_array else _rk4_kernel(*lam.shape[-2:])
-    n = len(lam) // 2
+    kernel, points = _steps(lam, b, [-v_rate] * len(lam))
+    loop = _rk4_kernel(*lam.shape[-2:], kernel is _divide_bounded)
+    # a state that breaks the wealth rule may pass through inf or NaN on
+    # its way to the check
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        i, y, right = loop(y.tolist(), next(points), points, 0, h)
-        while i < n:
-            # the bounded rates redo a substep on which the fast order
-            # overflowed on a tiny invested wealth
-            y = _substep(bounded, y, *scaled[2 * i : 2 * i + 3], h)
-            if y is None:
-                raise DomainError(f"integrator produced an invalid state near t={t0 + (i + 1) * h}")
-            i, y, right = loop(y, right, points, i + 1, h)
-    return np.asarray(y, dtype=float)
+        return np.array(loop(y.tolist(), next(points), points, h, t0))
 
 
 def _jump_schedule(kernel, rng, horizon: float, grid):
@@ -843,9 +797,11 @@ def _grid_blocks(kernel, events, w0, dt: float, points: int):
         for i0 in range(0, max(n, 1), chunk):
             i1 = min(i0 + chunk, n)
             s = np.arange(2 * i0, 2 * i1 + 1) * (0.5 * h)
+            if i1 == n:
+                s[-1] = span
             tw = np.stack((t0 + s, _total_wealth(kernel, w0, s)))
             if i1 == n:
-                tw[:, -1] = t1, _total_wealth(kernel, w0, span)
+                tw[0, -1] = t1
             if size + s.size > 2 * chunk + 1:
                 yield *np.concatenate(grid, axis=1), pieces
                 grid, pieces, size = [], [], 0

@@ -156,6 +156,9 @@ class KernelSpec:
 
     def __post_init__(self):
         atoms = tuple(self.jump_atoms)
+        for i, (_, v, _) in enumerate(atoms):
+            if not 0.0 <= float(v) < 1.0:
+                raise DomainError(f"jump_atoms[{i}]: v must lie in [0, 1)")
         largest_v = max((float(v) for _, v, _ in atoms), default=0.0)
         gamma = float(largest_v if self.gamma_v is None else self.gamma_v)
         if not 0.0 <= gamma < 1.0:

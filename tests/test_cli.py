@@ -649,6 +649,20 @@ class TestMainEntryPoint:
             assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("v", [1.0, 1.5])
+    def test_jump_v_of_one_or_more_is_a_config_error(self, tmp_path, capsys, v):
+        # KernelSpec checks each jump's v < 1 before it derives gamma_v
+        # from them, and the cli reports its message at the model's path
+        model = {**KERNEL_MODEL, "jump_atoms": [{"payoff": [1.0, 0.0], "v": v, "intensity": 1.0}]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config(payoff_model=model, horizon=2.0)))
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            assert main([*argv, "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert "config error: $.payoff_model: jump_atoms[0]: v must lie in [0, 1)" in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_run_requires_some_config(self, tmp_path):
         assert main(["run", "--out", str(tmp_path)]) == 1
 

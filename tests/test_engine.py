@@ -292,16 +292,28 @@ class TestRunDiscrete:
     @pytest.mark.parametrize("dry_steps", [155, 200])
     @pytest.mark.parametrize("cells", [10**9, 0], ids=["floats", "arrays"])
     def test_sole_holder_redo_replays_through_discrete_step(self, dry_steps, cells):
-        # on either kernel the fast order fails on the tiny or zero holder,
-        # the block is redone in the bounded order, and every row is still
-        # discrete_step of the row before, bit for bit
+        # on either kernel every step runs in the bounded order, the tiny
+        # holder's included; the float kernel falls back to the array one
+        # on exactly the steps whose holder starts at 0, where its shares
+        # divide by 0.  Every row is still discrete_step of the row before,
+        # bit for bit
         with mock.patch.object(engine, "FLOAT_CELLS", cells):
             with mock.patch.object(engine, "_divide_bounded", wraps=engine._divide_bounded) as bounded:
                 traj, lam, _ = recorded(self._sole_holder_run, dry_steps)
-            assert bounded.call_count > 0
+            zero_holder = int(np.count_nonzero(traj.wealth[:-1, 1] == 0.0))
+            assert (zero_holder > 0) == (dry_steps == 200)
+            assert bounded.call_count == (zero_holder if cells else traj.n_records)
             for k in range(traj.n_records):
                 replay = discrete_step(traj.wealth[k], lam[k], traj.dx[k], traj.dv[k])
                 assert np.array_equal(replay, traj.wealth[k + 1]), k
+
+    @pytest.mark.parametrize("cells", [10**9, 0], ids=["floats", "arrays"])
+    def test_an_asset_with_nothing_invested_splits_one_over_m(self, cells):
+        # investor 2 alone holds asset 2 and has 0: asset 2's payoff splits
+        # 1/M, on the float kernel through its fallback to the array one
+        with mock.patch.object(engine, "FLOAT_CELLS", cells):
+            y = discrete_step([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0], 0.5)
+        np.testing.assert_array_equal(y, [0.5 + 1.0 + 1.0, 1.0])
 
     def _zero_wealth_run(self):
         """200 dry steps leave investor 2 exactly 0 (the case above), then 3 wet ones."""
@@ -367,7 +379,10 @@ class TestRunDiscrete:
     def test_block_temporaries_do_not_grow_with_the_horizon(self):
         # 40 investors x 10 assets, 2-regime Markov model, all five kinds
         # with Monte Carlo handles: the tracemalloc peak beyond the
-        # trajectory's own arrays must not grow from 2 blocks to 8.
+        # trajectory's own arrays must not grow from 2 blocks to 8.  The
+        # Monte Carlo stage's peak follows a block's largest regime group,
+        # so the regimes alternate: every block of both runs splits the
+        # same way between them, and only the horizon differs.
         gen = np.random.default_rng(0)
         m, n = 40, 10
 
@@ -376,7 +391,7 @@ class TestRunDiscrete:
             return DiscreteIIDModel(atoms=atoms, probabilities=(1 / 6,) * 6)
 
         model = MarkovModulatedModel(
-            states=("a", "b"), transition=np.array([[0.9, 0.1], [0.2, 0.8]]),
+            states=("a", "b"), transition=np.array([[0.0, 1.0], [1.0, 0.0]]),
             regimes=(regime(), regime()),
         )
         simplex = lambda: gen.dirichlet(np.ones(n))  # noqa: E731
@@ -797,6 +812,30 @@ class TestRunContinuous:
         factors = np.exp(-2.0 * span) * np.where(traj.is_jump, 0.9, 1.0)
         np.testing.assert_allclose(traj.retention[1:], np.cumprod(factors), rtol=1e-14)
         assert traj.validate() == []
+
+    @pytest.mark.parametrize("cells", [10**9, 0], ids=["floats", "arrays"])
+    @pytest.mark.parametrize(
+        "drift, v_rate, dt, y0, when",
+        [
+            # h v = 12.5: the stages take the wealth of the investors on
+            # asset 1 below 0, and the shares on asset 2 past 1
+            ((0.3, 2.0), 50.0, 0.25, [1.0, 0.5, 0.02], "0.25"),
+            # h v = 10: RK4 multiplies the decay by 1 - 10 + 10^2/2 -
+            # 10^3/6 + 10^4/24 = 291 a substep, until the wealth overflows
+            ((0.4, 0.2), 100.0, 0.1, [1.0, 1.5, 0.5], "12.5"),
+        ],
+        ids=["negative", "overflow"],
+    )
+    def test_a_state_that_breaks_the_wealth_rule_raises_at_its_time(self, drift, v_rate, dt, y0, when, cells):
+        # shares of at most 1 cannot break discrete_step's wealth rule, but
+        # RK4 with a large h v still can, on either kernel, and the run
+        # names the end of the substep where it did
+        kernel = KernelSpec(jump_atoms=(), drift=drift, v_rate=v_rate)
+        spec = MarketSpec(3, 2, y0, payoff_model=kernel)
+        handles = [constant_strategy(w) for w in ([1.0, 0.0], [1.0, 0.0], [0.5, 0.5])]
+        with mock.patch.object(engine, "FLOAT_CELLS", cells):
+            with pytest.raises(DomainError, match=rf"^integrator produced an invalid state near t={when}$"):
+                run_continuous(ProfileRun(spec, handles, 20.0, RngStream(1), dt=dt, record_dt=0.5))
 
     def test_dispatch_by_model_type(self):
         kernel = KernelSpec(jump_atoms=(), drift=(1.0, 0.5))

@@ -1,15 +1,16 @@
-"""The two division kernels: Python floats in small markets, numpy arrays in wide ones.
+"""The two forms of the bounded division kernel: Python floats in small markets, numpy arrays in wide ones.
 
 ``engine._steps`` gives a market of at most ``FLOAT_CELLS`` weights the
 float kernel generated for its shape (``_float_kernel``) and a wider one
-the array kernel ``_divide_array``.  Both are checked here against the
+the array kernel ``_divide_bounded``.  Both are checked here against the
 division rule in exact rational arithmetic, the generated kernels against
-the ``reduce`` form they replaced bit for bit, the RK4 loop generated for
-a small market's shape against one ``_substep`` per substep bit for bit,
-RK4 on one kernel's rates against RK4 on the other's, whole runs on
-one kernel against the other, the float steps against the garbage
-collector's thresholds, and the artifacts of small markets against the
-BLAS kernel numpy happens to pick at run time.
+the ``reduce`` form of the same order bit for bit, the RK4 loop generated
+for a small market's shape against RK4 one substep at a time on the float
+kernel bit for bit, RK4 on one kernel's rates against RK4 on the other's,
+whole runs on one kernel against the other, the float steps against the
+garbage collector's thresholds, the artifacts of small markets against the
+BLAS kernel numpy happens to pick at run time, and the artifacts of a
+continuous run against the ``exp`` loop numpy picks by CPU.
 """
 
 import gc
@@ -87,7 +88,9 @@ _special = st.sampled_from([0.0, 5e-324, 1e-310])
 
 @st.composite
 def division_steps(draw):
-    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    # N >= 8 too: the array kernel's products go through BLAS, which may
+    # split or fuse a longer sum differently
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4) | st.integers(8, 12))
     # wealth is 0 or normal: a subnormal wealth loses relative precision in
     # its products that no operation count bounds (the bounded order's
     # tests in test_engine cover it)
@@ -104,6 +107,8 @@ def division_steps(draw):
 
 
 @given(division_steps())
+@example((np.array([1.0, 0.0]), np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 2.0]), 0.9))  # held, 0 invested
+@example((np.array([0.5, 2.0, 1.0]), np.full((3, 8), 0.125), np.linspace(0.0, 4.0, 8), 0.7))  # N = 8
 @settings(max_examples=400, deadline=None)
 def test_both_kernels_lie_within_the_operation_count_bound_of_the_exact_rule(case):
     y, lam, pay, keep = case
@@ -113,26 +118,21 @@ def test_both_kernels_lie_within_the_operation_count_bound_of_the_exact_rule(cas
     # the bound below assumes no invested wealth is subnormal, so that
     # products underflowing there do not count
     assume(all(inv == 0 or inv >= 2.0**-960 for inv in invested))
-    held_idle = any(top > 0.0 and inv == 0 for top, inv in zip(scaled.max(axis=0), invested))
+    # a product y_i s_ij: 1 rounding; its invested wealth: M more; the
+    # share: 1; its product with the payoff: 1; the payout sum after keep
+    # y (1): N + 1; the free share's own sum and 1/M: N.  A held asset
+    # with nothing invested splits 1/M: 1 rounding where the share took M + 2.
+    bound = Fraction(_gamma(m + 2 * n + 5))
+    # Underflow adds absolute error the relative bound misses: at most
+    # 2^-1075 to each product y_i s_ij, which moves share j by at most
+    # (M + 1) 2^-1075 / invested_j, and 2^-1075 to each quotient, each
+    # product with a payoff, keep y and the free share.
+    slack = Fraction(TINY) * (n + 1 + sum((m + 1) * Fraction(p) / inv for p, inv in zip(pay.tolist(), invested) if inv))
     for steps in (FLOATS, ARRAYS):
-        divide, _, (step,) = steps(lam[None], pay[None], [keep])
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            try:
-                got = divide(y if divide is engine._divide_array else y.tolist(), step)
-            except ZeroDivisionError:
-                got = None
-        if held_idle:
-            # a held asset with no invested wealth: the fast order must not
-            # return a finite answer, so that the bounded order redoes it
-            assert got is None or not np.isfinite(got).all()
-            continue
-        # invested wealth: M roundings; its quotient: 1; the payout sum: N;
-        # keep, the product with y and the free share: 3.  Products that
-        # underflow add at most 2^-1075 each, N y_max + 1 of them in all.
-        slack = Fraction(n * float(y.max()) + 1.0) * Fraction(TINY)
+        divide, (step,) = steps(lam[None], pay[None], [keep])
+        got = divide(y if divide is engine._divide_bounded else y.tolist(), step)
         for i, value in enumerate(np.asarray(got).tolist()):
-            bound = Fraction(_gamma(m + n + 4)) * exact[i] + slack
-            assert abs(Fraction(value) - exact[i]) <= bound, (divide.__name__, i, value, float(exact[i]))
+            assert abs(Fraction(value) - exact[i]) <= bound * exact[i] + slack, (divide.__name__, i, value, float(exact[i]))
 
 
 def _grid(rng, m, n, substeps, sole_holder=False):
@@ -146,6 +146,7 @@ def _grid(rng, m, n, substeps, sole_holder=False):
 
 
 def _rk4(y, lam, b, v, h, cells):
+    """``_rk4`` with the size rule set to ``cells``, and its calls to the array kernel."""
     with mock.patch.object(engine, "FLOAT_CELLS", cells), \
             mock.patch.object(engine, "_divide_bounded", wraps=engine._divide_bounded) as bounded:
         out = engine._rk4(y, lam, b, v, h, 0.0)
@@ -161,7 +162,7 @@ RK4_RTOL = 1e-13
 
 @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (3, 2), (4, 3), (3, 4)])
 def test_float_rk4_matches_the_array_rk4(m, n):
-    # one _substep on either kernel's rates: only the rates' order differs
+    # one RK4 loop on either kernel's rates: only the rates' order differs
     rng = np.random.default_rng([m, n])
     for _ in range(20):
         lam = _grid(rng, m, n, 50)
@@ -174,51 +175,53 @@ def test_float_rk4_matches_the_array_rk4(m, n):
 
 @pytest.mark.parametrize("m, n", [(2, 2), (3, 2)])
 def test_float_rk4_redoes_a_tiny_holder_with_the_bounded_order(m, n):
-    # the sole holder of the last asset starts at 1e-310, so drift / invested
-    # overflows on the fast order and both kernels take the bounded one
+    # the sole holder of the last asset starts at 1e-310, where drift /
+    # invested would overflow; every share is formed before it meets the
+    # drift, so the float kernel needs no fallback to the array form, and
+    # agrees with it
     rng = np.random.default_rng([7, m, n])
     lam = _grid(rng, m, n, 50, sole_holder=True)
     b = rng.uniform(0.2, 1.0, n)
     y0 = np.append(rng.uniform(0.5, 2.0, m - 1), 1e-310)
-    floats, redo_floats = _rk4(y0, lam, b, 0.5, 0.02, 10**9)
-    arrays, redo_arrays = _rk4(y0, lam, b, 0.5, 0.02, 0)
-    assert redo_floats > 0 and redo_arrays > 0
+    floats, fallbacks = _rk4(y0, lam, b, 0.5, 0.02, 10**9)
+    arrays, array_calls = _rk4(y0, lam, b, 0.5, 0.02, 0)
+    assert fallbacks == 0 and array_calls == 4 * 50
     assert np.all(np.isfinite(floats)) and floats[-1] > 0.01
     np.testing.assert_allclose(floats, arrays, rtol=RK4_RTOL, atol=0)
 
 
 def _per_substep(y, lam, b, v, h):
-    """``_rk4`` as it was before the generated loop: one ``_substep`` per
-    substep on ``_float_kernel(M, N)``, and on the bounded rates where that
-    substep divides by 0 or breaks the wealth rule."""
-    divide, scaled, points = engine._steps(lam, b, [-v] * len(lam))
+    """RK4 one substep at a time on ``_float_kernel(M, N)``, as lists: one
+    kernel call per stage, and numpy's wealth rule on each substep's result."""
+    divide, points = engine._steps(lam, b, [-v] * len(lam))
     assert divide is engine._float_kernel(*lam.shape[1:])
     points = list(points)
-
-    def bounded(y, lam_scaled):
-        return engine._divide_bounded(np.array(y), lam_scaled, b, -v).tolist()
-
+    half, sixth = 0.5 * h, h / 6.0
     y = y.tolist()
     for i in range(len(lam) // 2):
-        y_next = engine._substep(divide, y, *points[2 * i : 2 * i + 3], h)
-        if y_next is None:
-            y_next = engine._substep(bounded, y, *scaled[2 * i : 2 * i + 3], h)
-            if y_next is None:
-                raise DomainError("invalid state")
-        y = y_next
+        left, mid, right = points[2 * i : 2 * i + 3]
+        k1 = divide(y, left)
+        k2 = divide([u + half * k for u, k in zip(y, k1)], mid)
+        k3 = divide([u + half * k for u, k in zip(y, k2)], mid)
+        k4 = divide([u + h * k for u, k in zip(y, k3)], right)
+        y = [u + sixth * (p + 2.0 * q + 2.0 * r + s) for u, p, q, r, s in zip(y, k1, k2, k3, k4)]
+        wealth = np.array(y)
+        if not (np.all((0.0 <= wealth) & (wealth < math.inf)) and wealth.max() > 0.0):
+            raise DomainError(f"integrator produced an invalid state near t={0.0 + (i + 1) * h}")
     return y
 
 
 def _fused_and_per_substep(y, lam, b, v, h):
-    """(float.hex of the result or "DomainError", bounded-rate calls) of ``_rk4`` and of ``_per_substep``."""
+    """(float.hex of the result or the DomainError's message, array-kernel
+    fallbacks) of ``_rk4`` and of ``_per_substep``."""
     out = []
     for rk4 in (lambda: engine._rk4(y, lam, b, v, h, 0.0), lambda: _per_substep(y, lam, b, v, h)):
         with mock.patch.object(engine, "_divide_bounded", wraps=engine._divide_bounded) as spy, \
                 np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             try:
                 result = [u.hex() for u in np.asarray(rk4(), dtype=float).tolist()]
-            except DomainError:
-                result = "DomainError"
+            except DomainError as exc:
+                result = str(exc)
         out.append((result, spy.call_count))
     return out
 
@@ -249,19 +252,21 @@ def rk4_pieces(draw):
 @example((np.array([1.0, 2.0]), np.full((5, 2, 1), 0.5), np.array([0.4]), 0.3, 0.1))  # N = 1
 @example((np.full(10, 0.5), np.full((5, 10, 1), 0.1), np.array([1.0]), 0.3, 0.1))  # M = 10
 @example((np.array([1.0, 1e-310]), np.tile([[1.0, 0.0], [0.0, 1.0]], (5, 1, 1)), np.array([0.4, 0.2]), 0.5, 0.1))
+@example((np.array([1.0, 0.0]), np.tile([[1.0, 0.0], [0.0, 1.0]], (5, 1, 1)), np.array([0.4, 0.2]), 0.5, 0.1))
 @settings(max_examples=400, deadline=None)
 def test_the_generated_rk4_loop_is_the_per_substep_loop_bit_for_bit(piece):
-    # the result, a redo's or a DomainError included, and the bounded-rate
-    # calls: the loop must stop at the same substeps and resume after them
+    # the result, a DomainError's time included, and the fallbacks to the
+    # array kernel where a stage divides by 0: each stage's rates must be
+    # the float kernel's, and the loop must stop at the same substep
     fused, per_substep = _fused_and_per_substep(*piece)
     assert fused == per_substep
 
 
 def _middle_redo(kind):
-    """A 2 x 2 piece of four substeps whose substep 2 alone needs the
-    bounded rates: from grid point 5 on, investor 2 alone holds asset 2,
-    and its wealth is 0 there (a division by 0) or 1e-310 (an invested
-    wealth so small that the rates overflow and break the wealth rule)."""
+    """A 2 x 2 piece of four substeps: from grid point 5 on, investor 2
+    alone holds asset 2, and its wealth is 0 there (its shares divide by
+    0) or 1e-310 (an invested wealth so small that drift / invested would
+    overflow)."""
     lam = np.full((9, 2, 2), 0.5)
     lam[5:] = [[1.0, 0.0], [0.0, 1.0]]
     y = np.array([1.0, 0.0 if kind == "zero-division" else 1e-310])
@@ -271,12 +276,15 @@ def _middle_redo(kind):
 @pytest.mark.parametrize("kind", ["zero-division", "wealth-check"])
 def test_the_generated_rk4_loop_resumes_after_a_middle_redo(kind):
     y, lam, b, v, h = _middle_redo(kind)
-    # substeps 0 and 1 leave the sole holder's wealth where the fast order fails
+    # substeps 0 and 1 leave the sole holder's wealth where it was
     start = engine._rk4(y, lam[:5], b, v, h, 0.0)
     assert (start[1] == 0.0) if kind == "zero-division" else (0.0 < start[1] < 1e-300)
-    (fused, redos), per_substep = _fused_and_per_substep(y, lam, b, v, h)
-    assert redos == 4  # the four stages of substep 2, and no other substep
-    assert (fused, redos) == per_substep
+    (fused, fallbacks), per_substep = _fused_and_per_substep(y, lam, b, v, h)
+    # a zero holder: substep 2's second stage alone divides by 0, splits
+    # asset 2's drift 1/M on the array kernel, and lifts the holder above
+    # 0; a tiny holder needs no fallback at all
+    assert fallbacks == (1 if kind == "zero-division" else 0)
+    assert (fused, fallbacks) == per_substep
     assert np.all(np.isfinite([float.fromhex(u) for u in fused]))
 
 
@@ -334,7 +342,7 @@ def test_the_size_rule_splits_the_benchmark_markets():
     sizes = {
         (2, 2): engine._float_kernel(2, 2),
         (3, 2): engine._float_kernel(3, 2),
-        (40, 10): engine._divide_array,
+        (40, 10): engine._divide_bounded,
     }
     for (m, n), kernel in sizes.items():
         lam = np.full((1, m, n), 1.0 / n)
@@ -373,16 +381,14 @@ def float_division_steps(draw):
 @settings(max_examples=600, deadline=None)
 def test_the_generated_kernel_is_the_reduce_form_bit_for_bit(case):
     y, lam, pay, keep = case
-    divide, _, (step,) = engine._steps(lam[None], pay[None], [keep])
+    divide, (step,) = engine._steps(lam[None], pay[None], [keep])
     scaled, claimed, pad, free = engine._claims(lam, pay)
     try:
         reference = reference_divide(y, scaled.tolist(), claimed.tolist(), pad.tolist(), keep, float(free))
     except ZeroDivisionError:
-        # a held asset with nothing invested: the engine redoes the step
-        # in the bounded order
-        with pytest.raises(ZeroDivisionError):
-            divide(y, step)
-        return
+        # a held asset with nothing invested: the step is the array
+        # kernel's on the same constants, which splits that asset 1/M
+        reference = (engine._divide_bounded(np.array(y), (scaled, claimed, keep)) + free).tolist()
     # float.hex tells -0.0 from 0.0 and matches NaN with NaN
     assert [v.hex() for v in divide(y, step)] == [v.hex() for v in reference]
 
@@ -486,22 +492,21 @@ CONTINUOUS = {
 }
 
 
-def _artifacts(tmp_path, coretype: str) -> dict:
-    """The digest of every file ``marketsel run`` writes for both configs,
-    run in a fresh process on the BLAS kernel ``coretype``."""
-    out = tmp_path / coretype
+def _artifacts(tmp_path, label: str, env: dict, configs=(DISCRETE, CONTINUOUS)) -> dict:
+    """The digest of every file ``marketsel run`` writes for ``configs``,
+    run in a fresh process with the environment variables ``env`` added."""
+    out = tmp_path / label
     out.mkdir()
-    for cfg in (DISCRETE, CONTINUOUS):
+    for cfg in configs:
         (out / f"{cfg['name']}.json").write_text(json.dumps(cfg))
     script = (
         "import sys\nfrom marketsel.cli import main\n"
-        "for name in ('discrete', 'continuous'):\n"
+        "for name in sys.argv[2:]:\n"
         "    assert main(['run', '--config', f'{sys.argv[1]}/{name}.json', '--out', sys.argv[1]]) == 0\n"
     )
     src = str(Path(marketsel.__file__).resolve().parent.parent)
-    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": src}
-    argv = [sys.executable, "-c", script, str(out)]
-    subprocess.run(argv, env=env, check=True, capture_output=True, timeout=300)
+    argv = [sys.executable, "-c", script, str(out), *(cfg["name"] for cfg in configs)]
+    subprocess.run(argv, env={**os.environ, **env, "PYTHONPATH": src}, check=True, capture_output=True, timeout=300)
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.iterdir())
@@ -516,19 +521,42 @@ def _artifacts(tmp_path, coretype: str) -> dict:
 def test_small_market_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
     # Haswell's kernels fuse multiply-adds and Sandybridge's do not; the
     # float kernel and the Simpson sum use no BLAS call at all
-    haswell = _artifacts(tmp_path, "Haswell")
+    haswell = _artifacts(tmp_path, "Haswell", {"OPENBLAS_CORETYPE": "Haswell"})
     assert len(haswell) == 6
-    assert haswell == _artifacts(tmp_path, "Sandybridge")
+    assert haswell == _artifacts(tmp_path, "Sandybridge", {"OPENBLAS_CORETYPE": "Sandybridge"})
+
+
+def _numpy_runs_avx512_loops() -> bool:
+    """numpy dispatches AVX-512 loops on this x86-64 CPU."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("AVX512_SKX", False))
+
+
+@pytest.mark.skipif(not _numpy_runs_avx512_loops(), reason="needs an x86-64 CPU on which numpy runs AVX-512 loops")
+def test_continuous_artifacts_do_not_depend_on_the_exp_loop(tmp_path):
+    # numpy's AVX-512 exp rounds some inputs otherwise than the AVX2 loop
+    # that this variable leaves it; the continuous engine's total wealth
+    # takes its exponentials from libm.  The config has drift and v > 0, so
+    # every grid point takes one.
+    avx512 = _artifacts(tmp_path, "avx512", {}, [CONTINUOUS])
+    assert len(avx512) == 3
+    avx2 = _artifacts(tmp_path, "avx2", {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}, [CONTINUOUS])
+    assert avx512 == avx2
 
 
 @given(st.lists(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1.0, -1.0]),
                 min_size=1, max_size=4))
 def test_the_float_wealth_rule_is_the_array_rule(y):
-    # non-negative and finite with a positive total, NaN anywhere failing
+    # the check the generated RK4 loop writes out on float locals is the
+    # rule on an array: non-negative and finite with a positive total, NaN
+    # anywhere failing
     a = np.array(y)
     with np.errstate(invalid="ignore"):
         expected = bool(0.0 <= a.min() and 0.0 < a.max() < math.inf)
-    assert engine._wealth_rule(y) == expected
-    # and the check the generated RK4 loop writes out
     names = [f"n{i}" for i in range(len(y))]
     assert eval(engine._wealth_check(names), {"inf": math.inf}, dict(zip(names, y))) == expected

@@ -106,7 +106,8 @@ class TestModelValidation:
         explicit = KernelSpec(jump_atoms=atoms, drift=(0.0, 0.0), gamma_v=0.1)
         assert kernel.gamma_v == 0.1
         np.testing.assert_array_equal(expected_claim_rates(kernel, 2.0), expected_claim_rates(explicit, 2.0))
-        with pytest.raises(DomainError, match="largest jump v"):
+        # a jump's own v of 1 is named before any gamma_v is derived from it
+        with pytest.raises(DomainError, match=r"^jump_atoms\[0\]: v must lie in \[0, 1\)$"):
             KernelSpec(jump_atoms=(((1.0, 0.0), 1.0, 1.0),), drift=(0.0, 0.0))
 
 
