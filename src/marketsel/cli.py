@@ -11,20 +11,25 @@ Subcommands:
 Configs are strict JSON validated against the shipped schema
 (``marketsel/schemas/scenario.schema.json``); unknown keys anywhere are
 rejected so typos cannot silently change an experiment.  Output is a pure
-function of (config, seed): trajectory CSVs are written with 17
-significant digits (round-trip exact for doubles) and summaries with
-sorted keys, so on one machine with one numpy and BLAS build identical
-inputs give byte-identical files, and parallel seed execution matches
-serial execution exactly.  Small markets (``engine.FLOAT_CELLS``)
-divide payoffs in straight-line Python float code generated for their
-shape, every sum formed left to right (between continuous jumps, in one
-generated RK4 loop with the same sums), and the continuous diagnostics
-sum in grid order, so neither depends on the BLAS kernel either; wide
-markets may differ in the last bits between machines.  The continuous
-total wealth takes its exponentials from libm, but the Gibbs gap takes
-numpy's ``log``, whose loop numpy picks by CPU feature (AVX-512 or not),
-so the last bits of a run whose gap meets an input the two loops round
-differently can differ between CPUs even with one build.
+function of (config, seed): trajectory CSVs hold exactly the text of
+``"%.17g"`` for each value (round-trip exact for doubles) and summaries
+have sorted keys.  The CSV text is rendered in whole-array numpy passes
+from a longdouble product; a value whose rounding that product cannot
+settle (a near-tie, about 1-2% of values) is formatted with ``"%.17g"``
+itself, so the width of longdouble changes only the speed: where it is
+plain double, every value is.  On one machine with one numpy and BLAS
+build identical inputs give byte-identical files, and parallel seed
+execution matches serial execution exactly.  Small markets
+(``engine.FLOAT_CELLS``) divide payoffs in straight-line Python float
+code generated for their shape, every sum formed left to right (between
+continuous jumps, in one generated RK4 loop with the same sums), and the
+continuous diagnostics sum in grid order, so neither depends on the BLAS
+kernel either; wide markets may differ in the last bits between
+machines.  The continuous total wealth takes its exponentials from
+libm, but the Gibbs gap takes numpy's ``log``, whose loop numpy picks by
+CPU feature (AVX-512 or not), so the last bits of a run whose gap meets
+an input the two loops round differently can differ between CPUs even
+with one build.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 """
@@ -62,9 +67,11 @@ from .strategies import (
 OUTPUT_DIR_ENV = "MARKETSEL_OUT"
 DEFAULT_OUTPUT_DIR = "marketsel-out"
 
-# Rows rendered per block by trajectory_csv, so the float table it builds
-# stays small whatever the horizon.
-CSV_BLOCK_ROWS = 128
+# Values rendered per chunk by trajectory_csv, so one chunk's temporaries
+# stay near 256 KiB whatever the trajectory's shape.  Larger chunks are
+# faster on wide trajectories, but their temporaries raise the heap's
+# high-water mark of a long-lived process for good.
+CSV_CHUNK_VALUES = 1024
 
 
 class ConfigError(Exception):
@@ -312,11 +319,179 @@ def build_run(cfg: ScenarioConfig, seed: int) -> ProfileRun:
     )
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    """Render a trajectory as CSV, 17 significant digits per value.
+# Decimal exponents of finite nonzero doubles, widened by one each way for
+# a log10 that lands on the wrong side of a power of ten.
+_G17_K_MIN, _G17_K_MAX = -325, 309
 
-    ``"%.17g" % v`` and ``format(v, ".17g")`` give the same text for
-    every double, non-finite values and signed zeros included.
+
+def _g17_tables() -> tuple:
+    """The lookup tables of ``_g17``, built once per process with numpy.
+
+    ``_g17`` lays each value out in one 48-byte row of six words: byte 0
+    the sign, 1-5 ``0.000``, 6 the leading digit, 7 a point slot, 8-39
+    four groups of four digits each followed by a point slot, 40 ``e``,
+    41 the exponent's sign, 42-44 its digits and 45 the separator.  A
+    keep-mask, chosen by sign, exponent class and count of significant
+    digits, zeroes every byte that ``%.17g`` does not print.
+    """
+    q = range(16 - _G17_K_MAX, 17 - _G17_K_MIN)  # 16 - k for every k
+    with np.errstate(over="ignore"):  # where longdouble is plain double
+        pow10 = np.array([f"1e{e}" for e in q]).astype(np.longdouble)
+
+    # The tables are built one digit at a time, so that no temporary is
+    # large enough to stay resident once freed, and with the integer loops
+    # that _g17 runs anyway, so that no other library code is paged in.
+    def digit(n, d):
+        return n // d - n // (10 * d) * 10
+
+    n = np.arange(10000, dtype=np.int64)
+    group = np.full((10000, 8), ord("."), np.uint8)
+    zeros = np.zeros(10000, np.int64)
+    run = np.ones(10000, bool)
+    for j, d in enumerate((1000, 100, 10, 1)):
+        group[:, 2 * j] = digit(n, d) + ord("0")
+    for d in (1, 10, 100, 1000):
+        run &= digit(n, d) == 0
+        zeros += run
+    lead = np.tile(np.frombuffer(b"-0.000d.", np.uint8), (10, 1))
+    lead[:, 6] = np.arange(10) + ord("0")
+
+    x = np.arange(_G17_K_MIN, _G17_K_MAX + 2)  # every exponent, carry included
+    exp = np.tile(np.frombuffer(b"e+000,\0\0", np.uint8), (x.size, 2, 1))
+    exp[:, 1, 5] = ord("\n")
+    exp[x < 0, :, 1] = ord("-")
+    for j, d in enumerate((100, 10, 1)):
+        exp[:, :, 2 + j] = (digit(abs(x), d) + ord("0"))[:, None]
+
+    # Exponent classes 0-20 print X = class - 4 in [-4, 16] in fixed
+    # notation; 21 prints a two-digit exponent and 22 a three-digit one.
+    cls = np.arange(23)[:, None]
+    sci = cls >= 21
+    fixed = ~sci & (cls >= 4)
+    small = ~sci & (cls < 4)
+    sig = np.arange(1, 18)
+    shown = np.where(fixed, np.maximum(sig, cls - 3), sig)  # digits printed
+    point = np.where(fixed, sig > cls - 3, sci & (sig > 1))
+    slot = np.where(sci, 0, cls - 4)
+    keep = np.zeros((2, 23, 17, 48), bool)
+    keep[..., 6:39:2] = np.arange(17) < shown[..., None]
+    keep[..., 7:40:2] = (np.arange(17) == slot[..., None]) & point[..., None]
+    keep[..., 1:6] = small[..., None] & (np.arange(5) < 5 - cls[..., None])
+    keep[:, 21, :, 40:45] = np.array([1, 1, 0, 1, 1], bool)
+    keep[:, 22, :, 40:45] = True
+    keep[1, :, :, 0] = True
+    keep[..., 45] = True
+    masks = np.zeros(keep.shape, np.uint8)
+    masks[keep] = 0xFF
+    masks = masks.view(np.uint64).reshape(-1, 6)
+    mask_row = np.where(abs(x) < 100, 21, 22) * 17 - 1  # by exponent, less one
+    mask_row[-4 - _G17_K_MIN:17 - _G17_K_MIN] = np.arange(21) * 17 - 1
+    return (
+        pow10,
+        group.view(np.uint64)[:, 0],
+        zeros,
+        lead.view(np.uint64)[:, 0],
+        exp.view(np.uint64).reshape(-1),
+        mask_row,
+        masks,
+    )
+
+
+_POW10, _GROUP, _ZEROS, _LEAD, _EXP, _MASK_ROW, _MASKS = _g17_tables()
+_IDENTITY = bytes(range(256))
+# Bound on the error of the fraction of N that _g17 forms: one rounding of
+# the power of ten and one of the product, each within half an ulp (eps / 2
+# relative), on an N below 10**17, with 1% to spare for the product of the
+# two; and 2**-53 for rounding the fraction to a double.  Where longdouble
+# is plain double it exceeds 0.5, so every value is formatted one at a time.
+MARGIN = 1.01e17 * float(np.finfo(np.longdouble).eps) + 2.0**-53
+
+
+def _g17(values, newline, buf: bytearray) -> bytes:
+    """``format(v, ".17g")`` of each float64 in ``values``, each followed
+    by ``"\\n"`` where ``newline`` is set and by ``","`` elsewhere.
+
+    ``buf`` holds the rows, 48 bytes a value; a caller may reuse it.
+    N = |v|·10**(16 - k), with k the decimal exponent of v, is formed in
+    longdouble and rounded to the 17 significant digits.  A value is
+    formatted by ``format`` itself where N lies within MARGIN of a
+    rounding tie, where N falls outside [10**16, 10**17), and where it is
+    not finite, so the text is always exact.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        nonzero = np.isfinite(values) & (values != 0)
+        a = np.where(nonzero, abs(values), 1.0)
+        k = np.floor(np.log10(a)).astype(np.intp)
+        a = a.astype(np.longdouble)
+        n = a * _POW10[_G17_K_MAX - k]
+        off = (n < 1e16) | (n >= 1e17)
+        if off.any():
+            i = np.flatnonzero(off)
+            k[i] += np.where(n[i] < 1e16, -1, 1)
+            n[i] = a[i] * _POW10[_G17_K_MAX - k[i]]
+            off[i] = (n[i] < 1e16) | (n[i] >= 1e17)
+        r = n.astype(np.int64)
+        half = (n - r).astype(np.float64) - 0.5
+        r += half > 0
+        fast = nonzero & ~off & (abs(half) > MARGIN)
+    r[~fast] = 0  # zeros print "0"; the rest are overwritten below
+    k[~fast] = 0
+    carry = r == 10**17
+    r[carry] = 10**16
+    k += carry
+    # r = d0 followed by four groups of four digits
+    hi = r // 10**8
+    lo = r - hi * 10**8
+    d0g1 = hi // 10000
+    d0 = d0g1 // 10000
+    g3 = lo // 10000
+    groups = (d0g1 - d0 * 10000, hi - d0g1 * 10000, g3, lo - g3 * 10000)
+    tz = np.zeros(values.size, np.int64)  # trailing zeros: at most 16, as d0 > 0 or r == 0
+    run = np.ones(values.size, bool)
+    for g in reversed(groups):
+        tz += run * _ZEROS[g]
+        run &= g == 0
+    x = k - _G17_K_MIN
+    out = np.frombuffer(buf, np.uint64).reshape(-1, 6)
+    row = _MASK_ROW[x] + (17 - tz) + 391 * (values.view(np.int64) < 0)  # the sign bit
+    np.take(_MASKS, row, axis=0, out=out, mode="clip")
+    out[:, 0] &= _LEAD[d0]
+    for j, g in enumerate(groups, 1):
+        out[:, j] &= _GROUP[g]
+    out[:, 5] &= _EXP[2 * x + newline]
+    slow = np.flatnonzero(~fast & (values != 0))
+    if slow.size:
+        text = b"".join(format(v, ".17g").encode().ljust(45, b"\0") for v in values[slow].tolist())
+        out.view(np.uint8)[slow, :45] = np.frombuffer(text, np.uint8).reshape(-1, 45)
+    return bytes(buf).translate(_IDENTITY, b"\0")  # as bytes and with a table: 2x faster
+
+
+def _csv_lines(columns) -> list:
+    """The CSV lines of 2-D (rows, c) or 1-D (rows,) arrays side by side,
+    as strings of at most CSV_CHUNK_VALUES values each."""
+    rows = len(columns[0])
+    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    parts = []
+    buf = bytearray()
+    for i0 in range(0, rows * width, CSV_CHUNK_VALUES):
+        i1 = min(i0 + CSV_CHUNK_VALUES, rows * width)
+        if len(buf) != 48 * (i1 - i0):
+            buf = bytearray(48 * (i1 - i0))
+        r0 = i0 // width
+        block = np.column_stack([c[r0:-(-i1 // width)] for c in columns]).ravel()
+        newline = np.arange(i0, i1) % width == width - 1
+        parts.append(_g17(block[i0 - r0 * width:i1 - r0 * width], newline, buf).decode("ascii"))
+    return parts
+
+
+def trajectory_csv(traj: Trajectory) -> str:
+    """Render a trajectory as CSV, ``"%.17g"`` per value.
+
+    The text is exactly ``format(v, ".17g")`` of each value, which is
+    ``"%.17g" % v`` for every double, non-finite values and signed zeros
+    included.  ``_g17`` renders whole chunks of values in numpy passes
+    and formats one at a time each value whose rounding longdouble
+    cannot settle, so the width of longdouble changes only the speed.
     """
     m = traj.num_investors
     header = (
@@ -327,23 +502,11 @@ def trajectory_csv(traj: Trajectory) -> str:
         + [f"UH{i + 1}" for i in range(m)]
         + [f"closeness{i + 1}" for i in range(m)]
     )
-    row_format = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)]
-    for k0 in range(0, traj.times.size, CSV_BLOCK_ROWS):
-        rows = slice(k0, k0 + CSV_BLOCK_ROWS)
-        block = np.column_stack(
-            (
-                traj.times[rows],
-                traj.wealth[rows],
-                traj.rel[rows],
-                traj.total[rows],
-                traj.pressure[rows],
-                traj.gap_integral[rows],
-                traj.closeness[rows],
-            )
-        )
-        lines.extend(row_format % tuple(row) for row in block.tolist())
-    return "\n".join(lines) + "\n"
+    columns = (
+        traj.times, traj.wealth, traj.rel, traj.total,
+        traj.pressure, traj.gap_integral, traj.closeness,
+    )
+    return "".join([",".join(header) + "\n", *_csv_lines(columns)])
 
 
 def run_seed(cfg: ScenarioConfig, seed: int, *, csv_path: Optional[str] = None) -> dict:
@@ -406,7 +569,7 @@ def _seed_result(seed: int, call) -> dict:
     except OSError:
         raise  # an artifact that cannot be written fails the whole run
     except Exception as exc:  # noqa: BLE001 - per-seed failures are data
-        return {"seed": seed, "error": str(exc)}
+        return {"seed": seed, "error": str(exc), "error_type": type(exc).__name__}
 
 
 def run_batch(
@@ -418,7 +581,8 @@ def run_batch(
     """Run every seed of a parsed scenario, serially or with a worker pool.
 
     Returns {"config", "per_seed", "aggregate"}; per-seed failures are
-    recorded as {"seed", "error"} entries rather than aborting the batch.
+    recorded as {"seed", "error", "error_type"} entries, the exception's
+    message and class name, rather than aborting the batch.
     With ``out_dir`` every seed writes ``<name>_seed<seed>.csv`` there
     itself, and an OSError from that write aborts the batch; without it
     no CSV is rendered.  Results are keyed and ordered by seed, so the
@@ -461,7 +625,7 @@ def run_scenario(config, out_dir: str, jobs: int = 1, seeds=None) -> tuple:
     summary_per_seed = []
     for entry in result["per_seed"]:
         if "error" in entry:
-            summary_per_seed.append({"seed": entry["seed"], "error": entry["error"]})
+            summary_per_seed.append(entry)
             continue
         paths.append(_csv_path(out_dir, cfg.name, entry["seed"]))
         summary_per_seed.append(entry["summary"])

@@ -280,7 +280,7 @@ class TestTrajectoryCsv:
     def test_matches_per_value_renderer_on_awkward_values(self, monkeypatch):
         import marketsel.cli as cli_mod
 
-        monkeypatch.setattr(cli_mod, "CSV_BLOCK_ROWS", 7)  # several row blocks
+        monkeypatch.setattr(cli_mod, "CSV_CHUNK_VALUES", 7)  # chunks that split rows of 15
         rng = np.random.default_rng(3)
         traj = _alloc(20, 3, 2, "discrete")
         special = np.array([np.inf, np.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
@@ -297,6 +297,25 @@ class TestTrajectoryCsv:
         cfg = parse_config_dict(minimal_config(horizon=60))
         traj = run_engine(build_run(cfg, 4))
         assert trajectory_csv(traj) == per_value_csv(traj)
+
+    @pytest.mark.parametrize("rows, investors", [(2001, 2), (501, 40)])
+    def test_peak_memory_is_the_text_plus_one_chunk(self, rows, investors):
+        """The renderer holds its chunks' text and then the joined text, and
+        one chunk's temporaries at a time, not a whole table of values."""
+        import tracemalloc
+
+        traj = _alloc(rows, investors, 2, "discrete")
+        rng = np.random.default_rng(5)
+        for name in ("times", "wealth", "rel", "total", "pressure", "gap_integral", "closeness"):
+            arr = getattr(traj, name)
+            arr[...] = rng.standard_normal(arr.shape)
+        tracemalloc.start()
+        try:
+            text = trajectory_csv(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text) + 1.5 * 2**20, (peak, len(text))
 
 
 class TestRunScenario:
@@ -764,6 +783,24 @@ class TestFailureHandling:
         assert "runtime failure:" in capsys.readouterr().err
         summary = json.loads((tmp_path / "all" / "mini_summary.json").read_text())
         assert [e["error"] for e in summary["per_seed"]] == ["boom 0", "boom 1"]
+
+    def test_a_failed_seed_names_its_exception_type(self, tmp_path, monkeypatch):
+        import marketsel.cli as cli_mod
+
+        engine = cli_mod.run_engine
+
+        def run_engine(run):
+            if run.rng.seed == 1:
+                raise ValueError("no payoff")
+            return engine(run)
+
+        monkeypatch.setattr(cli_mod, "run_engine", run_engine)
+        code, _ = run_scenario(minimal_config(seeds=[0, 1]), str(tmp_path))
+        assert code == 0
+        summary = json.loads((tmp_path / "mini_summary.json").read_text())
+        assert summary["per_seed"][1] == {
+            "seed": 1, "error": "no payoff", "error_type": "ValueError"
+        }
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_run_parses_the_config_once(self, tmp_path, monkeypatch, jobs):
