@@ -51,7 +51,7 @@ import numpy as np
 
 from .core import DomainError, MarketSpec, Trajectory, as_simplex
 from .diagnostics import run_summary, wilson_interval
-from .engine import ProfileRun, run as run_engine
+from .engine import ProfileRun, profile_errors, run as run_engine
 from .payoffs import DiscreteIIDModel, KernelSpec, MarkovModulatedModel, RngStream
 from .scenarios import get_scenario, list_scenarios
 from .strategies import (
@@ -252,56 +252,40 @@ def parse_config_dict(data: dict) -> ScenarioConfig:
         raise ConfigError(errors)
 
     errors = []
-    market_spec = data["market"]
-    n_inv = market_spec["investors"]
-    n_assets = market_spec["assets"]
-    if len(market_spec["initial_wealth"]) != n_inv:
-        errors.append("$.market.initial_wealth: need one value per investor")
     model = _build_model(data["payoff_model"], errors, "$.payoff_model")
-    if model is not None and model.num_assets != n_assets:
-        errors.append(
-            f"$.payoff_model: payoffs have {model.num_assets} assets, market declares {n_assets}"
-        )
-
     strategies = [
         _build_strategy(spec, errors, f"$.strategies[{i}]")
         for i, spec in enumerate(data["strategies"])
     ]
-    if len(strategies) != n_inv:
-        errors.append(
-            f"$.strategies: need exactly one strategy per investor "
-            f"(got {len(strategies)}, expected {n_inv})"
-        )
-    for i, handle in enumerate(strategies):
-        if handle is not None and model is not None:
-            errors += [f"$.strategies[{i}]{p}: {msg}" for p, msg in handle_errors(handle, model)]
-
+    market_spec = data["market"]
+    market = MarketSpec(
+        num_investors=market_spec["investors"],
+        num_assets=market_spec["assets"],
+        initial_wealth=market_spec["initial_wealth"],
+        payoff_model=model,
+    )
+    horizon = float(data["horizon"])
+    record_dt = data.get("record", {}).get("grid")
+    dt = data.get("integrator", {}).get("dt", ProfileRun.dt)
+    if model is not None:  # a model that failed to build has reported its errors
+        errors += [f"${p}: {msg}" for p, msg in profile_errors(market, strategies, horizon, dt, record_dt)]
+        for i, handle in enumerate(strategies):
+            if handle is not None:
+                errors += [f"$.strategies[{i}]{p}: {msg}" for p, msg in handle_errors(handle, model)]
     seeds = _expand_seeds(data["seeds"])
     errors += _seed_errors(seeds, "$.seeds")
-
-    horizon = data["horizon"]
-    if not isinstance(model, KernelSpec) and model is not None:
-        if float(horizon) != int(horizon):
-            errors.append("$.horizon: discrete models need an integer number of steps")
-
-    diag = data.get("diagnostics", {})
     if errors:
         raise ConfigError(errors)
 
-    market = MarketSpec(
-        num_investors=n_inv,
-        num_assets=n_assets,
-        initial_wealth=np.asarray(market_spec["initial_wealth"], dtype=float),
-        payoff_model=model,
-    )
+    diag = data.get("diagnostics", {})
     return ScenarioConfig(
         name=data.get("name", "scenario"),
         market=market,
         strategies=tuple(strategies),
-        horizon=float(horizon),
+        horizon=horizon,
         seeds=tuple(seeds),
-        record_dt=data.get("record", {}).get("grid"),
-        dt=data.get("integrator", {}).get("dt", 0.01),
+        record_dt=record_dt,
+        dt=dt,
         survival_floor=diag.get("survival_floor", 0.05),
         trend_tol=diag.get("trend_tol", 1e-4),
     )

@@ -172,33 +172,50 @@ class ProfileRun:
     record_dt: Optional[float] = None
 
     def __post_init__(self):
-        # The game proper needs M >= 2 (the config schema requires it), but
-        # the engine also runs degenerate single-investor markets, which
-        # have closed-form dynamics and serve as integration oracles.
-        market = self.market
-        y0 = np.asarray(market.initial_wealth, dtype=float)
-        if market.num_investors < 1 or market.num_assets < 1:
-            raise DomainError("market needs at least one investor and one asset")
-        if y0.size != market.num_investors or not np.all(np.isfinite(y0)) or np.any(y0 <= 0):
-            raise DomainError("initial wealth must be strictly positive, one value per investor")
-        model = market.payoff_model
-        if model is None:
-            raise DomainError("market needs a payoff model")
-        if model.num_assets != market.num_assets:
-            raise DomainError("payoff model and market disagree on the number of assets")
-        if len(self.strategies) != self.market.num_investors:
-            raise DomainError("need exactly one strategy per investor")
+        for _, msg in profile_errors(self.market, self.strategies, self.horizon, self.dt, self.record_dt):
+            raise DomainError(msg)
         for m, handle in enumerate(self.strategies):
-            for path, msg in handle_errors(handle, model):
+            for path, msg in handle_errors(handle, self.market.payoff_model):
                 raise DomainError(f"strategy {m}{path}: {msg}")
-        if not 0 <= self.horizon < math.inf:
-            raise DomainError("horizon must be finite and >= 0")
-        if not isinstance(model, KernelSpec) and self.horizon != int(self.horizon):
-            raise DomainError("discrete horizon must be an integer number of steps")
-        if not self.dt > 0:
-            raise DomainError("dt must be positive")
-        if self.record_dt is not None and not self.record_dt > 0:
-            raise DomainError("record_dt must be positive")
+
+
+def profile_errors(market: MarketSpec, strategies, horizon, dt, record_dt) -> list:
+    """Why ``ProfileRun`` rejects these fields: (path, message) pairs, paths in the config layout.
+
+    The one statement of the market and profile rules; a strategy's own
+    fit to the model is ``handle_errors``.  The game proper needs M >= 2
+    (the config schema requires it), but the engine also runs degenerate
+    single-investor markets: closed-form dynamics that serve as oracles.
+    """
+    m, n, model, y0 = market.num_investors, market.num_assets, market.payoff_model, market.initial_wealth
+    errors = []
+    if m < 1 or n < 1:
+        errors.append((".market", "market needs at least one investor and one asset"))
+    if y0.size != m:
+        msg = f"initial wealth needs one value per investor (got {y0.size}, expected {m})"
+        errors.append((".market.initial_wealth", msg))
+    if not np.all(np.isfinite(y0) & (y0 > 0)):
+        errors.append((".market.initial_wealth", "initial wealth must be finite and strictly positive"))
+    if model is None:
+        errors.append((".payoff_model", "market needs a payoff model"))
+    elif model.num_assets != n:
+        msg = (
+            "payoff model and market disagree on the number of assets "
+            f"(payoffs have {model.num_assets}, market declares {n})"
+        )
+        errors.append((".payoff_model", msg))
+    if len(strategies) != m:
+        msg = f"need exactly one strategy per investor (got {len(strategies)}, expected {m})"
+        errors.append((".strategies", msg))
+    if not 0 <= horizon < math.inf:
+        errors.append((".horizon", "horizon must be finite and >= 0"))
+    elif not isinstance(model, KernelSpec) and horizon != int(horizon):
+        errors.append((".horizon", "discrete horizon must be an integer number of steps"))
+    if not dt > 0:
+        errors.append((".integrator.dt", "dt must be positive"))
+    if record_dt is not None and not record_dt > 0:
+        errors.append((".record.grid", "record_dt must be positive"))
+    return errors
 
 
 def _claims(lam: np.ndarray, pay: np.ndarray):
@@ -648,7 +665,7 @@ def _start(n_records: int, market: MarketSpec, mode: str) -> Trajectory:
 
 
 def run_discrete(run: ProfileRun) -> Trajectory:
-    """Simulate the discrete-time market over an integer number of steps.
+    """Simulate the discrete-time market over a whole number of steps.
 
     Strategies are evaluated on start-of-step information only: the time,
     the regime that will emit this step's payoff and the pre-step total

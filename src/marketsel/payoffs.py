@@ -42,19 +42,15 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def _atom_matrix(atoms, name: str):
-    payoffs = []
-    deltas = []
-    for i, (payoff, delta) in enumerate(atoms):
-        vec = as_vector(payoff, f"{name}[{i}].payoff")
-        if np.any(vec < 0.0):
-            raise DomainError(f"{name}[{i}]: payoffs must be non-negative")
-        d = float(delta)
-        if not 0.0 <= d < 1.0:
-            raise DomainError(f"{name}[{i}]: delta must lie in [0, 1)")
-        payoffs.append(vec)
-        deltas.append(d)
-    return np.array(payoffs, dtype=float), np.array(deltas, dtype=float)
+def _payoff(x, name: str, n: Optional[int] = None) -> np.ndarray:
+    """The payoff-vector rule of every model: 1-d, finite, non-negative and, given ``n``, of length n."""
+    vec = as_vector(x, name)
+    if np.any(vec < 0.0):
+        raise DomainError(f"{name} must be non-negative")
+    if n is not None and vec.size != n:
+        msg = f"{name} has {vec.size}, expected {n}"
+        raise DomainError(f"all payoff vectors must have the same length ({msg})")
+    return vec
 
 
 @dataclass(frozen=True)
@@ -65,12 +61,16 @@ class DiscreteIIDModel:
     probabilities: tuple
 
     def __post_init__(self):
-        atoms = tuple((as_vector(a, "payoff"), float(d)) for a, d in self.atoms)
-        if not atoms:
+        payoffs, deltas = [], []
+        for i, (x, delta) in enumerate(self.atoms):
+            payoffs.append(_payoff(x, f"atoms[{i}].payoff", payoffs[0].size if payoffs else None))
+            deltas.append(float(delta))
+            if not 0.0 <= deltas[-1] < 1.0:
+                raise DomainError(f"atoms[{i}]: delta must lie in [0, 1)")
+        if not payoffs:
             raise DomainError("model needs at least one atom")
-        if len({p.size for p, _ in atoms}) != 1:
-            raise DomainError("all payoff vectors must have the same length")
-        payoffs, deltas = _atom_matrix(atoms, "atoms")
+        atoms = tuple(zip(payoffs, deltas))
+        payoffs, deltas = np.array(payoffs, dtype=float), np.array(deltas, dtype=float)
         probs = as_vector(self.probabilities, "probabilities")
         if probs.size != payoffs.shape[0]:
             raise DomainError("need one probability per atom")
@@ -163,24 +163,18 @@ class KernelSpec:
         gamma = float(largest_v if self.gamma_v is None else self.gamma_v)
         if not 0.0 <= gamma < 1.0:
             raise DomainError("gamma_v, by default the largest jump v, must lie in [0, 1)")
-        drift = as_vector(self.drift, "drift")
-        if np.any(drift < 0.0):
-            raise DomainError("payoff drift must be non-negative")
+        drift = _payoff(self.drift, "drift")
         v_rate = float(self.v_rate)
         if v_rate < 0.0 or not np.isfinite(v_rate):
             raise DomainError("v_rate must be finite and >= 0")
         xs, vs, rhos = [], [], []
         for i, (x, v, rho) in enumerate(atoms):
-            vec = as_vector(x, f"jump_atoms[{i}].payoff")
-            if np.any(vec < 0.0):
-                raise DomainError(f"jump_atoms[{i}]: payoffs must be non-negative")
-            if vec.size != drift.size:
-                raise DomainError(f"jump_atoms[{i}]: payoff length must match drift")
+            vec = _payoff(x, f"jump_atoms[{i}].payoff", drift.size)
             v = float(v)
             if not 0.0 <= v <= gamma:
                 raise DomainError(f"jump_atoms[{i}]: v must lie in [0, gamma_v]")
-            if float(rho) < 0.0:
-                raise DomainError(f"jump_atoms[{i}]: intensity must be >= 0")
+            if not 0.0 <= float(rho) < np.inf:
+                raise DomainError(f"jump_atoms[{i}]: intensity must be finite and >= 0")
             if vec.sum() == 0.0 and v == 0.0:
                 raise DomainError(f"jump_atoms[{i}]: (x, v) must not be the zero jump")
             xs.append(vec)

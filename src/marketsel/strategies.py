@@ -152,8 +152,8 @@ def survival_strategy() -> StrategyHandle:
 
 
 def survival_mc_strategy(n_samples: int) -> StrategyHandle:
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
+    if not (1 <= n_samples < np.inf and n_samples == int(n_samples)):
+        raise DomainError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     return StrategyHandle(kind="survival_mc", n_samples=int(n_samples))
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from marketsel import DomainError, MarketSpec, ProfileRun, RngStream
 from marketsel.cli import (
     ConfigError,
     _read_config,
@@ -172,6 +173,58 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config_dict(data)
         assert any("sum to 1" in msg for msg in err.value.errors)
+
+    def test_every_cross_field_violation_is_reported_at_once(self, tmp_path, capsys):
+        data = minimal_config(horizon=10.5)
+        data["market"]["initial_wealth"] = [1.0, 1.0, 1.0]
+        data["strategies"].append({"kind": "survival_exact"})
+        where = ["$.market.initial_wealth", "$.strategies", "$.horizon"]
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict(data)
+        assert [msg.split(":")[0] for msg in err.value.errors] == where
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", "--config", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[1] for line in lines] == where
+
+    @pytest.mark.parametrize(
+        "where, breaks",
+        [
+            ("$.market.initial_wealth", lambda d: d["market"].update(initial_wealth=[1.0, 1.0, 1.0])),
+            ("$.payoff_model", lambda d: d["market"].update(assets=3)),
+            ("$.strategies", lambda d: d["strategies"].append({"kind": "survival_exact"})),
+            ("$.horizon", lambda d: d.update(horizon=10.5)),
+        ],
+        ids=["initial-wealth", "assets", "strategies", "horizon"],
+    )
+    def test_each_cross_field_rule_has_one_text(self, where, breaks):
+        # the cli reports ProfileRun's own message at the field's path
+        cfg = parse_config_dict(minimal_config())
+        data = minimal_config()
+        breaks(data)
+        with pytest.raises(ConfigError) as cli_err:
+            parse_config_dict(data)
+        market = MarketSpec(
+            data["market"]["investors"], data["market"]["assets"],
+            data["market"]["initial_wealth"], cfg.market.payoff_model,
+        )
+        strategies = [cfg.strategies[0]] * len(data["strategies"])
+        with pytest.raises(DomainError) as run_err:
+            ProfileRun(market, strategies, data["horizon"], RngStream(0))
+        assert cli_err.value.errors == [f"{where}: {run_err.value}"]
+
+    def test_config_that_is_not_an_object_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict([])
+        assert err.value.errors == ["$: configuration must be a JSON object"]
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        out = str(tmp_path / "out")
+        for argv in (["validate"], ["run", "--out", out], ["run", "--out", out, "--grid", "0.5"]):
+            assert main([*argv, "--config", str(path)]) == 1
+            assert capsys.readouterr().err == "config error: $: configuration must be a JSON object\n"
+        assert not (tmp_path / "out").exists()
 
     def test_nested_perturbed_strategy_parses(self):
         data = minimal_config()

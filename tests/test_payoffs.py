@@ -6,6 +6,8 @@ checks at n = 1e5 use an absolute band of 0.01, several standard errors
 wide for the probabilities involved.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -109,6 +111,14 @@ class TestModelValidation:
         # a jump's own v of 1 is named before any gamma_v is derived from it
         with pytest.raises(DomainError, match=r"^jump_atoms\[0\]: v must lie in \[0, 1\)$"):
             KernelSpec(jump_atoms=(((1.0, 0.0), 1.0, 1.0),), drift=(0.0, 0.0))
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -1.0])
+    def test_kernel_intensity_must_be_finite_and_non_negative(self, rho):
+        # a NaN intensity once gave a NaN first jump time, and an infinite
+        # one a jump schedule of zero waits that never reached the horizon
+        atoms = (((1.0, 0.0), 0.1, 1.0), ((0.0, 1.0), 0.1, rho))
+        with pytest.raises(DomainError, match=r"^jump_atoms\[1\]: intensity must be finite and >= 0$"):
+            KernelSpec(jump_atoms=atoms, drift=(0.0, 0.0))
 
 
 def _draw_block(model, regime, rng, steps):

@@ -122,6 +122,16 @@ class TestSurvivalDiscreteMC:
         assert np.all(out >= 0.0)
         assert abs(out.sum() - 1.0) <= EXACT_TOL
 
+    @pytest.mark.parametrize("n", [2.5, 0.5, 0, -3, math.nan, math.inf])
+    def test_sample_count_must_be_an_integer_of_at_least_one(self, n):
+        # 2.5 was once truncated to a 2-sample handle
+        with pytest.raises(DomainError, match=r"n_samples must be an integer >= 1"):
+            survival_mc_strategy(n)
+
+    def test_integral_float_sample_count_is_accepted(self):
+        # the config schema's "integer" admits 3.0
+        assert survival_mc_strategy(3.0).n_samples == 3
+
 
 class TestSurvivalContinuous:
     def test_pure_jump_hand_value(self):
